@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .conicfit import GnSettings, fit_bookstein, fit_gauss_newton, fit_trace, moment_init
+from .conicfit import GnSettings, fit_gauss_newton, moment_init
 from .errors import (
     EmptyCloud,
     HelibendError,
@@ -43,12 +43,28 @@ from .report import (
     write_cloud_csv,
     write_truth_csv,
 )
-from .torsion import FITTERS, TRACE_FITTER, rectify_against
+from .torsion import (
+    FITTERS,
+    GAUSS_NEWTON_FITTER,
+    TRACE_FITTER,
+    fit_section_ellipse,
+    rectify_against,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_ANALYSIS = 3
 EXIT_NONCONVERGED = 4
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,17 +81,18 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--fitter", choices=FITTERS, default=TRACE_FITTER)
     ev.add_argument(
         "--sections",
-        type=int,
+        type=_positive_int,
         default=None,
         help="expected section count (required when the input has no section column)",
     )
-    ev.add_argument("--window", type=int, default=DEFAULT_WINDOW,
+    ev.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW,
                     help="adjacent sections pooled per direction fit")
-    ev.add_argument("--workers", type=int, default=None)
+    ev.add_argument("--workers", type=int, default=None,
+                    help="accepted for interface uniformity; sections run sequentially")
     ev.add_argument("--format", choices=("csv", "report", "both"), default="both")
     ev.add_argument("--seed", type=int, default=0,
                     help="accepted for interface uniformity; evaluation is deterministic")
-    ev.add_argument("--gn-max-iterations", type=int, default=None,
+    ev.add_argument("--gn-max-iterations", type=_positive_int, default=None,
                     help="iteration budget for the gauss-newton fitter")
 
     sy = sub.add_parser("synth", help="generate a synthetic part with ground truth")
@@ -192,27 +209,6 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _boundary_arc(params: EllipseParams, n: int, fraction: float, t_center: float):
-    half = math.pi * fraction
-    t = t_center + np.linspace(-half, half, n)
-    ca, sa = math.cos(params.orientation), math.sin(params.orientation)
-    u = params.semi_major * np.cos(t)
-    v = params.semi_minor * np.sin(t)
-    return np.column_stack(
-        (params.center[0] + ca * u - sa * v, params.center[1] + sa * u + ca * v)
-    )
-
-
-def _sweep_fit(fitter: str, pts: np.ndarray):
-    if fitter == TRACE_FITTER:
-        return fit_trace(pts)
-    if fitter == "bookstein":
-        return fit_bookstein(pts)
-    # Deliberately not warm-started from the trace fit: the sweep compares
-    # the methods, so Gauss-Newton starts from plain moment estimates.
-    return fit_gauss_newton(pts, init=moment_init(pts))
-
-
 def _cmd_compare_fits(args) -> int:
     if args.trials < 1:
         raise InvalidSweep("trials must be >= 1")
@@ -250,11 +246,16 @@ def _cmd_compare_fits(args) -> int:
             if args.arc_fraction >= 1.0:
                 pts = params.boundary_points(args.points)
             else:
-                pts = _boundary_arc(params, args.points, args.arc_fraction,
-                                    rng.uniform(0.0, 2.0 * math.pi))
+                pts = params.arc_points(args.points, args.arc_fraction,
+                                        rng.uniform(0.0, 2.0 * math.pi))
             if args.noise_sigma > 0.0:
                 pts = pts + rng.normal(0.0, args.noise_sigma, pts.shape)
-            fit = _sweep_fit(fitter, pts)
+            if fitter == GAUSS_NEWTON_FITTER:
+                # Deliberately not warm-started from the trace fit: the sweep compares
+                # the methods, so Gauss-Newton starts from plain moment estimates.
+                fit = fit_gauss_newton(pts, init=moment_init(pts))
+            else:
+                fit = fit_section_ellipse(pts, fitter)
             raw = fit.params.orientation
             rectified = rectify_against(raw, float(true))
             rows.append((fitter, trial, float(true), raw, rectified))

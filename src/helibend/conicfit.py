@@ -83,7 +83,7 @@ def algebraic_residuals(points, conic: Conic2D) -> np.ndarray:
 def geometric_residuals(points, params: EllipseParams) -> np.ndarray:
     """Signed orthogonal distance to the ellipse boundary for each point."""
     pts = as_points(points, 2)
-    local = _to_local(pts, params)
+    local = _to_local(pts, params.center, params.orientation)
     _, dist = _foot_points(local, params.semi_major, params.semi_minor)
     return dist
 
@@ -285,7 +285,7 @@ def point_to_ellipse_distance(point, params: EllipseParams) -> float:
     for every input.
     """
     pts = np.asarray(point, dtype=float).reshape(1, 2)
-    local = _to_local(pts, params)
+    local = _to_local(pts, params.center, params.orientation)
     _, dist = _foot_points(local, params.semi_major, params.semi_minor)
     return float(dist[0])
 
@@ -293,18 +293,21 @@ def point_to_ellipse_distance(point, params: EllipseParams) -> float:
 def ellipse_foot_point(point, params: EllipseParams) -> np.ndarray:
     """Closest boundary point to ``point``."""
     pts = np.asarray(point, dtype=float).reshape(1, 2)
-    local = _to_local(pts, params)
+    local = _to_local(pts, params.center, params.orientation)
     foot, _ = _foot_points(local, params.semi_major, params.semi_minor)
     ca, sa = math.cos(params.orientation), math.sin(params.orientation)
     rot = np.array([[ca, -sa], [sa, ca]])
     return foot[0] @ rot.T + params.center
 
 
-def _to_local(pts: np.ndarray, params: EllipseParams) -> np.ndarray:
-    """Rotate/translate points into the ellipse-aligned frame."""
-    ca, sa = math.cos(params.orientation), math.sin(params.orientation)
+def _to_local(pts: np.ndarray, center, orientation: float) -> np.ndarray:
+    """Rotate/translate points into the ellipse-aligned frame.
+
+    Not EllipseParams: Gauss-Newton iterates may have a < b, which it rejects.
+    """
+    ca, sa = math.cos(orientation), math.sin(orientation)
     rot = np.array([[ca, sa], [-sa, ca]])
-    return (pts - params.center) @ rot.T
+    return (pts - center) @ rot.T
 
 
 def _foot_points(local: np.ndarray, a: float, b: float):
@@ -386,10 +389,8 @@ def _gn_residual_jacobian(pts: np.ndarray, theta: np.ndarray):
     parameters drops out, leaving d(dist)/d(param) = -n . dq/d(param) with
     n the outward unit normal at the foot point q.
     """
-    cx, cy, a, b, phi = theta
-    ca, sa = math.cos(phi), math.sin(phi)
-    rot = np.array([[ca, sa], [-sa, ca]])
-    local = (pts - np.array([cx, cy])) @ rot.T
+    a, b, phi = theta[2:]
+    local = _to_local(pts, theta[:2], phi)
     foot, dist = _foot_points(local, a, b)
 
     ct = foot[:, 0] / a
@@ -398,6 +399,7 @@ def _gn_residual_jacobian(pts: np.ndarray, theta: np.ndarray):
     normal /= np.hypot(normal[:, 0], normal[:, 1])[:, None]
     nlx, nly = normal[:, 0], normal[:, 1]
 
+    ca, sa = math.cos(phi), math.sin(phi)
     jac = np.empty((len(pts), 5))
     # d q / d center is the identity, rotated back to the world frame.
     jac[:, 0] = -(nlx * ca - nly * sa)

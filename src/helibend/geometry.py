@@ -227,15 +227,23 @@ class EllipseParams:
 
     def boundary_points(self, n: int = 64, t0: float = 0.0) -> np.ndarray:
         """Sample n points on the boundary, equally spaced in parameter angle."""
-        t = t0 + 2.0 * math.pi * np.arange(n) / n
+        return self._sample(t0 + 2.0 * math.pi * np.arange(n) / n)
+
+    def arc_points(self, n: int, fraction: float, t_center: float) -> np.ndarray:
+        """n boundary points spanning ``fraction`` of the parameter circle.
+
+        The span is centred on parameter angle ``t_center`` and includes
+        both ends, so a fraction below 1 emulates a one-sided scan.
+        """
+        half = math.pi * fraction
+        return self._sample(t_center + np.linspace(-half, half, n))
+
+    def _sample(self, t: np.ndarray) -> np.ndarray:
         ca, sa = math.cos(self.orientation), math.sin(self.orientation)
         u = self.semi_major * np.cos(t)
         v = self.semi_minor * np.sin(t)
         return np.column_stack(
-            (
-                self.center[0] + ca * u - sa * v,
-                self.center[1] + sa * u + ca * v,
-            )
+            (self.center[0] + ca * u - sa * v, self.center[1] + sa * u + ca * v)
         )
 
 

@@ -179,7 +179,8 @@ def generate(spec: HelixSpec) -> SyntheticPart:
 def segment_sections(cloud, expected_sections: int | None = None, labels=None):
     """Split a measured cloud into per-section point arrays.
 
-    With labels, points are grouped by label and ordered by label value.
+    With labels, points are grouped by label and ordered by label value;
+    an underfilled group is reported by its label value.
     Without labels the points are binned by azimuth about the product axis:
     the cloud is rebased past the largest circular gap (so parts spanning
     the -pi/pi seam work) and split at the ``expected_sections - 1`` widest
@@ -194,7 +195,8 @@ def segment_sections(cloud, expected_sections: int | None = None, labels=None):
         labels = np.asarray(labels)
         if len(labels) != len(pts):
             raise ValueError("labels length does not match point count")
-        groups = [pts[labels == value] for value in np.unique(labels)]
+        names = np.unique(labels)
+        groups = [pts[labels == value] for value in names]
     else:
         if expected_sections is None or expected_sections < 1:
             raise ValueError("expected_sections must be >= 1 for unlabeled input")
@@ -216,11 +218,12 @@ def segment_sections(cloud, expected_sections: int | None = None, labels=None):
             cut_positions = np.sort(np.argsort(internal)[-(expected_sections - 1):])
             bounds = [0, *(int(c) + 1 for c in cut_positions), len(pts)]
             groups = [pts[order[bounds[k] : bounds[k + 1]]] for k in range(expected_sections)]
+        names = range(len(groups))
 
-    for k, group in enumerate(groups):
+    for name, group in zip(names, groups):
         if len(group) < _MIN_SECTION_POINTS:
             raise UnderfilledSection(
-                f"section {k} holds {len(group)} points; need {_MIN_SECTION_POINTS}"
+                f"section {name} holds {len(group)} points; need {_MIN_SECTION_POINTS}"
             )
     return groups
 

@@ -1,13 +1,13 @@
 """Full evaluation pipeline: canonicalize, detect direction, observe
 torsion, rectify and summarize arc geometry.
 
-Per-section stages run on a thread pool with an ordered reduction, so the
-output is identical for any worker count.
+Sections are evaluated in one sequential pass: the per-section stages are
+chains of small numpy calls that a thread pool only serializes on the
+interpreter lock. ``workers`` is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +40,6 @@ class EvaluationResult:
         return all(s.torsion.fit.converged for s in self.sections)
 
 
-def _pool_map(fn, items, workers):
-    if workers is not None and workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def evaluate_sections(
     section_points,
     fitter: str = TRACE_FITTER,
@@ -55,43 +48,42 @@ def evaluate_sections(
     gn_settings: GnSettings | None = None,
 ) -> EvaluationResult:
     """Run the evaluation stages over pre-segmented section point sets."""
-    canonical = _pool_map(canonicalize_section, section_points, workers)
+    canonical = [canonicalize_section(points) for points in section_points]
     directions = detect_direction(canonical, window=window)
-
-    def _observe(pair):
-        index, (section, direction) = pair
-        return observe_torsion(
+    torsions = [
+        observe_torsion(
             section,
             direction.theta_x,
             fitter=fitter,
             section_index=index,
             gn_settings=gn_settings,
         )
-
-    torsions = _pool_map(_observe, list(enumerate(zip(canonical, directions))), workers)
+        for index, (section, direction) in enumerate(zip(canonical, directions))
+    ]
     series = TorsionSeries(tuple(torsions))
     rectified = series.rectified()
 
     sections = tuple(
         SectionEvaluation(
             index=i,
-            azimuth_phi=canonical[i].azimuth_phi,
-            centroid_radius=canonical[i].centroid_radius,
-            direction=directions[i],
-            torsion=torsions[i],
-            theta_y_rectified=float(rectified[i]),
+            azimuth_phi=section.azimuth_phi,
+            centroid_radius=section.centroid_radius,
+            direction=direction,
+            torsion=torsion,
+            theta_y_rectified=float(theta_y),
         )
-        for i in range(len(canonical))
+        for i, (section, direction, torsion, theta_y) in enumerate(
+            zip(canonical, directions, torsions, rectified)
+        )
     )
-    geometry = arc_parameters(list(canonical))
     arc = ArcReport(
-        geometry=geometry,
-        theta_x=np.array([s.direction.theta_x for s in sections]),
-        theta_y_raw=np.array([s.torsion.theta_y for s in sections]),
+        geometry=arc_parameters(canonical),
+        theta_x=np.array([d.theta_x for d in directions]),
+        theta_y_raw=series.raw_values(),
         theta_y_rectified=rectified,
-        line_rms=np.array([s.direction.rms_orthogonal_residual for s in sections]),
-        algebraic_rms=np.array([s.torsion.fit.rms_algebraic_residual for s in sections]),
-        geometric_rms=np.array([s.torsion.fit.rms_geometric_residual for s in sections]),
+        line_rms=np.array([d.rms_orthogonal_residual for d in directions]),
+        algebraic_rms=np.array([t.fit.rms_algebraic_residual for t in torsions]),
+        geometric_rms=np.array([t.fit.rms_geometric_residual for t in torsions]),
     )
     return EvaluationResult(arc=arc, sections=sections, canonical=tuple(canonical))
 
@@ -107,6 +99,4 @@ def evaluate_cloud(
 ) -> EvaluationResult:
     """Segment a raw cloud and evaluate it."""
     groups = segment_sections(points, expected_sections=expected_sections, labels=labels)
-    return evaluate_sections(
-        groups, fitter=fitter, window=window, workers=workers, gn_settings=gn_settings
-    )
+    return evaluate_sections(groups, fitter=fitter, window=window, gn_settings=gn_settings)

@@ -113,6 +113,7 @@ def write_truth_csv(path, truth) -> None:
 def read_truth_csv(path):
     """Parse a ground-truth sidecar into arrays (phi, theta_x, theta_y, centroids)."""
     rows = []
+    lineno = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -125,7 +126,17 @@ def read_truth_csv(path):
                 raise InputFormatError(
                     f"line {lineno}: expected 7 fields", line_number=lineno
                 )
-            rows.append([float(f) for f in fields])
+            try:
+                rows.append([float(f) for f in fields])
+            except ValueError as exc:
+                raise InputFormatError(
+                    f"line {lineno}: {exc}", line_number=lineno
+                ) from exc
+    if not rows:
+        raise InputFormatError(
+            f"line {lineno + 1}: expected a data row, got end of file",
+            line_number=lineno + 1,
+        )
     data = np.array(rows, dtype=float)
     return data[:, 1], data[:, 2], data[:, 3], data[:, 4:7]
 
@@ -224,47 +235,39 @@ _SECTION_COLUMNS = (
 )
 
 
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    if isinstance(value, int):
+        return str(value)
+    return _fmt(value)
+
+
+def _csv_text(columns, rows) -> str:
+    lines = [",".join(columns)]
+    lines += [",".join(_csv_cell(row[col]) for col in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def sections_csv_text(report: EvaluationReport) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(_SECTION_COLUMNS) + "\n")
-    for row in report.document["sections"]:
-        cells = []
-        for col in _SECTION_COLUMNS:
-            value = row[col]
-            if isinstance(value, bool):
-                cells.append("true" if value else "false")
-            elif isinstance(value, int):
-                cells.append(str(value))
-            else:
-                cells.append(_fmt(value))
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+    return _csv_text(_SECTION_COLUMNS, report.document["sections"])
+
+
+_ARC_COLUMNS = (
+    "radius_mm",
+    "central_angle_rad",
+    "central_angle_deg",
+    "arc_length_mm",
+    "helical_arc_length_mm",
+    "pitch_mm_per_rad",
+    "sections",
+)
 
 
 def arc_csv_text(report: EvaluationReport) -> str:
-    columns = (
-        "radius_mm",
-        "central_angle_rad",
-        "central_angle_deg",
-        "arc_length_mm",
-        "helical_arc_length_mm",
-        "pitch_mm_per_rad",
-        "sections",
-    )
-    buf = io.StringIO()
-    buf.write(",".join(columns) + "\n")
-    for arc in report.document["arcs"]:
-        cells = []
-        for col in columns:
-            value = arc[col]
-            if value is None:
-                cells.append("")
-            elif isinstance(value, int):
-                cells.append(str(value))
-            else:
-                cells.append(_fmt(value))
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+    return _csv_text(_ARC_COLUMNS, report.document["arcs"])
 
 
 # ---------------------------------------------------------------------------

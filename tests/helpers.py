@@ -14,14 +14,7 @@ def ellipse_points(center, semi_major, semi_minor, orientation, n, t0=0.0):
 
 def arc_points(params: EllipseParams, n: int, arc_frac: float, t_center: float) -> np.ndarray:
     """n boundary points spanning a fraction ``arc_frac`` of the parameter circle."""
-    half = math.pi * arc_frac
-    t = t_center + np.linspace(-half, half, n)
-    ca, sa = math.cos(params.orientation), math.sin(params.orientation)
-    u = params.semi_major * np.cos(t)
-    v = params.semi_minor * np.sin(t)
-    return np.column_stack(
-        (params.center[0] + ca * u - sa * v, params.center[1] + sa * u + ca * v)
-    )
+    return params.arc_points(n, arc_frac, t_center)
 
 
 def random_ellipse(rng, min_ratio=1.05):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helibend.cli import main
+from helibend.errors import InputFormatError
 from helibend.report import EvaluationReport, read_cloud_csv, read_truth_csv
 
 
@@ -154,6 +155,25 @@ class TestEvaluate:
         report = EvaluationReport.from_text((out / "report.json").read_text())
         assert any(not s["fit_converged"] for s in report.document["sections"])
 
+    @pytest.mark.parametrize(
+        "flag, labeled",
+        [("--window", True), ("--gn-max-iterations", True), ("--sections", False)],
+    )
+    def test_zero_count_flag_is_usage_error(self, tmp_path, capsys, flag, labeled):
+        data = tmp_path / "data"
+        synth(data, seed=4, sections=6)
+        cloud = data / "cloud.csv"
+        if not labeled:
+            lines = cloud.read_text().splitlines()
+            cloud.write_text(
+                "\n".join(",".join(l.split(",")[:3]) for l in lines) + "\n", encoding="utf-8"
+            )
+        with pytest.raises(SystemExit) as exc:
+            run("evaluate", "--input", cloud, "--output-dir", tmp_path / "o",
+                "--fitter", "gauss-newton", flag, 0)
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: must be >= 1" in capsys.readouterr().err
+
     def test_comments_and_blank_lines_ok(self, tmp_path):
         data = tmp_path / "data"
         synth(data, seed=2, sections=8)
@@ -163,6 +183,27 @@ class TestEvaluate:
         (data / "cloud.csv").write_text("\n".join(raw) + "\n", encoding="utf-8")
         assert run("evaluate", "--input", data / "cloud.csv",
                    "--output-dir", tmp_path / "o") == 0
+
+
+class TestReadTruthCsv:
+    def test_header_only_names_missing_row(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text("section,phi,theta_x_true,theta_y_true,cx,cy,cz\n", encoding="utf-8")
+        with pytest.raises(InputFormatError) as exc:
+            read_truth_csv(path)
+        assert exc.value.line_number == 2
+
+    def test_non_numeric_field_names_line(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text(
+            "section,phi,theta_x_true,theta_y_true,cx,cy,cz\n"
+            "0,0.0,0.1,0.0,120.0,0.0,0.0\n"
+            "1,0.5,0.1,oops,105.3,57.5,4.8\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(InputFormatError, match="line 3") as exc:
+            read_truth_csv(path)
+        assert exc.value.line_number == 3
 
 
 class TestCompareFits:

@@ -154,6 +154,13 @@ class TestSegmentSections:
         with pytest.raises(UnderfilledSection):
             segment_sections(part.points, expected_sections=4)
 
+    def test_underfilled_labeled_group_names_its_label(self):
+        # labels 3 and 5: the short group is the second one but labeled 5
+        part = generate(HelixSpec(sections=2, points_per_section=8, rng_seed=16))
+        labels = np.where(part.labels == 0, 3, 5)
+        with pytest.raises(UnderfilledSection, match="section 5 holds 4 points"):
+            segment_sections(part.points[:12], labels=labels[:12])
+
 
 class TestArcParameters:
     def _sections_for(self, spec):
