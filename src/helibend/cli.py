@@ -29,6 +29,7 @@ from .errors import (
     InputFormatError,
     InvalidSpec,
     InvalidSweep,
+    SectionCountMismatch,
 )
 from .geometry import EllipseParams, fold_half_open
 from .helix import HelixSpec, generate
@@ -296,7 +297,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (InputFormatError, EmptyCloud, InvalidSpec, InvalidSweep) as exc:
+    except (
+        InputFormatError, EmptyCloud, InvalidSpec, InvalidSweep, SectionCountMismatch
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

@@ -284,7 +284,7 @@ def point_to_ellipse_distance(point, params: EllipseParams) -> float:
     parametric foot-point angle with a bisection fallback, so it converges
     for every input.
     """
-    pts = np.asarray(point, dtype=float).reshape(1, 2)
+    pts = as_points(np.asarray(point, dtype=float).reshape(1, 2), 2)
     local = _to_local(pts, params.center, params.orientation)
     _, dist = _foot_points(local, params.semi_major, params.semi_minor)
     return float(dist[0])
@@ -292,7 +292,7 @@ def point_to_ellipse_distance(point, params: EllipseParams) -> float:
 
 def ellipse_foot_point(point, params: EllipseParams) -> np.ndarray:
     """Closest boundary point to ``point``."""
-    pts = np.asarray(point, dtype=float).reshape(1, 2)
+    pts = as_points(np.asarray(point, dtype=float).reshape(1, 2), 2)
     local = _to_local(pts, params.center, params.orientation)
     foot, _ = _foot_points(local, params.semi_major, params.semi_minor)
     ca, sa = math.cos(params.orientation), math.sin(params.orientation)

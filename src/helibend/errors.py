@@ -56,6 +56,10 @@ class UnderfilledSection(HelibendError):
     """A segmentation bin received fewer points than a conic fit needs."""
 
 
+class SectionCountMismatch(HelibendError):
+    """The stated section count contradicts the labels in the input."""
+
+
 class NonMonotonicAzimuth(HelibendError):
     """Section azimuths reverse direction; the part would be back-bent."""
 

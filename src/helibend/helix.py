@@ -20,6 +20,7 @@ from .errors import (
     EmptyCloud,
     InvalidSpec,
     NonMonotonicAzimuth,
+    SectionCountMismatch,
     TooFewSections,
     UnderfilledSection,
 )
@@ -179,8 +180,10 @@ def generate(spec: HelixSpec) -> SyntheticPart:
 def segment_sections(cloud, expected_sections: int | None = None, labels=None):
     """Split a measured cloud into per-section point arrays.
 
-    With labels, points are grouped by label and ordered by label value;
-    an underfilled group is reported by its label value.
+    With labels, points are grouped by label and ordered by label value,
+    keeping input order inside each group; an underfilled group is reported
+    by its label value, and an ``expected_sections`` that differs from the
+    number of labels raises SectionCountMismatch.
     Without labels the points are binned by azimuth about the product axis:
     the cloud is rebased past the largest circular gap (so parts spanning
     the -pi/pi seam work) and split at the ``expected_sections - 1`` widest
@@ -195,8 +198,17 @@ def segment_sections(cloud, expected_sections: int | None = None, labels=None):
         labels = np.asarray(labels)
         if len(labels) != len(pts):
             raise ValueError("labels length does not match point count")
-        names = np.unique(labels)
-        groups = [pts[labels == value] for value in names]
+        if labels.dtype.kind in "fc" and np.isnan(labels).any():
+            raise ValueError("labels contain NaN")
+        names, inverse = np.unique(labels, return_inverse=True)
+        if expected_sections is not None and expected_sections != len(names):
+            raise SectionCountMismatch(
+                f"labels name {len(names)} sections, but {expected_sections} were expected"
+            )
+        # One stable sort keeps file order inside each group.
+        order = np.argsort(inverse, kind="stable")
+        counts = np.bincount(inverse)
+        groups = np.split(pts[order], np.cumsum(counts)[:-1])
     else:
         if expected_sections is None or expected_sections < 1:
             raise ValueError("expected_sections must be >= 1 for unlabeled input")

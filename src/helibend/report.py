@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,54 +50,105 @@ def write_cloud_csv(path, points, labels=None) -> None:
                 fh.write(f"{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])},{int(lab)}\n")
 
 
+_CLOUD_HEADERS = {("x", "y", "z"): False, ("x", "y", "z", "section"): True}
+_LABELED_ROW = np.dtype([("p", "f8", 3), ("s", "i8")])
+
+
 def read_cloud_csv(path):
     """Parse a cloud CSV into (points, labels or None).
 
     Raises InputFormatError naming the offending line on any malformed row.
+    A well-formed file is read in bulk by numpy's C reader; anything that
+    reader does not accept is re-read by the line parser, which is the
+    reference and the only one that reports errors.
     """
+    with open(path, "r", encoding="utf-8") as fh:
+        parsed = _read_cloud_bulk(fh)
+        if parsed is None:
+            fh.seek(0)
+            parsed = _read_cloud_lines(fh)
+    return parsed
+
+
+def _read_cloud_bulk(fh):
+    """Bulk read of a file whose first line is the header; None when any row
+    would need the line parser's judgement.
+
+    Every token ``loadtxt`` accepts is accepted by ``float``/``int`` with the
+    same value, and it rejects a row whose width differs from the others, so
+    an accepted file of the header's width parses exactly as the line parser
+    would. A ``#`` is never a number, so comments fail the parse too.
+    """
+    header = fh.readline()
+    has_labels = _CLOUD_HEADERS.get(tuple(f.strip() for f in header.strip().split(",")))
+    if has_labels is None:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # "input contained no data", or an older numpy's deprecated
+            # float-to-int parse of a label, sends the file to the line parser.
+            warnings.simplefilter("error")
+            rows = np.loadtxt(fh, delimiter=",", comments=None,
+                              dtype=_LABELED_ROW if has_labels else float,
+                              ndmin=1 if has_labels else 2)
+    except (ValueError, Warning):
+        return None
+    if has_labels:
+        pts, labels = np.ascontiguousarray(rows["p"]), np.ascontiguousarray(rows["s"])
+    elif rows.shape[1] == 3:
+        pts, labels = rows, None
+    else:
+        return None
+    if not np.isfinite(pts).all():
+        return None
+    return pts, labels
+
+
+def _read_cloud_lines(fh):
     points: list[list[float]] = []
     labels: list[int] = []
     has_labels = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = [f.strip() for f in line.split(",")]
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if has_labels is None:
+            has_labels = _CLOUD_HEADERS.get(tuple(fields))
             if has_labels is None:
-                if fields == ["x", "y", "z"]:
-                    has_labels = False
-                elif fields == ["x", "y", "z", "section"]:
-                    has_labels = True
-                else:
-                    raise InputFormatError(
-                        f"line {lineno}: expected header 'x,y,z[,section]', got {line!r}",
-                        line_number=lineno,
-                    )
-                continue
-            expected = 4 if has_labels else 3
-            if len(fields) != expected:
                 raise InputFormatError(
-                    f"line {lineno}: expected {expected} fields, got {len(fields)}",
+                    f"line {lineno}: expected header 'x,y,z[,section]', got {line!r}",
                     line_number=lineno,
                 )
-            try:
-                xyz = [float(fields[0]), float(fields[1]), float(fields[2])]
-                if has_labels:
-                    labels.append(int(fields[3]))
-            except ValueError as exc:
-                raise InputFormatError(
-                    f"line {lineno}: {exc}", line_number=lineno
-                ) from exc
-            if not all(math.isfinite(v) for v in xyz):
-                raise InputFormatError(
-                    f"line {lineno}: non-finite coordinate", line_number=lineno
-                )
-            points.append(xyz)
+            continue
+        expected = 4 if has_labels else 3
+        if len(fields) != expected:
+            raise InputFormatError(
+                f"line {lineno}: expected {expected} fields, got {len(fields)}",
+                line_number=lineno,
+            )
+        try:
+            xyz = [float(fields[0]), float(fields[1]), float(fields[2])]
+            if has_labels:
+                labels.append(int(fields[3]))
+        except ValueError as exc:
+            raise InputFormatError(
+                f"line {lineno}: {exc}", line_number=lineno
+            ) from exc
+        if has_labels and not -(2**63) <= labels[-1] < 2**63:
+            raise InputFormatError(
+                f"line {lineno}: section label {labels[-1]} is outside the int64 range",
+                line_number=lineno,
+            )
+        if not all(math.isfinite(v) for v in xyz):
+            raise InputFormatError(
+                f"line {lineno}: non-finite coordinate", line_number=lineno
+            )
+        points.append(xyz)
     if has_labels is None:
         raise InputFormatError("no header line found (empty input?)", line_number=None)
     pts = np.array(points, dtype=float).reshape(-1, 3)
-    return pts, (np.array(labels, dtype=int) if has_labels else None)
+    return pts, (np.array(labels, dtype=np.int64) if has_labels else None)
 
 
 def write_truth_csv(path, truth) -> None:
@@ -127,11 +179,16 @@ def read_truth_csv(path):
                     f"line {lineno}: expected 7 fields", line_number=lineno
                 )
             try:
-                rows.append([float(f) for f in fields])
+                row = [float(f) for f in fields]
             except ValueError as exc:
                 raise InputFormatError(
                     f"line {lineno}: {exc}", line_number=lineno
                 ) from exc
+            if not all(math.isfinite(v) for v in row):
+                raise InputFormatError(
+                    f"line {lineno}: non-finite value", line_number=lineno
+                )
+            rows.append(row)
     if not rows:
         raise InputFormatError(
             f"line {lineno + 1}: expected a data row, got end of file",

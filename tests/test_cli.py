@@ -174,6 +174,32 @@ class TestEvaluate:
         assert exc.value.code == 2
         assert f"error: argument {flag}: must be >= 1" in capsys.readouterr().err
 
+    def test_sections_flag_contradicting_labels_is_input_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        synth(data, seed=5, sections=6)
+        cloud = data / "cloud.csv"
+        assert run("evaluate", "--input", cloud, "--output-dir", tmp_path / "ok",
+                   "--sections", 6) == 0
+        assert run("evaluate", "--input", cloud, "--output-dir", tmp_path / "bad",
+                   "--sections", 5) == 2
+        err = capsys.readouterr().err
+        assert "6 sections" in err and "5 were expected" in err
+        assert not (tmp_path / "bad").exists()
+
+    def test_section_label_beyond_int64_names_line(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        synth(data, seed=6, sections=3)
+        lines = (data / "cloud.csv").read_text().splitlines()
+        x, y, z, _ = lines[5].split(",")
+        lines[5] = f"{x},{y},{z},99999999999999999999"
+        (data / "cloud.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(InputFormatError, match="line 6") as exc:
+            read_cloud_csv(data / "cloud.csv")
+        assert exc.value.line_number == 6
+        assert run("evaluate", "--input", data / "cloud.csv",
+                   "--output-dir", tmp_path / "o") == 2
+        assert "line 6" in capsys.readouterr().err
+
     def test_comments_and_blank_lines_ok(self, tmp_path):
         data = tmp_path / "data"
         synth(data, seed=2, sections=8)
@@ -202,6 +228,19 @@ class TestReadTruthCsv:
             encoding="utf-8",
         )
         with pytest.raises(InputFormatError, match="line 3") as exc:
+            read_truth_csv(path)
+        assert exc.value.line_number == 3
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_field_names_line(self, tmp_path, token):
+        path = tmp_path / "truth.csv"
+        path.write_text(
+            "section,phi,theta_x_true,theta_y_true,cx,cy,cz\n"
+            "0,0.0,0.1,0.0,120.0,0.0,0.0\n"
+            f"1,{token},0.1,0.0,105.3,57.5,4.8\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(InputFormatError, match="line 3: non-finite") as exc:
             read_truth_csv(path)
         assert exc.value.line_number == 3
 

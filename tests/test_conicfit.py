@@ -352,6 +352,15 @@ class TestPointToEllipseDistance:
         base = point_to_ellipse_distance(local, EllipseParams(np.zeros(2), 4.0, 2.0, 0.0))
         assert point_to_ellipse_distance(world, params) == pytest.approx(base, abs=1e-12)
 
+    @pytest.mark.parametrize("function", [point_to_ellipse_distance, ellipse_foot_point])
+    @pytest.mark.parametrize("point", [(math.nan, 0.5), (0.0, math.inf)])
+    def test_non_finite_point_rejected(self, function, point):
+        params = EllipseParams(np.zeros(2), 4.0, 2.0, 0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            geometric_residuals(np.array([point]), params)
+        with pytest.raises(ValueError, match="non-finite"):
+            function(point, params)
+
 
 class TestAlgebraicResiduals:
     def test_zero_on_own_boundary(self):

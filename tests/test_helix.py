@@ -14,6 +14,7 @@ from helibend.errors import (
     EmptyCloud,
     InvalidSpec,
     NonMonotonicAzimuth,
+    SectionCountMismatch,
     TooFewSections,
     UnderfilledSection,
 )
@@ -98,6 +99,38 @@ class TestSegmentSections:
         n = 48
         for i, group in enumerate(groups):
             assert np.array_equal(group, part.points[i * n : (i + 1) * n])
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.tile(np.arange(5), 8),  # interleaved
+            np.repeat([-7, -2, 0, 3], 10)[::-1],  # negative, descending in file order
+            np.repeat([100, 4, 97, 12, 55], [6, 9, 7, 12, 6]),  # non-contiguous values
+            np.full(20, 42),  # a single label
+            np.random.default_rng(3).choice([-5, 1, 9, 1000], size=120),
+        ],
+    )
+    def test_labeled_grouping_matches_mask_reference(self, labels):
+        pts = np.random.default_rng(len(labels)).normal(size=(len(labels), 3))
+        groups = segment_sections(pts, labels=labels)
+        # reference: one boolean mask per label value, in label order
+        expected = [pts[labels == value] for value in np.unique(labels)]
+        assert len(groups) == len(expected)
+        for got, want in zip(groups, expected):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_nan_label_rejected(self):
+        labels = np.repeat([0.0, 1.0, np.nan], 6)
+        with pytest.raises(ValueError, match="NaN"):
+            segment_sections(np.zeros((18, 3)) + np.arange(18)[:, None], labels=labels)
+
+    def test_labeled_expected_sections_must_match(self):
+        part = generate(HelixSpec(sections=5, rng_seed=17))
+        groups = segment_sections(part.points, expected_sections=5, labels=part.labels)
+        assert len(groups) == 5
+        with pytest.raises(SectionCountMismatch, match="labels name 5 sections, but 3"):
+            segment_sections(part.points, expected_sections=3, labels=part.labels)
 
     def test_unlabeled_recovers_separated_sections(self):
         # sections separated by > 3x their own angular width

@@ -1,0 +1,118 @@
+import warnings
+
+import numpy as np
+import pytest
+
+from helibend import report
+from helibend.errors import InputFormatError
+from helibend.report import read_cloud_csv
+
+
+def _line_parse(path):
+    """The reference: the line parser alone, as the bulk path must behave."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return report._read_cloud_lines(fh)
+
+
+_LABELED = "x,y,z,section\n1.5,-2.25,3.0,0\n4.0,5.0,6.125,1\n-7.0,8.0,9.0,0\n"
+_UNLABELED = "x,y,z\n1.5,-2.25,3.0\n4.0,5.0,6.125\n-7.0,8.0,9.0\n"
+
+CORPUS = {
+    "labeled": _LABELED,
+    "unlabeled": _UNLABELED,
+    "crlf": _LABELED.replace("\n", "\r\n"),
+    "blank_lines": "x,y,z\n\n1.0,2.0,3.0\n\n\n4.0,5.0,6.0\n   \n",
+    "empty_lines": "x,y,z\n1.0,2.0,3.0\n\n\n4.0,5.0,6.0\n\n",
+    "no_final_newline": "x,y,z\n1.0,2.0,3.0\n4.0,5.0,6.0",
+    "comment_before_header": "# scan 7\nx,y,z\n1.0,2.0,3.0\n",
+    "comment_inside_data": "x,y,z,section\n1.0,2.0,3.0,0\n# pause\n4.0,5.0,6.0,1\n",
+    "inline_comment": "x,y,z\n1.0,2.0,3.0 # probe 2\n",
+    "blank_line_before_header": "\nx,y,z\n1.0,2.0,3.0\n",
+    "header_only": "x,y,z\n",
+    "header_only_labeled": "x,y,z,section\n",
+    "empty": "",
+    "single_row": "x,y,z,section\n1.0,2.0,3.0,4\n",
+    "padded_header": " x , y , z \n1.0,2.0,3.0\n",
+    "three_fields_labeled": "x,y,z,section\n1.0,2.0,3.0,0\n4.0,5.0,6.0\n",
+    "five_fields_labeled": "x,y,z,section\n1.0,2.0,3.0,0\n4.0,5.0,6.0,1,7\n",
+    "four_fields_unlabeled": "x,y,z\n1.0,2.0,3.0\n4.0,5.0,6.0,1\n",
+    "five_fields_unlabeled": "x,y,z\n1.0,2.0,3.0,4,5\n",
+    "mixed_widths_same_commas": "x,y,z\n1.0,2.0\n4.0,5.0,6.0,7.0\n",
+    "trailing_comma": "x,y,z\n1.0,2.0,3.0,\n",
+    "empty_field": "x,y,z\n1.0,,3.0\n",
+    "underscore_coordinate": "x,y,z\n1_0,2.0,3.0\n",
+    "underscore_label": "x,y,z,section\n1.0,2.0,3.0,1_0\n",
+    "plus_sign": "x,y,z,section\n+5,+2.5e-3,-0.0,+5\n",
+    "padded_fields": "x,y,z,section\n 1.0 ,\t2.0, 3.0 , 7 \n",
+    "float_label": "x,y,z,section\n1.0,2.0,3.0,3.0\n",
+    "label_beyond_int64": "x,y,z,section\n1.0,2.0,3.0,99999999999999999999\n",
+    "inf": "x,y,z\n1.0,inf,3.0\n",
+    "nan": "x,y,z\nnan,2.0,3.0\n",
+    "overflowing_float": "x,y,z\n1e400,2.0,3.0\n",
+    "non_ascii_digits": "x,y,z\n١.٥,2.0,3.0\n",
+    "repeated_header": "x,y,z\n1.0,2.0,3.0\nx,y,z\n",
+    "wrong_header": "a,b,c\n1.0,2.0,3.0\n",
+    "precise_decimals": "x,y,z\n0.1000000000000000055511151231257827,5e-324,"
+                        "1.7976931348623157e308\n2.2250738585072014e-308,-1e-320,123456789.123456789\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_matches_line_parser(tmp_path, name):
+    path = tmp_path / "cloud.csv"
+    path.write_bytes(CORPUS[name].encode("utf-8"))
+    try:
+        expected = _line_parse(path)
+    except InputFormatError as want:
+        with pytest.raises(InputFormatError) as got:
+            read_cloud_csv(path)
+        assert str(got.value) == str(want)
+        assert got.value.line_number == want.line_number
+        return
+    pts, labels = read_cloud_csv(path)
+    assert pts.dtype == expected[0].dtype and pts.shape == expected[0].shape
+    assert pts.tobytes() == expected[0].tobytes()
+    if expected[1] is None:
+        assert labels is None
+    else:
+        assert labels.dtype == expected[1].dtype
+        assert np.array_equal(labels, expected[1])
+
+
+@pytest.mark.parametrize("name", ["labeled", "unlabeled", "crlf", "empty_lines",
+                                  "padded_fields", "plus_sign", "precise_decimals"])
+def test_well_formed_file_skips_line_parser(tmp_path, monkeypatch, name):
+    path = tmp_path / "cloud.csv"
+    path.write_bytes(CORPUS[name].encode("utf-8"))
+    expected = _line_parse(path)
+
+    def fail(fh):
+        raise AssertionError("line parser used on a well-formed file")
+
+    monkeypatch.setattr(report, "_read_cloud_lines", fail)
+    pts, labels = read_cloud_csv(path)
+    assert pts.tobytes() == expected[0].tobytes()
+    assert (labels is None) == (expected[1] is None)
+
+
+@pytest.mark.parametrize("header", ["x,y,z\n", "x,y,z,section\n"])
+def test_header_only_file_warns_nothing(tmp_path, header):
+    path = tmp_path / "cloud.csv"
+    path.write_text(header, encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pts, labels = read_cloud_csv(path)
+    assert caught == []
+    assert pts.shape == (0, 3)
+
+
+def test_random_doubles_round_trip_exactly(tmp_path):
+    rng = np.random.default_rng(0)
+    pts = rng.normal(scale=rng.choice([1e-300, 1e-3, 1.0, 1e5, 1e300], size=(2000, 1)),
+                     size=(2000, 3))
+    labels = rng.integers(-(2**62), 2**62, size=2000)
+    path = tmp_path / "cloud.csv"
+    report.write_cloud_csv(path, pts, labels)
+    got_pts, got_labels = read_cloud_csv(path)
+    assert got_pts.tobytes() == pts.tobytes()
+    assert np.array_equal(got_labels, labels)
