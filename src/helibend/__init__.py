@@ -57,7 +57,6 @@ from .report import EvaluationReport
 from .torsion import (
     FITTERS,
     TorsionResult,
-    TorsionSeries,
     observe_torsion,
     rectify_against,
     rectify_torsion,
@@ -87,7 +86,6 @@ __all__ = [
     "SectionEvaluation",
     "SyntheticPart",
     "TorsionResult",
-    "TorsionSeries",
     "algebraic_residuals",
     "arc_parameters",
     "canonicalize_section",

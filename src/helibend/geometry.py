@@ -16,7 +16,7 @@ Plane conventions used by the rest of the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,10 +119,6 @@ class RigidTransform:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
     def apply(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return pts @ self.rotation.T + self.translation
@@ -130,13 +126,6 @@ class RigidTransform:
     def inverse(self) -> "RigidTransform":
         rt = self.rotation.T
         return RigidTransform(rt, -rt @ self.translation)
-
-    def compose(self, inner: "RigidTransform") -> "RigidTransform":
-        """Transform equivalent to applying ``inner`` first, then self."""
-        return RigidTransform(
-            self.rotation @ inner.rotation,
-            self.rotation @ inner.translation + self.translation,
-        )
 
 
 @dataclass(frozen=True)
@@ -166,9 +155,6 @@ class Conic2D:
     @property
     def det_a(self) -> float:
         return self.a11 * self.a22 - self.a12 * self.a12
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
 
     def evaluate(self, points) -> np.ndarray:
         """F(x) per point; zero on the conic."""
@@ -220,10 +206,6 @@ class EllipseParams:
             raise ValueError("require semi_major >= semi_minor > 0")
         if not (-math.pi / 2 < self.orientation <= math.pi / 2):
             raise ValueError("orientation outside (-pi/2, pi/2]")
-
-    @property
-    def axis_ratio(self) -> float:
-        return self.semi_major / self.semi_minor
 
     def boundary_points(self, n: int = 64, t0: float = 0.0) -> np.ndarray:
         """Sample n points on the boundary, equally spaced in parameter angle."""
@@ -318,10 +300,9 @@ class CanonicalSection:
     to_canonical: RigidTransform
     azimuth_phi: float
     centroid_radius: float
-    label: int | None = field(default=None, compare=False)
 
 
-def canonicalize_section(points, label: int | None = None) -> CanonicalSection:
+def canonicalize_section(points) -> CanonicalSection:
     """Move one measured cross-section to the evaluation pose.
 
     Rotates about the product axis by minus the centroid azimuth, then
@@ -344,5 +325,4 @@ def canonicalize_section(points, label: int | None = None) -> CanonicalSection:
         to_canonical=transform,
         azimuth_phi=phi,
         centroid_radius=radius,
-        label=label,
     )

@@ -120,10 +120,7 @@ class ArcReport:
 
     geometry: ArcGeometry
     theta_x: np.ndarray
-    theta_y_raw: np.ndarray
     theta_y_rectified: np.ndarray
-    line_rms: np.ndarray
-    algebraic_rms: np.ndarray
     geometric_rms: np.ndarray
 
 

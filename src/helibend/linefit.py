@@ -79,7 +79,7 @@ def fit_tls_line(points) -> Line2D:
     which minimizes the summed squared orthogonal distances.
     """
     pts = as_points(points, 2)
-    if len(np.unique(pts, axis=0)) < 2:
+    if not (pts != pts[:1]).any():
         raise TooFewPoints("need at least 2 distinct points")
     mean = pts.mean(axis=0)
     centered = pts - mean
@@ -148,23 +148,28 @@ def detect_direction(
     if not sections:
         return []
     endpoints = [_major_chord_endpoints(s) for s in sections]
+    # canonical sections are centered, so the section extent is the scale
+    # against which a suspicious line offset is judged
+    extents = [float(np.abs(s.points_canonical).max()) for s in sections]
     half = window // 2
+    n = len(sections)
+    windows = [(max(0, i - half), min(n, i + half + 1)) for i in range(n)]
     results = []
-    for i in range(len(sections)):
-        lo, hi = max(0, i - half), min(len(sections), i + half + 1)
+    for lo, hi in windows:
         chord = np.vstack(endpoints[lo:hi])
-        pts2 = chord[:, [1, 2]]
         try:
-            result = direction_from_points(pts2)
+            result = direction_from_points(chord[:, [1, 2]])
         except (TooFewPoints, IsotropicScatter):
             everything = np.vstack([s.points_canonical for s in sections[lo:hi]])
-            pts2 = everything[:, [1, 2]]
-            result = direction_from_points(pts2)
-        # canonical sections are centered, so the section extent is the scale
-        # against which a suspicious line offset is judged; the residual term
-        # keeps measurement noise from tripping the diagnostic
-        scale = max(float(np.abs(s.points_canonical).max()) for s in sections[lo:hi])
-        allowance = max(1e-6 * scale, 3.0 * result.rms_orthogonal_residual)
+            result = direction_from_points(everything[:, [1, 2]])
+        results.append(result)
+    # the residual term keeps measurement noise from tripping the diagnostic;
+    # it is floored at the part's median window residual because a window of
+    # a few chord endpoints can line up far more tightly than the noise
+    noise = float(np.median([r.rms_orthogonal_residual for r in results]))
+    for i, ((lo, hi), result) in enumerate(zip(windows, results)):
+        scale = max(extents[lo:hi])
+        allowance = max(1e-6 * scale, 3.0 * max(result.rms_orthogonal_residual, noise))
         if scale > 0.0 and abs(result.line.c) > allowance:
             warnings.warn(
                 f"direction line offset {result.line.c:.3g} exceeds what noise "
@@ -172,5 +177,4 @@ def detect_direction(
                 LineOffsetWarning,
                 stacklevel=2,
             )
-        results.append(result)
     return results

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import torsion as _torsion
 from .conicfit import GnSettings
-from .geometry import CanonicalSection, canonicalize_section
+from .geometry import canonicalize_section
 from .helix import ArcReport, arc_parameters, segment_sections
 from .linefit import DEFAULT_WINDOW, DirectionResult, detect_direction
-from .torsion import TRACE_FITTER, TorsionResult, TorsionSeries, observe_torsion
+from .torsion import TRACE_FITTER, TorsionResult, observe_torsion
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,6 @@ class SectionEvaluation:
 class EvaluationResult:
     arc: ArcReport
     sections: tuple[SectionEvaluation, ...]
-    canonical: tuple[CanonicalSection, ...]
 
     @property
     def all_converged(self) -> bool:
@@ -51,17 +51,12 @@ def evaluate_sections(
     canonical = [canonicalize_section(points) for points in section_points]
     directions = detect_direction(canonical, window=window)
     torsions = [
-        observe_torsion(
-            section,
-            direction.theta_x,
-            fitter=fitter,
-            section_index=index,
-            gn_settings=gn_settings,
-        )
-        for index, (section, direction) in enumerate(zip(canonical, directions))
+        observe_torsion(section, direction.theta_x, fitter=fitter, gn_settings=gn_settings)
+        for section, direction in zip(canonical, directions)
     ]
-    series = TorsionSeries(tuple(torsions))
-    rectified = series.rectified()
+    # looked up on the module at call time, so a wrapper installed on
+    # helibend.torsion.rectify_torsion sees the call
+    rectified = _torsion.rectify_torsion([t.theta_y for t in torsions])
 
     sections = tuple(
         SectionEvaluation(
@@ -79,13 +74,10 @@ def evaluate_sections(
     arc = ArcReport(
         geometry=arc_parameters(canonical),
         theta_x=np.array([d.theta_x for d in directions]),
-        theta_y_raw=series.raw_values(),
         theta_y_rectified=rectified,
-        line_rms=np.array([d.rms_orthogonal_residual for d in directions]),
-        algebraic_rms=np.array([t.fit.rms_algebraic_residual for t in torsions]),
         geometric_rms=np.array([t.fit.rms_geometric_residual for t in torsions]),
     )
-    return EvaluationResult(arc=arc, sections=sections, canonical=tuple(canonical))
+    return EvaluationResult(arc=arc, sections=sections)
 
 
 def evaluate_cloud(

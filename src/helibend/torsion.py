@@ -29,43 +29,15 @@ FITTERS = (TRACE_FITTER, BOOKSTEIN_FITTER, GAUSS_NEWTON_FITTER)
 _HALF_PI = math.pi / 2.0
 _TIE_TOL = 1e-12
 
+# Largest rectified jump between adjacent sections the filter can vouch for.
+_MAX_JUMP = math.pi / 4.0
+
 
 @dataclass(frozen=True)
 class TorsionResult:
     theta_y: float
-    fitter: str
     circle_degenerate: bool
-    section_index: int
     fit: FitResult = field(compare=False, repr=False, default=None)
-
-
-@dataclass(frozen=True)
-class TorsionSeries:
-    """Torsion readings of consecutive sections along the part."""
-
-    results: tuple[TorsionResult, ...]
-    unwrap_jump_threshold: float = math.pi / 4.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "results", tuple(self.results))
-        indices = [r.section_index for r in self.results]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise ValueError("section indices must be strictly increasing")
-
-    def raw_values(self) -> np.ndarray:
-        return np.array([r.theta_y for r in self.results])
-
-    def rectified(self) -> np.ndarray:
-        values = rectify_torsion(self.raw_values())
-        jumps = np.abs(np.diff(values))
-        if jumps.size and float(jumps.max()) > self.unwrap_jump_threshold:
-            warnings.warn(
-                f"rectified torsion jumps by {float(jumps.max()):.3g} rad between "
-                "adjacent sections; twist rate exceeds the filter's envelope",
-                UserWarning,
-                stacklevel=2,
-            )
-        return values
 
 
 def fit_section_ellipse(
@@ -85,7 +57,6 @@ def observe_torsion(
     section: CanonicalSection,
     theta_x: float,
     fitter: str = TRACE_FITTER,
-    section_index: int = 0,
     gn_settings: GnSettings | None = None,
 ) -> TorsionResult:
     """Torsion reading of one canonical section.
@@ -101,13 +72,7 @@ def observe_torsion(
     fit = fit_section_ellipse(pts2, fitter, gn_settings)
     degenerate = not fit.params.orientation_defined
     theta_y = 0.0 if degenerate else fit.params.orientation
-    return TorsionResult(
-        theta_y=theta_y,
-        fitter=fitter,
-        circle_degenerate=degenerate,
-        section_index=section_index,
-        fit=fit,
-    )
+    return TorsionResult(theta_y=theta_y, circle_degenerate=degenerate, fit=fit)
 
 
 def _nearest_branch(raw: float, anchor: float):
@@ -135,7 +100,8 @@ def rectify_torsion(raw_series) -> np.ndarray:
     {-1, 0, 1}, to the branch nearest the previous rectified value; the
     first sample anchors to the branch nearest zero. Corrects isolated
     major/minor axis swaps in otherwise slowly twisting series and is
-    idempotent on already-continuous input.
+    idempotent on already-continuous input. Warns when a rectified jump
+    between adjacent samples exceeds pi/4, the filter's envelope.
     """
     values = np.asarray(raw_series, dtype=float)
     if values.ndim != 1:
@@ -154,6 +120,14 @@ def rectify_torsion(raw_series) -> np.ndarray:
             )
         out[i] = value
         anchor = value
+    jump = float(np.abs(np.diff(out)).max(initial=0.0))
+    if jump > _MAX_JUMP:
+        warnings.warn(
+            f"rectified torsion jumps by {jump:.3g} rad between "
+            "adjacent sections; twist rate exceeds the filter's envelope",
+            UserWarning,
+            stacklevel=2,
+        )
     return out
 
 
@@ -168,13 +142,15 @@ def rectify_against(raw: float, reference: float) -> float:
     return raw + k * _HALF_PI
 
 
-def torsion_deviation(series: TorsionSeries, expected) -> np.ndarray:
+def torsion_deviation(raw_series, expected) -> np.ndarray:
     """Per-section deviation of rectified torsion from its design value.
 
-    Element-wise difference folded into (-pi/2, pi/2].
+    ``raw_series`` holds the raw readings in section order; they are
+    rectified here and the element-wise difference is folded into
+    (-pi/2, pi/2].
     """
     expected = np.asarray(expected, dtype=float)
-    rectified = series.rectified()
+    rectified = rectify_torsion(raw_series)
     if expected.shape != rectified.shape:
         raise LengthMismatch(
             f"series has {rectified.size} sections, expected values {expected.size}"

@@ -57,13 +57,6 @@ class TestRigidTransform:
             back = t.inverse().apply(t.apply(pts))
             assert np.max(np.abs(back - pts)) < 1e-10
 
-    def test_compose_matches_sequential_application(self):
-        rng = np.random.default_rng(4)
-        t1 = RigidTransform(rotation_x(0.3) @ rotation_y(-1.1), rng.uniform(-5, 5, 3))
-        t2 = RigidTransform(rotation_z(2.0) @ rotation_x(0.7), rng.uniform(-5, 5, 3))
-        pts = rng.uniform(-10, 10, (7, 3))
-        assert np.allclose(t2.compose(t1).apply(pts), t2.apply(t1.apply(pts)), atol=1e-12)
-
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
             RigidTransform(np.eye(3) * 1.001, np.zeros(3))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -202,6 +203,35 @@ class TestDetectDirection:
         with warnings.catch_warnings():
             warnings.simplefilter("error", LineOffsetWarning)
             detect_direction(canon)
+
+    def test_tightly_aligned_window_on_correct_part_does_not_warn(self):
+        # a 1000 x 400 part at sigma 0.02 mm: the chord endpoints of sections
+        # 23-27 happen to line up to a residual of about 0.004 mm, while the
+        # part's median window residual and the line offset there are 0.017 mm
+        amp = math.radians(3.0)
+        spec = HelixSpec(
+            radius=120.0, pitch_per_turn=60.0, semi_major=8.0, semi_minor=5.0,
+            helix_angle=math.atan2(60.0 / (2 * math.pi), 120.0),
+            twist_profile=lambda i: amp * math.sin(2 * math.pi * i / 999), extent=3.0,
+            sections=1000, points_per_section=400, noise_sigma=0.02, rng_seed=18,
+        )
+        part = generate(spec)
+        groups = segment_sections(part.points, labels=part.labels)
+        canon = [canonicalize_section(g) for g in groups[:50]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LineOffsetWarning)
+            detect_direction(canon)
+
+    def test_offset_sections_warn(self):
+        spec = HelixSpec(sections=8, noise_sigma=0.02, rng_seed=3)
+        part = generate(spec)
+        groups = segment_sections(part.points, labels=part.labels)
+        shifted = [
+            dataclasses.replace(c, points_canonical=c.points_canonical + [0.0, 0.5, 0.0])
+            for c in map(canonicalize_section, groups)
+        ]
+        with pytest.warns(LineOffsetWarning, match="check canonicalization"):
+            detect_direction(shifted)
 
     def test_line_passes_near_origin_after_canonicalization(self):
         spec = HelixSpec(sections=8, helix_angle=0.35, rng_seed=4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helibend import HelixSpec, evaluate_cloud, evaluate_sections, generate, segment_sections
-from helibend.errors import TooFewSections
+from helibend.errors import AmbiguousBranch, TooFewSections
 
 from helpers import random_helix_spec
 
@@ -79,10 +79,27 @@ class TestPipelinePlumbing:
         result = evaluate_cloud(part.points, labels=part.labels)
         for i, sec in enumerate(result.sections):
             assert sec.index == i
-            assert sec.torsion.section_index == i
             assert sec.azimuth_phi == pytest.approx(part.truth.phi[i], abs=1e-9)
             assert sec.centroid_radius == pytest.approx(spec.radius, abs=1e-9)
         assert result.all_converged
+
+    def test_fast_twist_warns_and_evaluates(self):
+        # a near-pi reversal between sections 1 and 2 is beyond the filter
+        twists = [0.7, 1.4, -1.4, -1.4]
+        spec = HelixSpec(sections=4, twist_profile=lambda i: twists[i], rng_seed=10)
+        part = generate(spec)
+        with pytest.warns(UserWarning, match="twist rate exceeds the filter's envelope"):
+            result = evaluate_sections(segment_sections(part.points, labels=part.labels))
+        raw = [s.torsion.theta_y for s in result.sections]
+        assert np.max(np.abs(np.array(raw) - twists)) < 1e-8
+
+    def test_ambiguous_branch_warns_and_evaluates(self):
+        # a 45 degree twist sits exactly between two branches
+        spec = HelixSpec(sections=4, twist_profile=lambda i: math.pi / 4, rng_seed=11)
+        part = generate(spec)
+        with pytest.warns(AmbiguousBranch):
+            result = evaluate_sections(segment_sections(part.points, labels=part.labels))
+        assert len(result.sections) == 4
 
     def test_noisy_evaluation_stays_close(self):
         spec = HelixSpec(

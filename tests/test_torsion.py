@@ -16,7 +16,6 @@ from helibend import (
     torsion_deviation,
 )
 from helibend.errors import AmbiguousBranch, LengthMismatch
-from helibend.torsion import TorsionResult, TorsionSeries
 
 
 def canonical_sections(spec):
@@ -48,10 +47,8 @@ class TestObserveTorsion:
         canon, truth = canonical_sections(
             HelixSpec(sections=3, twist_profile=lambda i: twist, rng_seed=3)
         )
-        got = observe_torsion(canon[1], truth.theta_x[0], fitter=fitter, section_index=1)
+        got = observe_torsion(canon[1], truth.theta_x[0], fitter=fitter)
         assert abs(got.theta_y - twist) < 1e-8
-        assert got.fitter == fitter
-        assert got.section_index == 1
 
     def test_circular_section_flagged(self):
         spec = HelixSpec(semi_major=6.0, semi_minor=6.0, sections=3, rng_seed=4)
@@ -133,43 +130,35 @@ class TestRectifyAgainst:
 
 
 class TestTorsionSeries:
-    def _series(self, values):
-        return TorsionSeries(
-            tuple(
-                TorsionResult(theta_y=v, fitter="trace", circle_degenerate=False, section_index=i)
-                for i, v in enumerate(values)
-            )
-        )
-
-    def test_requires_increasing_indices(self):
-        results = (
-            TorsionResult(0.0, "trace", False, 1),
-            TorsionResult(0.0, "trace", False, 0),
-        )
-        with pytest.raises(ValueError):
-            TorsionSeries(results)
+    """A series is the raw readings of consecutive sections, in order."""
 
     def test_fast_twist_warns(self):
         # pi/2-lattice correction cannot bridge a near-pi reversal
-        series = self._series([0.7, 1.4, -1.4])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            series.rectified()
+            rectify_torsion([0.7, 1.4, -1.4])
         assert any("twist rate" in str(w.message) for w in caught)
 
+    def test_slow_twist_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rectify_torsion([0.0, 0.7, 0.0])
+
     def test_deviation_zero(self):
-        series = self._series([0.1, 0.12, 0.14])
-        dev = torsion_deviation(series, [0.1, 0.12, 0.14])
+        dev = torsion_deviation([0.1, 0.12, 0.14], [0.1, 0.12, 0.14])
         assert np.allclose(dev, 0.0, atol=1e-15)
 
     def test_deviation_constant_offset(self):
-        series = self._series([0.15, 0.17, 0.19])
-        dev = torsion_deviation(series, [0.10, 0.12, 0.14])
+        dev = torsion_deviation(np.array([0.15, 0.17, 0.19]), [0.10, 0.12, 0.14])
         assert np.allclose(dev, 0.05)
+
+    def test_deviation_rectifies_axis_swap(self):
+        dev = torsion_deviation([0.1, 0.12 - math.pi / 2, 0.14], [0.1, 0.12, 0.14])
+        assert np.allclose(dev, 0.0, atol=1e-15)
 
     def test_deviation_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            torsion_deviation(self._series([0.1]), [0.1, 0.2])
+            torsion_deviation([0.1], [0.1, 0.2])
 
 
 class TestDefectLocalization:
@@ -183,13 +172,9 @@ class TestDefectLocalization:
         spec = HelixSpec(sections=30, twist_profile=twist, rng_seed=8)
         canon, truth = canonical_sections(spec)
         directions = detect_direction(canon)
-        results = tuple(
-            observe_torsion(c, directions[i].theta_x, section_index=i)
-            for i, c in enumerate(canon)
-        )
-        series = TorsionSeries(results)
+        raw = [observe_torsion(c, d.theta_x).theta_y for c, d in zip(canon, directions)]
         expected = np.full(30, 0.05)
-        dev = torsion_deviation(series, expected)
+        dev = torsion_deviation(raw, expected)
         flagged = np.flatnonzero(np.abs(dev) > defect / 2)
         assert flagged.min() in (9, 10, 11)
         assert flagged.max() in (19, 20, 21)
