@@ -10,7 +10,6 @@ arc radius, central angle and arc length are reported per arc.
 from ._version import __version__
 from .conicfit import (
     FitResult,
-    GnSettings,
     algebraic_residuals,
     ellipse_foot_point,
     fit_bookstein,
@@ -56,7 +55,6 @@ from .pipeline import EvaluationResult, SectionEvaluation, evaluate_cloud, evalu
 from .report import EvaluationReport
 from .torsion import (
     FITTERS,
-    TorsionResult,
     observe_torsion,
     rectify_against,
     rectify_torsion,
@@ -78,14 +76,12 @@ __all__ = [
     "EvaluationReport",
     "EvaluationResult",
     "FitResult",
-    "GnSettings",
     "GroundTruth",
     "HelixSpec",
     "Line2D",
     "RigidTransform",
     "SectionEvaluation",
     "SyntheticPart",
-    "TorsionResult",
     "algebraic_residuals",
     "arc_parameters",
     "canonicalize_section",

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .conicfit import GnSettings, fit_gauss_newton, moment_init
+from .conicfit import DEFAULT_MAX_ITERATIONS, fit_gauss_newton, moment_init
 from .errors import (
     EmptyCloud,
     HelibendError,
@@ -31,7 +31,7 @@ from .errors import (
     InvalidSweep,
     SectionCountMismatch,
 )
-from .geometry import EllipseParams, fold_half_open
+from .geometry import TRACE, EllipseParams, fold_half_open
 from .helix import HelixSpec, generate
 from .linefit import DEFAULT_WINDOW
 from .pipeline import evaluate_cloud
@@ -44,13 +44,7 @@ from .report import (
     write_cloud_csv,
     write_truth_csv,
 )
-from .torsion import (
-    FITTERS,
-    GAUSS_NEWTON_FITTER,
-    TRACE_FITTER,
-    fit_section_ellipse,
-    rectify_against,
-)
+from .torsion import FITTERS, GAUSS_NEWTON, fit_section_ellipse, rectify_against
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -58,14 +52,25 @@ EXIT_ANALYSIS = 3
 EXIT_NONCONVERGED = 4
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _checked(convert, valid, rule: str):
+    """An argparse type: ``convert`` the text, then reject values not ``valid``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}"
+            ) from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda value: value >= 1, "must be >= 1")
+_finite_float = _checked(float, math.isfinite, "must be a finite number")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate", help="evaluate a measured point cloud")
     ev.add_argument("--input", required=True, help="cloud CSV (x,y,z[,section])")
     ev.add_argument("--output-dir", required=True)
-    ev.add_argument("--fitter", choices=FITTERS, default=TRACE_FITTER)
+    ev.add_argument("--fitter", choices=FITTERS, default=TRACE)
     ev.add_argument(
         "--sections",
         type=_positive_int,
@@ -91,41 +96,42 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--workers", type=int, default=None,
                     help="accepted for interface uniformity; sections run sequentially")
     ev.add_argument("--format", choices=("csv", "report", "both"), default="both")
-    ev.add_argument("--seed", type=int, default=0,
-                    help="accepted for interface uniformity; evaluation is deterministic")
-    ev.add_argument("--gn-max-iterations", type=_positive_int, default=None,
-                    help="iteration budget for the gauss-newton fitter")
+    ev.add_argument("--gn-max-iterations", type=_positive_int,
+                    default=DEFAULT_MAX_ITERATIONS,
+                    help="iteration budget for the gauss-newton fitter (default: %(default)s)")
 
     sy = sub.add_parser("synth", help="generate a synthetic part with ground truth")
     sy.add_argument("--output-dir", required=True)
     sy.add_argument("--seed", type=int, default=0)
-    sy.add_argument("--radius", type=float, default=120.0, help="helix radius [mm]")
-    sy.add_argument("--pitch", type=float, default=60.0, help="axial advance per turn [mm]")
-    sy.add_argument("--semi-major", type=float, default=8.0)
-    sy.add_argument("--semi-minor", type=float, default=5.0)
-    sy.add_argument("--helix-angle-deg", type=float, default=None,
+    sy.add_argument("--radius", type=_finite_float, default=120.0,
+                    help="helix radius [mm]")
+    sy.add_argument("--pitch", type=_finite_float, default=60.0,
+                    help="axial advance per turn [mm]")
+    sy.add_argument("--semi-major", type=_finite_float, default=8.0)
+    sy.add_argument("--semi-minor", type=_finite_float, default=5.0)
+    sy.add_argument("--helix-angle-deg", type=_finite_float, default=None,
                     help="surface direction [deg]; default from pitch and radius")
-    sy.add_argument("--extent-deg", type=float, default=180.0)
+    sy.add_argument("--extent-deg", type=_finite_float, default=180.0)
     sy.add_argument("--sections", type=int, default=40)
     sy.add_argument("--points-per-section", type=int, default=48)
-    sy.add_argument("--noise-sigma", type=float, default=0.0)
-    sy.add_argument("--twist-constant-deg", type=float, default=0.0)
-    sy.add_argument("--twist-ramp-deg", type=float, default=0.0,
+    sy.add_argument("--noise-sigma", type=_finite_float, default=0.0)
+    sy.add_argument("--twist-constant-deg", type=_finite_float, default=0.0)
+    sy.add_argument("--twist-ramp-deg", type=_finite_float, default=0.0,
                     help="twist added linearly from 0 to this value along the part")
-    sy.add_argument("--twist-sine-amp-deg", type=float, default=0.0)
-    sy.add_argument("--twist-sine-cycles", type=float, default=1.0)
+    sy.add_argument("--twist-sine-amp-deg", type=_finite_float, default=0.0)
+    sy.add_argument("--twist-sine-cycles", type=_finite_float, default=1.0)
 
     cf = sub.add_parser("compare-fits", help="sweep twist angles across fitters")
     cf.add_argument("--output-dir", required=True)
-    cf.add_argument("--min-angle-deg", type=float, default=-90.0)
-    cf.add_argument("--max-angle-deg", type=float, default=90.0)
+    cf.add_argument("--min-angle-deg", type=_finite_float, default=-90.0)
+    cf.add_argument("--max-angle-deg", type=_finite_float, default=90.0)
     cf.add_argument("--trials", type=int, default=181, help="sweep samples per fitter")
-    cf.add_argument("--noise-sigma", type=float, default=0.0)
+    cf.add_argument("--noise-sigma", type=_finite_float, default=0.0)
     cf.add_argument("--seed", type=int, default=0)
-    cf.add_argument("--semi-major", type=float, default=30.0)
-    cf.add_argument("--semi-minor", type=float, default=10.0)
+    cf.add_argument("--semi-major", type=_finite_float, default=30.0)
+    cf.add_argument("--semi-minor", type=_finite_float, default=10.0)
     cf.add_argument("--points", type=int, default=60)
-    cf.add_argument("--arc-fraction", type=float, default=1.0,
+    cf.add_argument("--arc-fraction", type=_finite_float, default=1.0,
                     help="fraction of the boundary sampled per trial; below 1 "
                          "emulates a one-sided scan, where the constraint "
                          "choice matters most")
@@ -141,11 +147,6 @@ def _cmd_evaluate(args) -> int:
             "input has no section column; pass --sections", line_number=None
         )
     digest = "sha256:" + hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
-    gn_settings = (
-        None
-        if args.gn_max_iterations is None
-        else GnSettings(max_iterations=args.gn_max_iterations)
-    )
     result = evaluate_cloud(
         points,
         labels=labels,
@@ -153,7 +154,7 @@ def _cmd_evaluate(args) -> int:
         fitter=args.fitter,
         window=args.window,
         workers=args.workers,
-        gn_settings=gn_settings,
+        gn_max_iterations=args.gn_max_iterations,
     )
     report = EvaluationReport.from_result(result, fitter=args.fitter, input_digest=digest)
     out = Path(args.output_dir)
@@ -215,10 +216,12 @@ def _cmd_compare_fits(args) -> int:
         raise InvalidSweep("trials must be >= 1")
     if not (args.min_angle_deg < args.max_angle_deg):
         raise InvalidSweep("empty sweep range")
-    if args.noise_sigma < 0:
+    if not args.noise_sigma >= 0.0:
         raise InvalidSweep("noise sigma cannot be negative")
-    if args.semi_major <= args.semi_minor:
-        raise InvalidSweep("need distinct semi-axes to define an orientation")
+    if not args.semi_major > args.semi_minor > 0.0:
+        raise InvalidSweep("need semi-major > semi-minor > 0 to define an orientation")
+    if args.points < 6:
+        raise InvalidSweep("need at least 6 points per trial to fit a conic")
     if not (0.0 < args.arc_fraction <= 1.0):
         raise InvalidSweep("arc fraction must lie in (0, 1]")
 
@@ -251,7 +254,7 @@ def _cmd_compare_fits(args) -> int:
                                         rng.uniform(0.0, 2.0 * math.pi))
             if args.noise_sigma > 0.0:
                 pts = pts + rng.normal(0.0, args.noise_sigma, pts.shape)
-            if fitter == GAUSS_NEWTON_FITTER:
+            if fitter == GAUSS_NEWTON:
                 # Deliberately not warm-started from the trace fit: the sweep compares
                 # the methods, so Gauss-Newton starts from plain moment estimates.
                 fit = fit_gauss_newton(pts, init=moment_init(pts))
@@ -271,8 +274,7 @@ def _cmd_compare_fits(args) -> int:
             title=f"Detected twist vs truth ({fitter})",
             xlabel="true angle [deg]",
             ylabel="detected angle [deg]",
-            xlim=(args.min_angle_deg, args.max_angle_deg),
-            ylim=(args.min_angle_deg, args.max_angle_deg),
+            lim=(args.min_angle_deg, args.max_angle_deg),
         )
         (out / f"compare_{fitter}.svg").write_text(svg, encoding="utf-8")
 
@@ -298,11 +300,8 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (
-        InputFormatError, EmptyCloud, InvalidSpec, InvalidSweep, SectionCountMismatch
+        InputFormatError, EmptyCloud, InvalidSpec, InvalidSweep, SectionCountMismatch, OSError
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except HelibendError as exc:

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .geometry import (
     BOOKSTEIN,
+    CIRCLE_DEGENERACY_TOL,
     TRACE,
     UNCONSTRAINED,
     Conic2D,
@@ -48,21 +49,11 @@ from .geometry import (
 _RANK_TOL = 1e-10
 _AXIS_FLOOR = 1e-9
 
-
-@dataclass(frozen=True)
-class GnSettings:
-    """Iteration controls for the Gauss-Newton geometric fit."""
-
-    max_iterations: int = 100
-    step_tolerance: float = 1e-12
-    residual_tolerance: float = 1e-12
-    damping_floor: float = 1e-12
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if min(self.step_tolerance, self.residual_tolerance, self.damping_floor) <= 0:
-            raise ValueError("tolerances must be positive")
+# Gauss-Newton iteration budget, stopping tolerances and damping floor.
+DEFAULT_MAX_ITERATIONS = 100
+_STEP_TOL = 1e-12
+_RESIDUAL_TOL = 1e-12
+_DAMPING_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,21 +97,23 @@ def _pull_back(conic: Conic2D, mean: np.ndarray, scale: float) -> Conic2D:
     a = conic.matrix / scale**2
     b = conic.linear / scale - 2.0 * (a @ mean)
     c = conic.c - float(conic.linear @ mean) / scale + float(mean @ a @ mean)
-    return Conic2D(a[0, 0], a[0, 1], a[1, 1], b[0], b[1], c, UNCONSTRAINED)
+    return Conic2D(a[0, 0], a[0, 1], a[1, 1], b[0], b[1], c)
 
 
-def _finish_linear(conic: Conic2D, pts: np.ndarray, constraint: str) -> FitResult:
+def _as_ellipse(conic: Conic2D, constraint: str) -> tuple[Conic2D, EllipseParams]:
+    """The best-fit conic normalized to ``constraint``, and its ellipse."""
     if conic.det_a <= 0.0:
         raise NotAnEllipse("best-fit conic is not an ellipse", conic=conic)
     conic = normalize_conic(conic, constraint)
-    params = conic_to_params(conic)
+    return conic, conic_to_params(conic)
+
+
+def _linear_result(pts: np.ndarray, conic: Conic2D, params: EllipseParams) -> FitResult:
     return FitResult(
         conic=conic,
         params=params,
         rms_algebraic_residual=_rms(algebraic_residuals(pts, conic)),
         rms_geometric_residual=_rms(geometric_residuals(pts, params)),
-        iterations=0,
-        converged=True,
     )
 
 
@@ -150,7 +143,7 @@ def fit_bookstein(points) -> FitResult:
     p = vt[-1]
     q = np.linalg.lstsq(r11, -r12 @ p, rcond=None)[0]
     scaled = Conic2D(p[0], p[1] / math.sqrt(2.0), p[2], q[0], q[1], q[2])
-    return _finish_linear(_pull_back(scaled, mean, scale), pts, BOOKSTEIN)
+    return _linear_result(pts, *_as_ellipse(_pull_back(scaled, mean, scale), BOOKSTEIN))
 
 
 def fit_trace(points) -> FitResult:
@@ -160,6 +153,11 @@ def fit_trace(points) -> FitResult:
     ordinary linear system in (a22, a12, b1, b2, c).
     """
     pts = as_points(points, 2)
+    return _linear_result(pts, *_trace_solve(pts))
+
+
+def _trace_solve(pts: np.ndarray) -> tuple[Conic2D, EllipseParams]:
+    """The trace-constrained conic and its ellipse, without the residuals."""
     if len(pts) < 6:
         raise TooFewPoints(f"need at least 6 points, got {len(pts)}")
     norm, mean, scale = _normalize_points(pts)
@@ -171,7 +169,7 @@ def fit_trace(points) -> FitResult:
         raise DegenerateConfiguration("points do not determine a conic")
     a22, a12, b1, b2, c = sol
     scaled = Conic2D(1.0 - a22, a12, a22, b1, b2, c)
-    return _finish_linear(_pull_back(scaled, mean, scale), pts, TRACE)
+    return _as_ellipse(_pull_back(scaled, mean, scale), TRACE)
 
 
 def moment_init(points) -> EllipseParams:
@@ -198,33 +196,34 @@ def moment_init(points) -> EllipseParams:
 def fit_gauss_newton(
     points,
     init: EllipseParams | None = None,
-    settings: GnSettings | None = None,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> FitResult:
     """Geometric (orthogonal-distance) ellipse fit.
 
     Minimizes the sum of squared point-to-boundary distances over
     (center, semi-axes, orientation) with Levenberg damping; only steps that
     do not increase the geometric RMS are accepted. ``init`` defaults to the
-    trace-constraint solution.
+    trace-constraint solution. At most ``max_iterations`` steps are taken;
+    ``converged`` is False when the budget runs out first.
     """
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     pts = as_points(points, 2)
     if len(pts) < 5:
         raise TooFewPoints(f"need at least 5 points, got {len(pts)}")
     if init is None:
-        init = fit_trace(pts).params
-    if settings is None:
-        settings = GnSettings()
+        init = _trace_solve(pts)[1]
 
     theta = np.array(
         [init.center[0], init.center[1], init.semi_major, init.semi_minor, init.orientation]
     )
     residual, jac = _gn_residual_jacobian(pts, theta)
     rms = _rms(residual)
-    mu = settings.damping_floor
+    mu = _DAMPING_FLOOR
     converged = False
     iterations = 0
 
-    for iterations in range(1, settings.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         g = jac.T @ residual
         h = jac.T @ jac
         accepted = False
@@ -247,12 +246,12 @@ def fit_gauss_newton(
             mu *= 10.0
         if not accepted:
             break
-        step_small = float(np.linalg.norm(delta)) <= settings.step_tolerance * (
+        step_small = float(np.linalg.norm(delta)) <= _STEP_TOL * (
             1.0 + float(np.linalg.norm(theta))
         )
-        residual_small = (rms - trial_rms) <= settings.residual_tolerance
+        residual_small = (rms - trial_rms) <= _RESIDUAL_TOL
         theta, residual, jac, rms = trial, trial_residual, trial_jac, trial_rms
-        mu = max(settings.damping_floor, mu * 0.1)
+        mu = max(_DAMPING_FLOOR, mu * 0.1)
         if step_small or residual_small:
             converged = True
             break
@@ -262,10 +261,8 @@ def fit_gauss_newton(
         sa, sb = sb, sa
         phi += math.pi / 2.0
     phi = fold_half_open(phi)
-    if sa / sb - 1.0 <= 1e-6:
-        params = EllipseParams(np.array([cx, cy]), sa, sb, 0.0, orientation_defined=False)
-    else:
-        params = EllipseParams(np.array([cx, cy]), sa, sb, phi)
+    defined = sa / sb - 1.0 > CIRCLE_DEGENERACY_TOL
+    params = EllipseParams(np.array([cx, cy]), sa, sb, phi if defined else 0.0, defined)
     conic = params_to_conic(params, UNCONSTRAINED)
     return FitResult(
         conic=conic,

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import DegenerateSection, EmptyInput, NotAnEllipse, TooFewPoints
 
-# Constraint tags for Conic2D.
+# Conic normalizations for normalize_conic; the first two also name the
+# linear fitters that impose them.
 BOOKSTEIN = "bookstein"
 TRACE = "trace"
 UNCONSTRAINED = "none"
@@ -133,7 +134,6 @@ class Conic2D:
     """Implicit conic x^T A x + b^T x + c = 0 with symmetric A.
 
     A is stored as its three scalars (a11, a12, a22) so symmetry is exact.
-    ``constraint_tag`` records the normalization the coefficients satisfy.
     """
 
     a11: float
@@ -142,7 +142,6 @@ class Conic2D:
     b1: float
     b2: float
     c: float
-    constraint_tag: str = UNCONSTRAINED
 
     @property
     def matrix(self) -> np.ndarray:
@@ -169,7 +168,7 @@ class Conic2D:
             + self.c
         )
 
-    def scaled(self, factor: float, tag: str | None = None) -> "Conic2D":
+    def scaled(self, factor: float) -> "Conic2D":
         return Conic2D(
             self.a11 * factor,
             self.a12 * factor,
@@ -177,7 +176,6 @@ class Conic2D:
             self.b1 * factor,
             self.b2 * factor,
             self.c * factor,
-            self.constraint_tag if tag is None else tag,
         )
 
 
@@ -239,7 +237,7 @@ def conic_to_params(conic: Conic2D) -> EllipseParams:
     a = conic.matrix
     # Flip sign so A is positive definite; the zero set is unchanged.
     if conic.a11 + conic.a22 < 0.0:
-        conic = conic.scaled(-1.0, tag=UNCONSTRAINED)
+        conic = conic.scaled(-1.0)
         a = -a
     center = np.linalg.solve(a, -0.5 * conic.linear)
     k = float(conic.evaluate(center[None, :])[0])
@@ -264,7 +262,7 @@ def params_to_conic(params: EllipseParams, constraint: str = TRACE) -> Conic2D:
     a = np.outer(u, u) / params.semi_major**2 + np.outer(w, w) / params.semi_minor**2
     b = -2.0 * a @ params.center
     c = float(params.center @ a @ params.center) - 1.0
-    conic = Conic2D(a[0, 0], a[0, 1], a[1, 1], b[0], b[1], c, UNCONSTRAINED)
+    conic = Conic2D(a[0, 0], a[0, 1], a[1, 1], b[0], b[1], c)
     return normalize_conic(conic, constraint)
 
 
@@ -274,17 +272,17 @@ def normalize_conic(conic: Conic2D, constraint: str) -> Conic2D:
         tr = conic.a11 + conic.a22
         if tr == 0.0:
             raise NotAnEllipse("trace-normalization impossible (Trace(A) = 0)", conic=conic)
-        return conic.scaled(1.0 / tr, tag=TRACE)
+        return conic.scaled(1.0 / tr)
     if constraint == BOOKSTEIN:
         # lambda1^2 + lambda2^2 = Trace(A^2) = a11^2 + 2 a12^2 + a22^2
         norm = math.sqrt(conic.a11**2 + 2.0 * conic.a12**2 + conic.a22**2)
         if norm == 0.0:
             raise NotAnEllipse("quadratic part vanishes", conic=conic)
         sign = 1.0 if conic.a11 + conic.a22 >= 0.0 else -1.0
-        return conic.scaled(sign / norm, tag=BOOKSTEIN)
+        return conic.scaled(sign / norm)
     if constraint == UNCONSTRAINED:
         return conic
-    raise ValueError(f"unknown constraint tag: {constraint!r}")
+    raise ValueError(f"unknown constraint: {constraint!r}")
 
 
 @dataclass(frozen=True)

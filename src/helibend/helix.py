@@ -11,7 +11,8 @@ isotropic Gaussian measurement noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -57,6 +58,10 @@ class HelixSpec:
     rng_seed: int = 0
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise InvalidSpec(f"{f.name} must be finite", field=f.name)
         if not (self.semi_major >= self.semi_minor > 0.0):
             raise InvalidSpec("require semi_major >= semi_minor > 0", field="semi_minor")
         if self.radius <= self.semi_major:
@@ -149,6 +154,8 @@ def generate(spec: HelixSpec) -> SyntheticPart:
     for i in range(spec.sections):
         phi_i = spec.extent * i / (spec.sections - 1)
         twist_i = spec.twist_at(i)
+        if not math.isfinite(twist_i):
+            raise InvalidSpec(f"twist is {twist_i} at section {i}", field="twist_profile")
         center = np.array(
             (
                 spec.radius * math.cos(phi_i),

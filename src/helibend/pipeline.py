@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import torsion as _torsion
-from .conicfit import GnSettings
-from .geometry import canonicalize_section
+from .conicfit import DEFAULT_MAX_ITERATIONS, FitResult
+from .geometry import TRACE, canonicalize_section
 from .helix import ArcReport, arc_parameters, segment_sections
 from .linefit import DEFAULT_WINDOW, DirectionResult, detect_direction
-from .torsion import TRACE_FITTER, TorsionResult, observe_torsion
+from .torsion import observe_torsion
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,8 @@ class SectionEvaluation:
     azimuth_phi: float
     centroid_radius: float
     direction: DirectionResult
-    torsion: TorsionResult
+    # The section's ellipse fit; params.orientation is the raw torsion reading.
+    torsion: FitResult
     theta_y_rectified: float
 
 
@@ -37,26 +38,26 @@ class EvaluationResult:
 
     @property
     def all_converged(self) -> bool:
-        return all(s.torsion.fit.converged for s in self.sections)
+        return all(s.torsion.converged for s in self.sections)
 
 
 def evaluate_sections(
     section_points,
-    fitter: str = TRACE_FITTER,
+    fitter: str = TRACE,
     window: int = DEFAULT_WINDOW,
     workers: int | None = None,
-    gn_settings: GnSettings | None = None,
+    gn_max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> EvaluationResult:
     """Run the evaluation stages over pre-segmented section point sets."""
     canonical = [canonicalize_section(points) for points in section_points]
     directions = detect_direction(canonical, window=window)
     torsions = [
-        observe_torsion(section, direction.theta_x, fitter=fitter, gn_settings=gn_settings)
+        observe_torsion(section, direction.theta_x, fitter, gn_max_iterations)
         for section, direction in zip(canonical, directions)
     ]
     # looked up on the module at call time, so a wrapper installed on
     # helibend.torsion.rectify_torsion sees the call
-    rectified = _torsion.rectify_torsion([t.theta_y for t in torsions])
+    rectified = _torsion.rectify_torsion([t.params.orientation for t in torsions])
 
     sections = tuple(
         SectionEvaluation(
@@ -75,7 +76,7 @@ def evaluate_sections(
         geometry=arc_parameters(canonical),
         theta_x=np.array([d.theta_x for d in directions]),
         theta_y_rectified=rectified,
-        geometric_rms=np.array([t.fit.rms_geometric_residual for t in torsions]),
+        geometric_rms=np.array([t.rms_geometric_residual for t in torsions]),
     )
     return EvaluationResult(arc=arc, sections=sections)
 
@@ -84,11 +85,11 @@ def evaluate_cloud(
     points,
     labels=None,
     expected_sections: int | None = None,
-    fitter: str = TRACE_FITTER,
+    fitter: str = TRACE,
     window: int = DEFAULT_WINDOW,
     workers: int | None = None,
-    gn_settings: GnSettings | None = None,
+    gn_max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> EvaluationResult:
     """Segment a raw cloud and evaluate it."""
     groups = segment_sections(points, expected_sections=expected_sections, labels=labels)
-    return evaluate_sections(groups, fitter=fitter, window=window, gn_settings=gn_settings)
+    return evaluate_sections(groups, fitter, window, gn_max_iterations=gn_max_iterations)

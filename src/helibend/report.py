@@ -237,16 +237,16 @@ class EvaluationReport:
                     "centroid_radius_mm": s.centroid_radius,
                     "theta_x_rad": s.direction.theta_x,
                     "theta_x_deg": math.degrees(s.direction.theta_x),
-                    "theta_y_raw_rad": s.torsion.theta_y,
-                    "theta_y_raw_deg": math.degrees(s.torsion.theta_y),
+                    "theta_y_raw_rad": s.torsion.params.orientation,
+                    "theta_y_raw_deg": math.degrees(s.torsion.params.orientation),
                     "theta_y_rect_rad": s.theta_y_rectified,
                     "theta_y_rect_deg": math.degrees(s.theta_y_rectified),
-                    "circle_degenerate": s.torsion.circle_degenerate,
+                    "circle_degenerate": not s.torsion.params.orientation_defined,
                     "line_rms_mm": s.direction.rms_orthogonal_residual,
-                    "algebraic_rms": s.torsion.fit.rms_algebraic_residual,
-                    "geometric_rms_mm": s.torsion.fit.rms_geometric_residual,
-                    "fit_iterations": s.torsion.fit.iterations,
-                    "fit_converged": s.torsion.fit.converged,
+                    "algebraic_rms": s.torsion.rms_algebraic_residual,
+                    "geometric_rms_mm": s.torsion.rms_geometric_residual,
+                    "fit_iterations": s.torsion.iterations,
+                    "fit_converged": s.torsion.converged,
                 }
             )
         document = {
@@ -272,26 +272,6 @@ class EvaluationReport:
             fh.write(self.to_text())
 
 
-_SECTION_COLUMNS = (
-    "index",
-    "azimuth_rad",
-    "azimuth_deg",
-    "centroid_radius_mm",
-    "theta_x_rad",
-    "theta_x_deg",
-    "theta_y_raw_rad",
-    "theta_y_raw_deg",
-    "theta_y_rect_rad",
-    "theta_y_rect_deg",
-    "circle_degenerate",
-    "line_rms_mm",
-    "algebraic_rms",
-    "geometric_rms_mm",
-    "fit_iterations",
-    "fit_converged",
-)
-
-
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -302,29 +282,19 @@ def _csv_cell(value) -> str:
     return _fmt(value)
 
 
-def _csv_text(columns, rows) -> str:
-    lines = [",".join(columns)]
-    lines += [",".join(_csv_cell(row[col]) for col in columns) for row in rows]
+def _csv_text(rows) -> str:
+    """One CSV row per record; the header and cell order are the records' keys."""
+    lines = [",".join(rows[0])]
+    lines += [",".join(_csv_cell(value) for value in row.values()) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def sections_csv_text(report: EvaluationReport) -> str:
-    return _csv_text(_SECTION_COLUMNS, report.document["sections"])
-
-
-_ARC_COLUMNS = (
-    "radius_mm",
-    "central_angle_rad",
-    "central_angle_deg",
-    "arc_length_mm",
-    "helical_arc_length_mm",
-    "pitch_mm_per_rad",
-    "sections",
-)
+    return _csv_text(report.document["sections"])
 
 
 def arc_csv_text(report: EvaluationReport) -> str:
-    return _csv_text(_ARC_COLUMNS, report.document["arcs"])
+    return _csv_text(report.document["arcs"])
 
 
 # ---------------------------------------------------------------------------
@@ -337,22 +307,23 @@ def svg_scatter(
     title: str,
     xlabel: str,
     ylabel: str,
-    xlim: tuple[float, float],
-    ylim: tuple[float, float],
-    diagonal: bool = True,
-    size: int = 640,
+    lim: tuple[float, float],
 ) -> str:
-    """Minimal standalone scatter plot, deterministic byte-for-byte."""
+    """Minimal standalone scatter plot with a dashed y = x diagonal.
+
+    Both axes span ``lim``. Deterministic byte-for-byte.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    size = 640
     margin = 70.0
     span = size - 2 * margin
 
     def sx(v):
-        return margin + (v - xlim[0]) / (xlim[1] - xlim[0]) * span
+        return margin + (v - lim[0]) / (lim[1] - lim[0]) * span
 
     def sy(v):
-        return size - margin - (v - ylim[0]) / (ylim[1] - ylim[0]) * span
+        return size - margin - (v - lim[0]) / (lim[1] - lim[0]) * span
 
     out = io.StringIO()
     out.write(
@@ -370,23 +341,22 @@ def svg_scatter(
     )
     n_ticks = 5
     for k in range(n_ticks):
-        xv = xlim[0] + (xlim[1] - xlim[0]) * k / (n_ticks - 1)
-        yv = ylim[0] + (ylim[1] - ylim[0]) * k / (n_ticks - 1)
+        v = lim[0] + (lim[1] - lim[0]) * k / (n_ticks - 1)
         out.write(
-            f'<line x1="{sx(xv):.2f}" y1="{size - margin:.1f}" x2="{sx(xv):.2f}" '
+            f'<line x1="{sx(v):.2f}" y1="{size - margin:.1f}" x2="{sx(v):.2f}" '
             f'y2="{size - margin + 6:.1f}" stroke="black"/>\n'
         )
         out.write(
-            f'<text x="{sx(xv):.2f}" y="{size - margin + 22:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{xv:g}</text>\n'
+            f'<text x="{sx(v):.2f}" y="{size - margin + 22:.1f}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="12">{v:g}</text>\n'
         )
         out.write(
-            f'<line x1="{margin - 6:.1f}" y1="{sy(yv):.2f}" x2="{margin:.1f}" '
-            f'y2="{sy(yv):.2f}" stroke="black"/>\n'
+            f'<line x1="{margin - 6:.1f}" y1="{sy(v):.2f}" x2="{margin:.1f}" '
+            f'y2="{sy(v):.2f}" stroke="black"/>\n'
         )
         out.write(
-            f'<text x="{margin - 10:.1f}" y="{sy(yv) + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{yv:g}</text>\n'
+            f'<text x="{margin - 10:.1f}" y="{sy(v) + 4:.2f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="12">{v:g}</text>\n'
         )
     out.write(
         f'<text x="{size / 2:.1f}" y="{size - 15:.1f}" text-anchor="middle" '
@@ -396,15 +366,13 @@ def svg_scatter(
         f'<text x="20" y="{size / 2:.1f}" text-anchor="middle" font-family="sans-serif" '
         f'font-size="14" transform="rotate(-90 20 {size / 2:.1f})">{ylabel}</text>\n'
     )
-    if diagonal:
-        lo = max(xlim[0], ylim[0])
-        hi = min(xlim[1], ylim[1])
-        out.write(
-            f'<line x1="{sx(lo):.2f}" y1="{sy(lo):.2f}" x2="{sx(hi):.2f}" y2="{sy(hi):.2f}" '
-            'stroke="#999999" stroke-width="1" stroke-dasharray="4 3"/>\n'
-        )
+    lo, hi = lim
+    out.write(
+        f'<line x1="{sx(lo):.2f}" y1="{sy(lo):.2f}" x2="{sx(hi):.2f}" y2="{sy(hi):.2f}" '
+        'stroke="#999999" stroke-width="1" stroke-dasharray="4 3"/>\n'
+    )
     for xi, yi in zip(x, y):
-        if xlim[0] <= xi <= xlim[1] and ylim[0] <= yi <= ylim[1]:
+        if lo <= xi <= hi and lo <= yi <= hi:
             out.write(f'<circle cx="{sx(xi):.2f}" cy="{sy(yi):.2f}" r="2" fill="#1f4e8c"/>\n')
     out.write("</svg>\n")
     return out.getvalue()

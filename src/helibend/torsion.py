@@ -13,18 +13,21 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conicfit import FitResult, GnSettings, fit_bookstein, fit_gauss_newton, fit_trace
+from .conicfit import (
+    DEFAULT_MAX_ITERATIONS,
+    FitResult,
+    fit_bookstein,
+    fit_gauss_newton,
+    fit_trace,
+)
 from .errors import AmbiguousBranch, LengthMismatch
-from .geometry import CanonicalSection, direction_rotation, fold_half_open
+from .geometry import BOOKSTEIN, TRACE, CanonicalSection, direction_rotation, fold_half_open
 
-TRACE_FITTER = "trace"
-BOOKSTEIN_FITTER = "bookstein"
-GAUSS_NEWTON_FITTER = "gauss-newton"
-FITTERS = (TRACE_FITTER, BOOKSTEIN_FITTER, GAUSS_NEWTON_FITTER)
+GAUSS_NEWTON = "gauss-newton"
+FITTERS = (TRACE, BOOKSTEIN, GAUSS_NEWTON)
 
 _HALF_PI = math.pi / 2.0
 _TIE_TOL = 1e-12
@@ -33,46 +36,36 @@ _TIE_TOL = 1e-12
 _MAX_JUMP = math.pi / 4.0
 
 
-@dataclass(frozen=True)
-class TorsionResult:
-    theta_y: float
-    circle_degenerate: bool
-    fit: FitResult = field(compare=False, repr=False, default=None)
-
-
 def fit_section_ellipse(
-    points2d, fitter: str = TRACE_FITTER, gn_settings: GnSettings | None = None
+    points2d, fitter: str = TRACE, gn_max_iterations: int = DEFAULT_MAX_ITERATIONS
 ) -> FitResult:
     """Dispatch to one of the three fitting methods by name."""
-    if fitter == TRACE_FITTER:
+    if fitter == TRACE:
         return fit_trace(points2d)
-    if fitter == BOOKSTEIN_FITTER:
+    if fitter == BOOKSTEIN:
         return fit_bookstein(points2d)
-    if fitter == GAUSS_NEWTON_FITTER:
-        return fit_gauss_newton(points2d, settings=gn_settings)
+    if fitter == GAUSS_NEWTON:
+        return fit_gauss_newton(points2d, max_iterations=gn_max_iterations)
     raise ValueError(f"unknown fitter {fitter!r}; expected one of {FITTERS}")
 
 
 def observe_torsion(
     section: CanonicalSection,
     theta_x: float,
-    fitter: str = TRACE_FITTER,
-    gn_settings: GnSettings | None = None,
-) -> TorsionResult:
+    fitter: str = TRACE,
+    gn_max_iterations: int = DEFAULT_MAX_ITERATIONS,
+) -> FitResult:
     """Torsion reading of one canonical section.
 
     Removes the surface-direction tilt, projects the points onto the ZX
-    plane as (u, v) = (z, x) and fits an ellipse; the returned angle is the
-    fitted major-axis angle from the +Z axis. Circle-degenerate fits report
-    zero with the flag set instead of an arbitrary orientation.
+    plane as (u, v) = (z, x) and fits an ellipse. The reading is the fit's
+    ``params.orientation``, the major-axis angle from the +Z axis; a
+    circle-degenerate fit reads 0.0 with ``params.orientation_defined``
+    cleared instead of an arbitrary orientation.
     """
-    untilt = direction_rotation(theta_x).T
-    flat = section.points_canonical @ untilt.T
-    pts2 = flat[:, [2, 0]]
-    fit = fit_section_ellipse(pts2, fitter, gn_settings)
-    degenerate = not fit.params.orientation_defined
-    theta_y = 0.0 if degenerate else fit.params.orientation
-    return TorsionResult(theta_y=theta_y, circle_degenerate=degenerate, fit=fit)
+    # Row vectors times the tilt R apply R^T, which removes the tilt.
+    flat = section.points_canonical @ direction_rotation(theta_x)
+    return fit_section_ellipse(flat[:, [2, 0]], fitter, gn_max_iterations)
 
 
 def _nearest_branch(raw: float, anchor: float):

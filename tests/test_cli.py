@@ -46,6 +46,25 @@ class TestSynth:
         assert synth(tmp_path, sections=1) == 2
         assert "sections" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            {"radius": "nan", "helix_angle_deg": 5},
+            {"pitch": "nan", "helix_angle_deg": 5},
+            {"radius": "inf", "helix_angle_deg": 5},
+            {"twist_constant_deg": "nan"},
+            {"noise_sigma": "nan"},
+            {"twist_sine_cycles": "inf"},
+            {"twist_ramp_deg": "inf"},
+        ],
+    )
+    def test_non_finite_flag_is_usage_error(self, tmp_path, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            synth(tmp_path, **flags)
+        assert exc.value.code == 2
+        assert "must be a finite number, got " in capsys.readouterr().err
+        assert not (tmp_path / "cloud.csv").exists()
+
 
 class TestEvaluate:
     def test_noise_free_matches_truth(self, tmp_path):
@@ -279,7 +298,20 @@ class TestCompareFits:
         assert stds["trace"] <= stds["bookstein"]
 
     def test_zero_trials_rejected(self, tmp_path, capsys):
-        assert run("compare-fits", "--output-dir", tmp_path, "--trials", 0) == 2
+        for flag, value in (
+            ("--trials", 0),
+            ("--semi-minor", 0),
+            ("--semi-minor", -1),
+            ("--semi-major", "nan"),
+            ("--noise-sigma", "nan"),
+            ("--points", 5),
+        ):
+            try:
+                code = run("compare-fits", "--output-dir", tmp_path, flag, value)
+            except SystemExit as exc:  # argparse rejects a non-finite number itself
+                code = exc.code
+            assert code == 2, (flag, value)
+            assert not (tmp_path / "sweep.csv").exists()
 
     def test_inverted_range_rejected(self, tmp_path):
         assert run("compare-fits", "--output-dir", tmp_path,

@@ -7,7 +7,6 @@ from helibend import (
     BOOKSTEIN,
     TRACE,
     EllipseParams,
-    GnSettings,
     algebraic_residuals,
     fit_bookstein,
     fit_gauss_newton,
@@ -266,6 +265,21 @@ class TestGaussNewton:
         assert abs(got.semi_minor - 3.0) < 1e-8
         assert angle_error(got.orientation, 0.7) < 1e-8
 
+    def test_default_init_is_the_trace_fit(self):
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            params = random_ellipse(rng)
+            pts = params.boundary_points(40) + rng.normal(0, 0.05, (40, 2))
+            got = fit_gauss_newton(pts)
+            ref = fit_gauss_newton(pts, init=fit_trace(pts).params)
+            assert got.conic == ref.conic
+            assert np.array_equal(got.params.center, ref.params.center)
+            for name in ("semi_major", "semi_minor", "orientation", "orientation_defined"):
+                assert getattr(got.params, name) == getattr(ref.params, name)
+            for name in ("rms_algebraic_residual", "rms_geometric_residual",
+                         "iterations", "converged"):
+                assert getattr(got, name) == getattr(ref, name)
+
     def test_geometric_rms_not_worse_than_trace(self):
         # oracle: direct evaluation of both residual sets
         rng = np.random.default_rng(12)
@@ -286,16 +300,21 @@ class TestGaussNewton:
         pts = np.column_stack((x, np.zeros_like(x)))
         init = EllipseParams(np.zeros(2), 2.0, 0.5, 0.0)
         with pytest.raises(CollapsedAxis):
-            fit_gauss_newton(pts, init=init, settings=GnSettings(max_iterations=200))
+            fit_gauss_newton(pts, init=init, max_iterations=200)
 
     def test_nonconvergence_flag(self):
         rng = np.random.default_rng(13)
         params = EllipseParams(np.zeros(2), 5.0, 2.0, 0.3)
         pts = params.boundary_points(40) + rng.normal(0, 0.2, (40, 2))
-        fit = fit_gauss_newton(pts, settings=GnSettings(max_iterations=1))
+        fit = fit_gauss_newton(pts, max_iterations=1)
         assert fit.iterations == 1
         # a single damped step cannot reach both tolerances from a noisy init
         assert isinstance(fit.converged, bool)
+
+    def test_iteration_budget_below_one_rejected(self):
+        pts = EllipseParams(np.zeros(2), 5.0, 2.0, 0.3).boundary_points(20)
+        with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+            fit_gauss_newton(pts, max_iterations=0)
 
     def test_moment_init_exact_on_uniform_samples(self):
         params = EllipseParams(np.array([1.0, 2.0]), 8.0, 3.0, -0.9)

@@ -148,14 +148,14 @@ class TestCanonicalize:
 
 class TestConicConversion:
     def test_unit_circle_trace(self):
-        params = conic_to_params(Conic2D(0.5, 0.0, 0.5, 0.0, 0.0, -0.5, TRACE))
+        params = conic_to_params(Conic2D(0.5, 0.0, 0.5, 0.0, 0.0, -0.5))
         assert np.allclose(params.center, 0.0)
         assert params.semi_major == pytest.approx(1.0, abs=1e-12)
         assert params.semi_minor == pytest.approx(1.0, abs=1e-12)
         assert not params.orientation_defined
 
     def test_axis_aligned_ellipse(self):
-        params = conic_to_params(Conic2D(0.2, 0.0, 0.8, 0.0, 0.0, -0.8, TRACE))
+        params = conic_to_params(Conic2D(0.2, 0.0, 0.8, 0.0, 0.0, -0.8))
         assert params.semi_major == pytest.approx(2.0, abs=1e-12)
         assert params.semi_minor == pytest.approx(1.0, abs=1e-12)
         assert params.orientation == pytest.approx(0.0, abs=1e-12)

@@ -63,6 +63,14 @@ class TestGenerate:
             ({"extent": 0.0}, "extent"),
             ({"helix_angle": 2.0}, "helix_angle"),
             ({"noise_sigma": -0.1}, "noise_sigma"),
+            ({"radius": math.nan}, "radius"),
+            ({"radius": math.inf}, "radius"),
+            ({"semi_major": math.inf}, "semi_major"),
+            ({"pitch_per_turn": math.nan}, "pitch_per_turn"),
+            ({"extent": math.inf}, "extent"),
+            ({"noise_sigma": math.nan}, "noise_sigma"),
+            ({"twist_profile": lambda i: math.nan}, "twist_profile"),
+            ({"twist_profile": lambda i: 0.0 if i < 3 else math.inf}, "twist_profile"),
         ],
     )
     def test_invalid_fields(self, kwargs, field):

@@ -90,7 +90,7 @@ class TestPipelinePlumbing:
         part = generate(spec)
         with pytest.warns(UserWarning, match="twist rate exceeds the filter's envelope"):
             result = evaluate_sections(segment_sections(part.points, labels=part.labels))
-        raw = [s.torsion.theta_y for s in result.sections]
+        raw = [s.torsion.params.orientation for s in result.sections]
         assert np.max(np.abs(np.array(raw) - twists)) < 1e-8
 
     def test_ambiguous_branch_warns_and_evaluates(self):

@@ -3,9 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from helibend import report
+from helibend import HelixSpec, evaluate_cloud, generate, report
 from helibend.errors import InputFormatError
-from helibend.report import read_cloud_csv
+from helibend.report import EvaluationReport, arc_csv_text, read_cloud_csv, sections_csv_text
 
 
 def _line_parse(path):
@@ -116,3 +116,40 @@ def test_random_doubles_round_trip_exactly(tmp_path):
     got_pts, got_labels = read_cloud_csv(path)
     assert got_pts.tobytes() == pts.tobytes()
     assert np.array_equal(got_labels, labels)
+
+
+class TestEvaluationCsv:
+    SECTIONS_HEADER = (
+        "index,azimuth_rad,azimuth_deg,centroid_radius_mm,theta_x_rad,theta_x_deg,"
+        "theta_y_raw_rad,theta_y_raw_deg,theta_y_rect_rad,theta_y_rect_deg,"
+        "circle_degenerate,line_rms_mm,algebraic_rms,geometric_rms_mm,"
+        "fit_iterations,fit_converged"
+    )
+    ARC_HEADER = (
+        "radius_mm,central_angle_rad,central_angle_deg,arc_length_mm,"
+        "helical_arc_length_mm,pitch_mm_per_rad,sections"
+    )
+
+    @staticmethod
+    def _report():
+        part = generate(HelixSpec(sections=5, noise_sigma=0.02, rng_seed=3))
+        result = evaluate_cloud(part.points, labels=part.labels, fitter="gauss-newton")
+        return EvaluationReport.from_result(
+            result, fitter="gauss-newton", input_digest="sha256:0"
+        )
+
+    def test_headers_and_row_widths(self):
+        rep = self._report()
+        sections = sections_csv_text(rep).splitlines()
+        arc = arc_csv_text(rep).splitlines()
+        assert sections[0] == self.SECTIONS_HEADER
+        assert len(sections) == 6
+        assert all(line.count(",") == 15 for line in sections)
+        assert arc[0] == self.ARC_HEADER
+        assert len(arc) == 2 and arc[1].count(",") == 6
+
+    def test_parsed_report_writes_the_same_csv(self):
+        rep = self._report()
+        parsed = EvaluationReport.from_text(rep.to_text())
+        assert sections_csv_text(parsed) == sections_csv_text(rep)
+        assert arc_csv_text(parsed) == arc_csv_text(rep)

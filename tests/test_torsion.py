@@ -29,8 +29,8 @@ class TestObserveTorsion:
         canon, truth = canonical_sections(HelixSpec(sections=4, rng_seed=1))
         for sec in canon:
             got = observe_torsion(sec, truth.theta_x[0])
-            assert got.theta_y == pytest.approx(0.0, abs=1e-10)
-            assert not got.circle_degenerate
+            assert got.params.orientation == pytest.approx(0.0, abs=1e-10)
+            assert got.params.orientation_defined
 
     def test_ten_degree_twist(self):
         twist = math.radians(10.0)
@@ -39,7 +39,7 @@ class TestObserveTorsion:
         )
         for sec in canon:
             got = observe_torsion(sec, truth.theta_x[0])
-            assert abs(got.theta_y - twist) < 1e-8
+            assert abs(got.params.orientation - twist) < 1e-8
 
     @pytest.mark.parametrize("fitter", ["trace", "bookstein", "gauss-newton"])
     def test_exact_for_all_fitters(self, fitter):
@@ -48,23 +48,14 @@ class TestObserveTorsion:
             HelixSpec(sections=3, twist_profile=lambda i: twist, rng_seed=3)
         )
         got = observe_torsion(canon[1], truth.theta_x[0], fitter=fitter)
-        assert abs(got.theta_y - twist) < 1e-8
+        assert abs(got.params.orientation - twist) < 1e-8
 
     def test_circular_section_flagged(self):
         spec = HelixSpec(semi_major=6.0, semi_minor=6.0, sections=3, rng_seed=4)
         canon, truth = canonical_sections(spec)
         got = observe_torsion(canon[0], truth.theta_x[0])
-        assert got.circle_degenerate
-        assert got.theta_y == 0.0
-
-    def test_matches_fit_orientation(self):
-        # single source of truth: theta_y is the fit's orientation verbatim
-        twist = 0.4
-        canon, truth = canonical_sections(
-            HelixSpec(sections=3, twist_profile=lambda i: twist, rng_seed=5)
-        )
-        got = observe_torsion(canon[0], truth.theta_x[0])
-        assert got.theta_y == got.fit.params.orientation
+        assert not got.params.orientation_defined
+        assert got.params.orientation == 0.0
 
 
 class TestRectifyTorsion:
@@ -172,7 +163,7 @@ class TestDefectLocalization:
         spec = HelixSpec(sections=30, twist_profile=twist, rng_seed=8)
         canon, truth = canonical_sections(spec)
         directions = detect_direction(canon)
-        raw = [observe_torsion(c, d.theta_x).theta_y for c, d in zip(canon, directions)]
+        raw = [observe_torsion(c, d.theta_x).params.orientation for c, d in zip(canon, directions)]
         expected = np.full(30, 0.05)
         dev = torsion_deviation(raw, expected)
         flagged = np.flatnonzero(np.abs(dev) > defect / 2)

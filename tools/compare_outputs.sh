@@ -1,0 +1,81 @@
+#!/bin/sh
+# Byte-identity check for changes that must leave every output unchanged.
+#
+# Usage: tools/compare_outputs.sh PARENT_SRC CHANGE_SRC
+#
+# Each argument is a checkout of this repository (a directory holding
+# src/helibend). The same fixed set of synth, evaluate and compare-fits runs
+# is made against each checkout, and the two output trees, exit codes
+# included, are compared with `diff -r`. Exits 0 when they are identical.
+#
+# The set: criterion 8's part (synth --seed 42 --noise-sigma 0.05
+# --twist-sine-amp-deg 3) evaluated with each fitter, with gauss-newton at
+# --gn-max-iterations 2, and unlabeled with --sections 40; a 1000 x 400
+# labeled part with trace and gauss-newton; a --twist-constant-deg 45 part;
+# and compare-fits at --arc-fraction 1 and at --arc-fraction 0.3
+# --noise-sigma 0.1.
+set -u
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 PARENT_SRC CHANGE_SRC" >&2
+    exit 2
+fi
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+run_set() {
+    src=$(cd "$1" && pwd)/src
+    out=$2
+    mkdir -p "$out"
+    codes=$out/exit_codes.txt
+    : > "$codes"
+
+    # hb NAME ARGS...: run the CLI from $src and record its exit code under NAME.
+    hb() {
+        name=$1
+        shift
+        PYTHONPATH="$src" python3 -m helibend.cli "$@" 2>> "$work/stderr.log"
+        echo "$name $?" >> "$codes"
+    }
+
+    hb synth-c8 synth --output-dir "$out/c8" --seed 42 --noise-sigma 0.05 \
+        --twist-sine-amp-deg 3
+    for fitter in trace bookstein gauss-newton; do
+        hb "c8-$fitter" evaluate --input "$out/c8/cloud.csv" \
+            --output-dir "$out/c8-$fitter" --fitter "$fitter"
+    done
+    hb c8-gn2 evaluate --input "$out/c8/cloud.csv" --output-dir "$out/c8-gn2" \
+        --fitter gauss-newton --gn-max-iterations 2
+    cut -d, -f1-3 "$out/c8/cloud.csv" > "$work/unlabeled.csv"
+    hb c8-unlabeled evaluate --input "$work/unlabeled.csv" \
+        --output-dir "$out/c8-unlabeled" --sections 40
+
+    # The large part's cloud is diffed through its digest in report.json.
+    hb synth-big synth --output-dir "$work/big" --seed 7 --sections 1000 \
+        --points-per-section 400 --noise-sigma 0.02 --twist-sine-amp-deg 3 \
+        --extent-deg 171.88733853924697
+    cp "$work/big/truth.csv" "$out/big-truth.csv"
+    for fitter in trace gauss-newton; do
+        hb "big-$fitter" evaluate --input "$work/big/cloud.csv" \
+            --output-dir "$out/big-$fitter" --fitter "$fitter"
+    done
+    rm -rf "$work/big"
+
+    hb synth-45 synth --output-dir "$out/t45" --twist-constant-deg 45
+    hb t45 evaluate --input "$out/t45/cloud.csv" --output-dir "$out/t45-trace"
+
+    hb sweep-full compare-fits --output-dir "$out/sweep-full" --arc-fraction 1
+    hb sweep-arc compare-fits --output-dir "$out/sweep-arc" --arc-fraction 0.3 \
+        --noise-sigma 0.1
+}
+
+run_set "$1" "$work/parent"
+run_set "$2" "$work/change"
+
+if diff -r "$work/parent" "$work/change"; then
+    echo "identical: $(find "$work/parent" -type f | wc -l) files"
+else
+    echo "outputs differ" >&2
+    exit 1
+fi
