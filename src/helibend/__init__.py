@@ -26,9 +26,7 @@ from .geometry import (
     CanonicalSection,
     Conic2D,
     EllipseParams,
-    RigidTransform,
     canonicalize_section,
-    centroid,
     conic_to_params,
     fold_half_open,
     params_to_conic,
@@ -79,13 +77,11 @@ __all__ = [
     "GroundTruth",
     "HelixSpec",
     "Line2D",
-    "RigidTransform",
     "SectionEvaluation",
     "SyntheticPart",
     "algebraic_residuals",
     "arc_parameters",
     "canonicalize_section",
-    "centroid",
     "conic_to_params",
     "detect_direction",
     "ellipse_foot_point",

@@ -70,6 +70,7 @@ def _checked(convert, valid, rule: str):
 
 
 _positive_int = _checked(int, lambda value: value >= 1, "must be >= 1")
+_non_negative_int = _checked(int, lambda value: value >= 0, "must be >= 0")
 _finite_float = _checked(float, math.isfinite, "must be a finite number")
 
 
@@ -102,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sy = sub.add_parser("synth", help="generate a synthetic part with ground truth")
     sy.add_argument("--output-dir", required=True)
-    sy.add_argument("--seed", type=int, default=0)
+    sy.add_argument("--seed", type=_non_negative_int, default=0)
     sy.add_argument("--radius", type=_finite_float, default=120.0,
                     help="helix radius [mm]")
     sy.add_argument("--pitch", type=_finite_float, default=60.0,
@@ -127,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cf.add_argument("--max-angle-deg", type=_finite_float, default=90.0)
     cf.add_argument("--trials", type=int, default=181, help="sweep samples per fitter")
     cf.add_argument("--noise-sigma", type=_finite_float, default=0.0)
-    cf.add_argument("--seed", type=int, default=0)
+    cf.add_argument("--seed", type=_non_negative_int, default=0)
     cf.add_argument("--semi-major", type=_finite_float, default=30.0)
     cf.add_argument("--semi-minor", type=_finite_float, default=10.0)
     cf.add_argument("--points", type=int, default=60)
@@ -153,7 +154,6 @@ def _cmd_evaluate(args) -> int:
         expected_sections=args.sections,
         fitter=args.fitter,
         window=args.window,
-        workers=args.workers,
         gn_max_iterations=args.gn_max_iterations,
     )
     report = EvaluationReport.from_result(result, fitter=args.fitter, input_digest=digest)

@@ -5,10 +5,6 @@ class HelibendError(Exception):
     """Base class for all analysis errors raised by this package."""
 
 
-class EmptyInput(HelibendError):
-    pass
-
-
 class TooFewPoints(HelibendError):
     pass
 

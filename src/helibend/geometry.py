@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSection, EmptyInput, NotAnEllipse, TooFewPoints
+from .errors import DegenerateSection, NotAnEllipse, TooFewPoints
 
 # Conic normalizations for normalize_conic; the first two also name the
 # linear fitters that impose them.
@@ -30,8 +30,6 @@ UNCONSTRAINED = "none"
 
 # Relative axis-ratio window treated as a circle (orientation undefined).
 CIRCLE_DEGENERACY_TOL = 1e-6
-
-_ROTATION_TOL = 1e-10
 
 
 def fold_half_open(angle: float) -> float:
@@ -89,44 +87,6 @@ def as_points(arr, dim: int) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValueError("points contain non-finite coordinates")
     return pts
-
-
-def centroid(points) -> np.ndarray:
-    """Component-wise arithmetic mean of a point set."""
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        raise EmptyInput("centroid of an empty point set")
-    if pts.ndim == 1:
-        return pts.copy()
-    return pts.mean(axis=0)
-
-
-@dataclass(frozen=True)
-class RigidTransform:
-    """Rotation followed by translation: p -> R @ p + t."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=float)
-        t = np.asarray(self.translation, dtype=float)
-        if r.shape != (3, 3) or t.shape != (3,):
-            raise ValueError("rotation must be 3x3 and translation length 3")
-        if not np.allclose(r.T @ r, np.eye(3), atol=_ROTATION_TOL):
-            raise ValueError("rotation is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > _ROTATION_TOL:
-            raise ValueError("rotation determinant is not +1")
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
-
-    def apply(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.rotation.T + self.translation
-
-    def inverse(self) -> "RigidTransform":
-        rt = self.rotation.T
-        return RigidTransform(rt, -rt @ self.translation)
 
 
 @dataclass(frozen=True)
@@ -289,13 +249,15 @@ def normalize_conic(conic: Conic2D, constraint: str) -> Conic2D:
 class CanonicalSection:
     """A cross-section moved to the evaluation pose.
 
-    ``to_canonical`` maps product-frame points to the canonical frame where
-    the section centroid sits at the origin and its azimuth about the
-    product axis has been rotated away.
+    ``centroid`` is the section's mean point in the product frame. The
+    canonical frame puts it at the origin with its azimuth ``azimuth_phi``
+    about the product axis rotated away, so
+    ``points_canonical @ rotation_z(azimuth_phi).T + centroid`` maps the
+    points back to the product frame.
     """
 
     points_canonical: np.ndarray
-    to_canonical: RigidTransform
+    centroid: np.ndarray
     azimuth_phi: float
     centroid_radius: float
 
@@ -304,23 +266,21 @@ def canonicalize_section(points) -> CanonicalSection:
     """Move one measured cross-section to the evaluation pose.
 
     Rotates about the product axis by minus the centroid azimuth, then
-    translates the centroid to the origin. Round-tripping through the
-    inverse transform reproduces the input to machine precision.
+    translates the centroid to the origin.
     """
     pts = as_points(points, 3)
     if len(pts) < 6:
         raise TooFewPoints(f"need at least 6 points per section, got {len(pts)}")
-    ctr = centroid(pts)
+    ctr = pts.mean(axis=0)
     radius = math.hypot(ctr[0], ctr[1])
     scale = max(1.0, float(np.abs(pts).max()))
     if radius < 1e-12 * scale:
         raise DegenerateSection("section centroid lies on the product axis")
     phi = math.atan2(ctr[1], ctr[0])
     rot = rotation_z(-phi)
-    transform = RigidTransform(rot, -rot @ ctr)
     return CanonicalSection(
-        points_canonical=transform.apply(pts),
-        to_canonical=transform,
+        points_canonical=pts @ rot.T + (-rot @ ctr),
+        centroid=ctr,
         azimuth_phi=phi,
         centroid_radius=radius,
     )

@@ -81,6 +81,8 @@ class HelixSpec:
             raise InvalidSpec("helix angle must lie in (-pi/2, pi/2)", field="helix_angle")
         if self.noise_sigma < 0.0:
             raise InvalidSpec("noise sigma cannot be negative", field="noise_sigma")
+        if self.rng_seed < 0:
+            raise InvalidSpec("seed cannot be negative", field="rng_seed")
 
     def twist_at(self, index: int) -> float:
         return 0.0 if self.twist_profile is None else float(self.twist_profile(index))
@@ -270,7 +272,7 @@ def arc_parameters(sections: list[CanonicalSection]) -> ArcGeometry:
     helical = None
     if central_angle > 1e-9:
         unwrapped = np.concatenate(([phi[0]], phi[0] + np.cumsum(diffs)))
-        z = np.array([section_centroid(s)[2] for s in sections])
+        z = np.array([s.centroid[2] for s in sections])
         du = unwrapped - unwrapped.mean()
         pitch = float(du @ (z - z.mean()) / (du @ du))
         helical = math.sqrt(radius * radius + pitch * pitch) * central_angle
@@ -281,9 +283,3 @@ def arc_parameters(sections: list[CanonicalSection]) -> ArcGeometry:
         helical_arc_length=helical,
         pitch_per_radian=pitch,
     )
-
-
-def section_centroid(section: CanonicalSection) -> np.ndarray:
-    """Product-frame centroid recovered from the canonicalizing transform."""
-    t = section.to_canonical
-    return -(t.rotation.T @ t.translation)

@@ -3,7 +3,8 @@ torsion, rectify and summarize arc geometry.
 
 Sections are evaluated in one sequential pass: the per-section stages are
 chains of small numpy calls that a thread pool only serializes on the
-interpreter lock. ``workers`` is accepted for compatibility and has no effect.
+interpreter lock. ``evaluate_sections`` accepts ``workers`` for compatibility;
+it has no effect.
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ def evaluate_cloud(
     expected_sections: int | None = None,
     fitter: str = TRACE,
     window: int = DEFAULT_WINDOW,
-    workers: int | None = None,
     gn_max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> EvaluationResult:
     """Segment a raw cloud and evaluate it."""

@@ -1,7 +1,7 @@
 """Report document, file formats and plot emission.
 
 Formats (all UTF-8, millimetres, radians in machine fields with degree
-twins for reading):
+twins for reading; the CSV readers skip a leading byte-order mark):
 
 * cloud CSV: header ``x,y,z`` or ``x,y,z,section``; ``#`` starts a comment;
 * ground-truth sidecar CSV: ``section,phi,theta_x_true,theta_y_true,cx,cy,cz``;
@@ -60,9 +60,10 @@ def read_cloud_csv(path):
     Raises InputFormatError naming the offending line on any malformed row.
     A well-formed file is read in bulk by numpy's C reader; anything that
     reader does not accept is re-read by the line parser, which is the
-    reference and the only one that reports errors.
+    reference and the only one that reports errors. A leading UTF-8
+    byte-order mark is skipped.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         parsed = _read_cloud_bulk(fh)
         if parsed is None:
             fh.seek(0)
@@ -166,7 +167,7 @@ def read_truth_csv(path):
     """Parse a ground-truth sidecar into arrays (phi, theta_x, theta_y, centroids)."""
     rows = []
     lineno = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

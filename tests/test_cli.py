@@ -65,6 +65,13 @@ class TestSynth:
         assert "must be a finite number, got " in capsys.readouterr().err
         assert not (tmp_path / "cloud.csv").exists()
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            synth(tmp_path, seed=-1)
+        assert exc.value.code == 2
+        assert "must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "cloud.csv").exists()
+
 
 class TestEvaluate:
     def test_noise_free_matches_truth(self, tmp_path):
@@ -263,6 +270,14 @@ class TestReadTruthCsv:
             read_truth_csv(path)
         assert exc.value.line_number == 3
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        assert synth(tmp_path, sections=3) == 0
+        plain = tmp_path / "truth.csv"
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for want, got in zip(read_truth_csv(plain), read_truth_csv(marked)):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestCompareFits:
     def test_noise_free_sweep_matches_truth(self, tmp_path):
@@ -312,6 +327,13 @@ class TestCompareFits:
                 code = exc.code
             assert code == 2, (flag, value)
             assert not (tmp_path / "sweep.csv").exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("compare-fits", "--output-dir", tmp_path, "--seed", -1)
+        assert exc.value.code == 2
+        assert "must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_inverted_range_rejected(self, tmp_path):
         assert run("compare-fits", "--output-dir", tmp_path,

@@ -9,61 +9,29 @@ from helibend import (
     Conic2D,
     EllipseParams,
     HelixSpec,
-    RigidTransform,
     canonicalize_section,
-    centroid,
     conic_to_params,
     fold_half_open,
     generate,
     params_to_conic,
 )
-from helibend.errors import DegenerateSection, EmptyInput, NotAnEllipse, TooFewPoints
-from helibend.geometry import rotation_x, rotation_y, rotation_z
+from helibend.errors import DegenerateSection, NotAnEllipse, TooFewPoints
+from helibend.geometry import rotation_z
 
 from helpers import random_ellipse, random_helix_spec
 
 
 class TestCentroid:
-    def test_two_points(self):
-        assert np.allclose(centroid([(0, 0, 0), (2, 0, 0)]), (1, 0, 0))
-
-    def test_single_point(self):
-        assert np.allclose(centroid([(1, 1, 1)]), (1, 1, 1))
-
-    def test_empty(self):
-        with pytest.raises(EmptyInput):
-            centroid([])
-
     def test_ellipse_samples_against_direct_summation(self):
         t = 2 * math.pi * np.arange(1000) / 1000
         pts = np.column_stack(
             (5 + 7 * np.cos(t), -3 + 2 * np.sin(t), 2 + 0 * t)
         )
-        got = centroid(pts)
+        got = canonicalize_section(pts).centroid
         # independent oracle: plain compensated summation, no numpy reductions
         oracle = [math.fsum(pts[:, k]) / len(pts) for k in range(3)]
         assert np.allclose(got, oracle, atol=1e-12)
         assert np.all(np.abs(got - np.array([5.0, -3.0, 2.0])) < 0.05)
-
-
-class TestRigidTransform:
-    def test_round_trip(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            angles = rng.uniform(-math.pi, math.pi, 3)
-            rot = rotation_z(angles[0]) @ rotation_y(angles[1]) @ rotation_x(angles[2])
-            t = RigidTransform(rot, rng.uniform(-10, 10, 3))
-            pts = rng.uniform(-50, 50, (20, 3))
-            back = t.inverse().apply(t.apply(pts))
-            assert np.max(np.abs(back - pts)) < 1e-10
-
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError):
-            RigidTransform(np.eye(3) * 1.001, np.zeros(3))
-
-    def test_rejects_reflection(self):
-        with pytest.raises(ValueError):
-            RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
 
 class TestFold:
@@ -92,8 +60,8 @@ class TestCanonicalize:
         sec = canonicalize_section(pts)
         assert sec.azimuth_phi == pytest.approx(0.0, abs=1e-12)
         assert sec.centroid_radius == pytest.approx(150.0, abs=1e-9)
-        assert np.allclose(sec.to_canonical.rotation, np.eye(3), atol=1e-12)
-        assert np.allclose(sec.to_canonical.translation, [-150.0, 0.0, -25.0], atol=1e-9)
+        assert np.allclose(sec.centroid, [150.0, 0.0, 25.0], atol=1e-9)
+        assert np.allclose(sec.points_canonical, pts - sec.centroid, atol=1e-12)
 
     def test_quarter_turn(self):
         pts = self._section_at((0.0, 80.0, -4.0))
@@ -117,7 +85,7 @@ class TestCanonicalize:
             part = generate(spec)
             pts = part.points[part.labels == 0]
             sec = canonicalize_section(pts)
-            back = sec.to_canonical.inverse().apply(sec.points_canonical)
+            back = sec.points_canonical @ rotation_z(sec.azimuth_phi).T + sec.centroid
             assert np.max(np.abs(back - pts)) < 1e-9
             d_in = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
             d_out = np.linalg.norm(
@@ -134,7 +102,7 @@ class TestCanonicalize:
             except DegenerateSection:
                 continue
             ctr = pts.mean(axis=0)
-            moved = sec.to_canonical.rotation @ ctr
+            moved = rotation_z(-sec.azimuth_phi) @ ctr
             assert abs(math.atan2(moved[1], moved[0])) < 1e-12
 
     def test_too_few_points(self):

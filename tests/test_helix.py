@@ -18,7 +18,6 @@ from helibend.errors import (
     TooFewSections,
     UnderfilledSection,
 )
-from helibend.helix import section_centroid
 
 from helpers import random_helix_spec
 
@@ -71,6 +70,7 @@ class TestGenerate:
             ({"noise_sigma": math.nan}, "noise_sigma"),
             ({"twist_profile": lambda i: math.nan}, "twist_profile"),
             ({"twist_profile": lambda i: 0.0 if i < 3 else math.inf}, "twist_profile"),
+            ({"rng_seed": -1}, "rng_seed"),
         ],
     )
     def test_invalid_fields(self, kwargs, field):
@@ -266,4 +266,4 @@ class TestArcParameters:
         groups = segment_sections(part.points, labels=part.labels)
         for i, g in enumerate(groups):
             sec = canonicalize_section(g)
-            assert np.max(np.abs(section_centroid(sec) - part.truth.centroids[i])) < 1e-9
+            assert np.max(np.abs(sec.centroid - part.truth.centroids[i])) < 1e-9

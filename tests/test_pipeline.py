@@ -51,18 +51,6 @@ class TestNoiseFreeRecovery:
 
 
 class TestPipelinePlumbing:
-    def test_worker_counts_agree_bitwise(self):
-        spec = HelixSpec(sections=12, noise_sigma=0.02, rng_seed=4)
-        part = generate(spec)
-        results = [
-            evaluate_cloud(part.points, labels=part.labels, workers=w) for w in (1, 4)
-        ]
-        assert np.array_equal(results[0].arc.theta_x, results[1].arc.theta_x)
-        assert np.array_equal(
-            results[0].arc.theta_y_rectified, results[1].arc.theta_y_rectified
-        )
-        assert np.array_equal(results[0].arc.geometric_rms, results[1].arc.geometric_rms)
-
     def test_unlabeled_cloud_path(self):
         spec = HelixSpec(
             radius=150.0, semi_major=3.0, semi_minor=2.0, extent=4.0, sections=20,

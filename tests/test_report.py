@@ -95,6 +95,38 @@ def test_well_formed_file_skips_line_parser(tmp_path, monkeypatch, name):
     assert (labels is None) == (expected[1] is None)
 
 
+_BOM = "\ufeff"
+
+
+def test_byte_order_mark_is_skipped_by_the_bulk_reader(tmp_path, monkeypatch):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(CORPUS["labeled"], encoding="utf-8")
+    marked.write_text(_BOM + CORPUS["labeled"], encoding="utf-8")
+    expected = read_cloud_csv(plain)
+
+    def fail(fh):
+        raise AssertionError("line parser used on a well-formed file")
+
+    monkeypatch.setattr(report, "_read_cloud_lines", fail)
+    pts, labels = read_cloud_csv(marked)
+    assert pts.tobytes() == expected[0].tobytes()
+    assert labels.tobytes() == expected[1].tobytes()
+
+
+def test_byte_order_mark_keeps_error_line_numbers(tmp_path):
+    text = CORPUS["labeled"] + "1.0,oops,3.0,2\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(_BOM + text, encoding="utf-8")
+    with pytest.raises(InputFormatError) as want:
+        read_cloud_csv(plain)
+    with pytest.raises(InputFormatError) as got:
+        read_cloud_csv(marked)
+    assert want.value.line_number == 5
+    assert str(got.value) == str(want.value)
+    assert got.value.line_number == want.value.line_number
+
+
 @pytest.mark.parametrize("header", ["x,y,z\n", "x,y,z,section\n"])
 def test_header_only_file_warns_nothing(tmp_path, header):
     path = tmp_path / "cloud.csv"

@@ -12,6 +12,8 @@
 # --twist-sine-amp-deg 3) evaluated with each fitter, with gauss-newton at
 # --gn-max-iterations 2, and unlabeled with --sections 40; a 1000 x 400
 # labeled part with trace and gauss-newton; a --twist-constant-deg 45 part;
+# a noise-free planar part (--pitch 0 --helix-angle-deg 0, whose pitch
+# estimate is exactly 0.0, so a sign-of-zero change shows in report.json);
 # and compare-fits at --arc-fraction 1 and at --arc-fraction 0.3
 # --noise-sigma 0.1.
 set -u
@@ -64,6 +66,10 @@ run_set() {
 
     hb synth-45 synth --output-dir "$out/t45" --twist-constant-deg 45
     hb t45 evaluate --input "$out/t45/cloud.csv" --output-dir "$out/t45-trace"
+
+    hb synth-planar synth --output-dir "$out/planar" --pitch 0 --helix-angle-deg 0
+    hb planar evaluate --input "$out/planar/cloud.csv" --output-dir "$out/planar-trace" \
+        --fitter trace
 
     hb sweep-full compare-fits --output-dir "$out/sweep-full" --arc-fraction 1
     hb sweep-arc compare-fits --output-dir "$out/sweep-arc" --arc-fraction 0.3 \
