@@ -33,7 +33,6 @@ from .geometry import (
 )
 from .helix import (
     ArcGeometry,
-    ArcReport,
     GroundTruth,
     HelixSpec,
     SyntheticPart,
@@ -49,7 +48,7 @@ from .linefit import (
     rectify_direction,
     surface_direction_angle,
 )
-from .pipeline import EvaluationResult, SectionEvaluation, evaluate_cloud, evaluate_sections
+from .pipeline import ArcReport, EvaluationResult, evaluate_cloud, evaluate_sections
 from .report import EvaluationReport
 from .torsion import (
     FITTERS,
@@ -77,7 +76,6 @@ __all__ = [
     "GroundTruth",
     "HelixSpec",
     "Line2D",
-    "SectionEvaluation",
     "SyntheticPart",
     "algebraic_residuals",
     "arc_parameters",

@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ev.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW,
                     help="adjacent sections pooled per direction fit")
-    ev.add_argument("--workers", type=int, default=None,
+    ev.add_argument("--workers", type=_positive_int, default=None,
                     help="accepted for interface uniformity; sections run sequentially")
     ev.add_argument("--format", choices=("csv", "report", "both"), default="both")
     ev.add_argument("--gn-max-iterations", type=_positive_int,

@@ -62,6 +62,9 @@ class HelixSpec:
             value = getattr(self, f.name)
             if isinstance(value, numbers.Real) and not math.isfinite(value):
                 raise InvalidSpec(f"{f.name} must be finite", field=f.name)
+        for name in ("sections", "points_per_section", "rng_seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise InvalidSpec(f"{name} must be an integer", field=name)
         if not (self.semi_major >= self.semi_minor > 0.0):
             raise InvalidSpec("require semi_major >= semi_minor > 0", field="semi_minor")
         if self.radius <= self.semi_major:
@@ -119,16 +122,6 @@ class ArcGeometry:
     arc_length: float
     helical_arc_length: float | None
     pitch_per_radian: float | None
-
-
-@dataclass(frozen=True)
-class ArcReport:
-    """Arc geometry plus the per-section angle series and residuals."""
-
-    geometry: ArcGeometry
-    theta_x: np.ndarray
-    theta_y_rectified: np.ndarray
-    geometric_rms: np.ndarray
 
 
 def generate(spec: HelixSpec) -> SyntheticPart:

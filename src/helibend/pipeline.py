@@ -16,30 +16,32 @@ import numpy as np
 from . import torsion as _torsion
 from .conicfit import DEFAULT_MAX_ITERATIONS, FitResult
 from .geometry import TRACE, canonicalize_section
-from .helix import ArcReport, arc_parameters, segment_sections
-from .linefit import DEFAULT_WINDOW, DirectionResult, detect_direction
+from .helix import ArcGeometry, arc_parameters, segment_sections
+from .linefit import DEFAULT_WINDOW, detect_direction
 from .torsion import observe_torsion
 
 
 @dataclass(frozen=True)
-class SectionEvaluation:
-    index: int
-    azimuth_phi: float
-    centroid_radius: float
-    direction: DirectionResult
-    # The section's ellipse fit; params.orientation is the raw torsion reading.
-    torsion: FitResult
-    theta_y_rectified: float
+class ArcReport:
+    """Arc geometry plus the per-section columns, one entry per section."""
+
+    geometry: ArcGeometry
+    azimuth_phi: np.ndarray
+    centroid_radius: np.ndarray
+    theta_x: np.ndarray
+    line_rms: np.ndarray
+    theta_y_rectified: np.ndarray
 
 
 @dataclass(frozen=True)
 class EvaluationResult:
     arc: ArcReport
-    sections: tuple[SectionEvaluation, ...]
+    # One ellipse fit per section; params.orientation is the raw torsion reading.
+    fits: tuple[FitResult, ...]
 
     @property
     def all_converged(self) -> bool:
-        return all(s.torsion.converged for s in self.sections)
+        return all(f.converged for f in self.fits)
 
 
 def evaluate_sections(
@@ -52,34 +54,22 @@ def evaluate_sections(
     """Run the evaluation stages over pre-segmented section point sets."""
     canonical = [canonicalize_section(points) for points in section_points]
     directions = detect_direction(canonical, window=window)
-    torsions = [
+    fits = tuple(
         observe_torsion(section, direction.theta_x, fitter, gn_max_iterations)
         for section, direction in zip(canonical, directions)
-    ]
+    )
     # looked up on the module at call time, so a wrapper installed on
     # helibend.torsion.rectify_torsion sees the call
-    rectified = _torsion.rectify_torsion([t.params.orientation for t in torsions])
-
-    sections = tuple(
-        SectionEvaluation(
-            index=i,
-            azimuth_phi=section.azimuth_phi,
-            centroid_radius=section.centroid_radius,
-            direction=direction,
-            torsion=torsion,
-            theta_y_rectified=float(theta_y),
-        )
-        for i, (section, direction, torsion, theta_y) in enumerate(
-            zip(canonical, directions, torsions, rectified)
-        )
-    )
+    rectified = _torsion.rectify_torsion([f.params.orientation for f in fits])
     arc = ArcReport(
         geometry=arc_parameters(canonical),
+        azimuth_phi=np.array([s.azimuth_phi for s in canonical]),
+        centroid_radius=np.array([s.centroid_radius for s in canonical]),
         theta_x=np.array([d.theta_x for d in directions]),
+        line_rms=np.array([d.rms_orthogonal_residual for d in directions]),
         theta_y_rectified=rectified,
-        geometric_rms=np.array([t.rms_geometric_residual for t in torsions]),
     )
-    return EvaluationResult(arc=arc, sections=sections)
+    return EvaluationResult(arc=arc, fits=fits)
 
 
 def evaluate_cloud(

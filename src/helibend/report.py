@@ -218,7 +218,8 @@ class EvaluationReport:
     def from_result(
         cls, result: EvaluationResult, fitter: str, input_digest: str
     ) -> "EvaluationReport":
-        geo = result.arc.geometry
+        cols = result.arc
+        geo = cols.geometry
         arc = {
             "radius_mm": geo.radius,
             "central_angle_rad": geo.central_angle,
@@ -226,28 +227,32 @@ class EvaluationReport:
             "arc_length_mm": geo.arc_length,
             "helical_arc_length_mm": geo.helical_arc_length,
             "pitch_mm_per_rad": geo.pitch_per_radian,
-            "sections": len(result.sections),
+            "sections": len(result.fits),
         }
         sections = []
-        for s in result.sections:
+        for i, (phi, radius, theta_x, line_rms, theta_y, fit) in enumerate(zip(
+            cols.azimuth_phi, cols.centroid_radius, cols.theta_x, cols.line_rms,
+            cols.theta_y_rectified, result.fits,
+        )):
+            # float() keeps numpy scalars out of the document
             sections.append(
                 {
-                    "index": s.index,
-                    "azimuth_rad": s.azimuth_phi,
-                    "azimuth_deg": math.degrees(s.azimuth_phi),
-                    "centroid_radius_mm": s.centroid_radius,
-                    "theta_x_rad": s.direction.theta_x,
-                    "theta_x_deg": math.degrees(s.direction.theta_x),
-                    "theta_y_raw_rad": s.torsion.params.orientation,
-                    "theta_y_raw_deg": math.degrees(s.torsion.params.orientation),
-                    "theta_y_rect_rad": s.theta_y_rectified,
-                    "theta_y_rect_deg": math.degrees(s.theta_y_rectified),
-                    "circle_degenerate": not s.torsion.params.orientation_defined,
-                    "line_rms_mm": s.direction.rms_orthogonal_residual,
-                    "algebraic_rms": s.torsion.rms_algebraic_residual,
-                    "geometric_rms_mm": s.torsion.rms_geometric_residual,
-                    "fit_iterations": s.torsion.iterations,
-                    "fit_converged": s.torsion.converged,
+                    "index": i,
+                    "azimuth_rad": float(phi),
+                    "azimuth_deg": math.degrees(phi),
+                    "centroid_radius_mm": float(radius),
+                    "theta_x_rad": float(theta_x),
+                    "theta_x_deg": math.degrees(theta_x),
+                    "theta_y_raw_rad": fit.params.orientation,
+                    "theta_y_raw_deg": math.degrees(fit.params.orientation),
+                    "theta_y_rect_rad": float(theta_y),
+                    "theta_y_rect_deg": math.degrees(theta_y),
+                    "circle_degenerate": not fit.params.orientation_defined,
+                    "line_rms_mm": float(line_rms),
+                    "algebraic_rms": fit.rms_algebraic_residual,
+                    "geometric_rms_mm": fit.rms_geometric_residual,
+                    "fit_iterations": fit.iterations,
+                    "fit_converged": fit.converged,
                 }
             )
         document = {

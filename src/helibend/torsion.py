@@ -99,6 +99,9 @@ def rectify_torsion(raw_series) -> np.ndarray:
     values = np.asarray(raw_series, dtype=float)
     if values.ndim != 1:
         raise ValueError("expected a 1-D series of angles")
+    # NaN fails every range comparison, so it is rejected first
+    if not np.isfinite(values).all():
+        raise ValueError("raw torsion values must be finite")
     if values.size and (values.min() <= -_HALF_PI - 1e-9 or values.max() > _HALF_PI + 1e-9):
         raise ValueError("raw torsion values must lie in (-pi/2, pi/2]")
     out = np.empty_like(values)

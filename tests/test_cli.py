@@ -183,7 +183,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         "flag, labeled",
-        [("--window", True), ("--gn-max-iterations", True), ("--sections", False)],
+        [("--window", True), ("--gn-max-iterations", True), ("--sections", False),
+         ("--workers", True)],
     )
     def test_zero_count_flag_is_usage_error(self, tmp_path, capsys, flag, labeled):
         data = tmp_path / "data"

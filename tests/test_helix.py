@@ -71,6 +71,9 @@ class TestGenerate:
             ({"twist_profile": lambda i: math.nan}, "twist_profile"),
             ({"twist_profile": lambda i: 0.0 if i < 3 else math.inf}, "twist_profile"),
             ({"rng_seed": -1}, "rng_seed"),
+            ({"rng_seed": 1.5}, "rng_seed"),
+            ({"sections": 2.5}, "sections"),
+            ({"points_per_section": 10.5}, "points_per_section"),
         ],
     )
     def test_invalid_fields(self, kwargs, field):

@@ -58,17 +58,16 @@ class TestPipelinePlumbing:
         )
         part = generate(spec)
         result = evaluate_cloud(part.points, expected_sections=20)
-        assert len(result.sections) == 20
+        assert len(result.fits) == 20
         assert np.max(np.abs(result.arc.theta_x - part.truth.theta_x)) < 1e-7
 
     def test_section_records_consistent(self):
         spec = HelixSpec(sections=6, rng_seed=6)
         part = generate(spec)
         result = evaluate_cloud(part.points, labels=part.labels)
-        for i, sec in enumerate(result.sections):
-            assert sec.index == i
-            assert sec.azimuth_phi == pytest.approx(part.truth.phi[i], abs=1e-9)
-            assert sec.centroid_radius == pytest.approx(spec.radius, abs=1e-9)
+        for i in range(spec.sections):
+            assert result.arc.azimuth_phi[i] == pytest.approx(part.truth.phi[i], abs=1e-9)
+            assert result.arc.centroid_radius[i] == pytest.approx(spec.radius, abs=1e-9)
         assert result.all_converged
 
     def test_fast_twist_warns_and_evaluates(self):
@@ -78,7 +77,7 @@ class TestPipelinePlumbing:
         part = generate(spec)
         with pytest.warns(UserWarning, match="twist rate exceeds the filter's envelope"):
             result = evaluate_sections(segment_sections(part.points, labels=part.labels))
-        raw = [s.torsion.params.orientation for s in result.sections]
+        raw = [f.params.orientation for f in result.fits]
         assert np.max(np.abs(np.array(raw) - twists)) < 1e-8
 
     def test_ambiguous_branch_warns_and_evaluates(self):
@@ -87,7 +86,7 @@ class TestPipelinePlumbing:
         part = generate(spec)
         with pytest.warns(AmbiguousBranch):
             result = evaluate_sections(segment_sections(part.points, labels=part.labels))
-        assert len(result.sections) == 4
+        assert len(result.fits) == 4
 
     def test_noisy_evaluation_stays_close(self):
         spec = HelixSpec(

@@ -163,11 +163,15 @@ class TestEvaluationCsv:
     )
 
     @staticmethod
-    def _report():
+    def _result():
         part = generate(HelixSpec(sections=5, noise_sigma=0.02, rng_seed=3))
-        result = evaluate_cloud(part.points, labels=part.labels, fitter="gauss-newton")
+        return evaluate_cloud(part.points, labels=part.labels, fitter="gauss-newton")
+
+    @classmethod
+    def _report(cls, result=None):
         return EvaluationReport.from_result(
-            result, fitter="gauss-newton", input_digest="sha256:0"
+            cls._result() if result is None else result,
+            fitter="gauss-newton", input_digest="sha256:0",
         )
 
     def test_headers_and_row_widths(self):
@@ -179,6 +183,25 @@ class TestEvaluationCsv:
         assert all(line.count(",") == 15 for line in sections)
         assert arc[0] == self.ARC_HEADER
         assert len(arc) == 2 and arc[1].count(",") == 6
+
+    def test_rows_hold_the_arc_columns_and_fits(self):
+        result = self._result()
+        document = self._report(result).document
+        rows, arc = document["sections"], result.arc
+        assert len(rows) == len(result.fits) == 5
+        for i, (row, fit) in enumerate(zip(rows, result.fits)):
+            assert row["index"] == i
+            assert row["azimuth_rad"] == arc.azimuth_phi[i]
+            assert row["theta_x_rad"] == arc.theta_x[i]
+            assert row["line_rms_mm"] == arc.line_rms[i]
+            assert row["theta_y_rect_rad"] == arc.theta_y_rectified[i]
+            assert row["theta_y_raw_rad"] == fit.params.orientation
+            assert row["geometric_rms_mm"] == fit.rms_geometric_residual
+            assert row["fit_iterations"] == fit.iterations
+            assert row["fit_converged"] is fit.converged
+        for record in [*rows, *document["arcs"]]:
+            for value in record.values():
+                assert value is None or type(value) in (float, int, bool), value
 
     def test_parsed_report_writes_the_same_csv(self):
         rep = self._report()

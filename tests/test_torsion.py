@@ -110,6 +110,10 @@ class TestRectifyTorsion:
         with pytest.raises(ValueError):
             rectify_torsion([2.0])
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            rectify_torsion([0.1, math.nan])
+
 
 class TestRectifyAgainst:
     def test_identity_when_close(self):

@@ -14,8 +14,9 @@
 # labeled part with trace and gauss-newton; a --twist-constant-deg 45 part;
 # a noise-free planar part (--pitch 0 --helix-angle-deg 0, whose pitch
 # estimate is exactly 0.0, so a sign-of-zero change shows in report.json);
-# and compare-fits at --arc-fraction 1 and at --arc-fraction 0.3
-# --noise-sigma 0.1.
+# a noise-free circular part (--seed 5 --semi-major 5 --semi-minor 5, the
+# only part whose rows report "circle_degenerate": true); and compare-fits
+# at --arc-fraction 1 and at --arc-fraction 0.3 --noise-sigma 0.1.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -69,6 +70,11 @@ run_set() {
 
     hb synth-planar synth --output-dir "$out/planar" --pitch 0 --helix-angle-deg 0
     hb planar evaluate --input "$out/planar/cloud.csv" --output-dir "$out/planar-trace" \
+        --fitter trace
+
+    hb synth-circle synth --output-dir "$out/circle" --seed 5 --semi-major 5 \
+        --semi-minor 5
+    hb circle evaluate --input "$out/circle/cloud.csv" --output-dir "$out/circle-trace" \
         --fitter trace
 
     hb sweep-full compare-fits --output-dir "$out/sweep-full" --arc-fraction 1
