@@ -71,6 +71,17 @@ class DirectionResult:
     rms_orthogonal_residual: float
 
 
+def _line_from_scatter(mean, scatter) -> tuple[Line2D, float]:
+    """TLS line through ``mean`` from a centered 2x2 scatter matrix, and the
+    scatter's smallest eigenvalue (the summed squared orthogonal distances)."""
+    evals, evecs = np.linalg.eigh(scatter)
+    if evals[1] - evals[0] <= _ISOTROPY_TOL * evals[1]:
+        raise IsotropicScatter("principal variances are equal; direction undefined")
+    a, b = evecs[:, 0]
+    c = -(a * mean[0] + b * mean[1])
+    return Line2D.normalized(a, b, c), float(evals[0])
+
+
 def fit_tls_line(points) -> Line2D:
     """Orthogonal-distance line through a 2D point set.
 
@@ -83,13 +94,7 @@ def fit_tls_line(points) -> Line2D:
         raise TooFewPoints("need at least 2 distinct points")
     mean = pts.mean(axis=0)
     centered = pts - mean
-    scatter = centered.T @ centered
-    evals, evecs = np.linalg.eigh(scatter)
-    if evals[1] - evals[0] <= _ISOTROPY_TOL * evals[1]:
-        raise IsotropicScatter("principal variances are equal; direction undefined")
-    a, b = evecs[:, 0]
-    c = -(a * mean[0] + b * mean[1])
-    return Line2D.normalized(a, b, c)
+    return _line_from_scatter(mean, centered.T @ centered)[0]
 
 
 def surface_direction_angle(line: Line2D) -> float:
@@ -122,57 +127,47 @@ def direction_from_points(points) -> DirectionResult:
     return DirectionResult(line=line, theta_x=theta, rms_orthogonal_residual=rms)
 
 
-def _major_chord_endpoints(section: CanonicalSection) -> np.ndarray:
-    """The two data points spanning the section's longest principal chord."""
-    pts = section.points_canonical
-    centered = pts - pts.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    proj = centered @ vt[0]
-    return pts[[int(np.argmin(proj)), int(np.argmax(proj))]]
-
-
 def detect_direction(
     sections: list[CanonicalSection], window: int = DEFAULT_WINDOW
 ) -> list[DirectionResult]:
     """Per-section surface direction from a sliding window of sections.
 
-    For each section the major-axis chord endpoints of the ``window``
-    neighboring canonical sections are projected onto the ZY plane and a
-    single TLS line is fitted; the window is clamped at the ends of the
-    part. Falls back to every point of the window when the endpoint set is
-    degenerate (e.g. fully twisted sections whose chords project to a
-    single point).
+    For each section one TLS line is fitted to the ZY-plane projections of
+    every point of the ``window`` neighboring canonical sections; the window
+    is clamped at the ends of the part. Each section's point count, ZY mean
+    and centered scatter are computed once and pooled per window by the
+    parallel-axis rule, and ``rms_orthogonal_residual`` is the RMS
+    orthogonal distance of the window's points from the line.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     if not sections:
         return []
-    endpoints = [_major_chord_endpoints(s) for s in sections]
+    zy = [s.points_canonical[:, 1:] for s in sections]
+    counts = np.array([len(p) for p in zy], dtype=float)
+    means = np.array([p.mean(axis=0) for p in zy])
+    scatters = np.array([(p - m).T @ (p - m) for p, m in zip(zy, means)])
     # canonical sections are centered, so the section extent is the scale
     # against which a suspicious line offset is judged
     extents = [float(np.abs(s.points_canonical).max()) for s in sections]
     half = window // 2
     n = len(sections)
-    windows = [(max(0, i - half), min(n, i + half + 1)) for i in range(n)]
     results = []
-    for lo, hi in windows:
-        chord = np.vstack(endpoints[lo:hi])
-        try:
-            result = direction_from_points(chord[:, [1, 2]])
-        except (TooFewPoints, IsotropicScatter):
-            everything = np.vstack([s.points_canonical for s in sections[lo:hi]])
-            result = direction_from_points(everything[:, [1, 2]])
-        results.append(result)
-    # the residual term keeps measurement noise from tripping the diagnostic;
-    # it is floored at the part's median window residual because a window of
-    # a few chord endpoints can line up far more tightly than the noise
-    noise = float(np.median([r.rms_orthogonal_residual for r in results]))
-    for i, ((lo, hi), result) in enumerate(zip(windows, results)):
+    for i in range(n):
+        lo, hi = max(0, i - half), min(n, i + half + 1)
+        w = counts[lo:hi]
+        total = w.sum()
+        mean = w @ means[lo:hi] / total
+        d = means[lo:hi] - mean
+        line, sse = _line_from_scatter(mean, scatters[lo:hi].sum(axis=0) + (w * d.T) @ d)
+        # sse can round below 0 on noise-free parts
+        rms = math.sqrt(max(sse, 0.0) / total)
+        results.append(DirectionResult(line, surface_direction_angle(line), rms))
         scale = max(extents[lo:hi])
-        allowance = max(1e-6 * scale, 3.0 * max(result.rms_orthogonal_residual, noise))
-        if scale > 0.0 and abs(result.line.c) > allowance:
+        # the residual term keeps measurement noise from tripping the diagnostic
+        if abs(line.c) > max(1e-6 * scale, 3.0 * rms):
             warnings.warn(
-                f"direction line offset {result.line.c:.3g} exceeds what noise "
+                f"direction line offset {line.c:.3g} exceeds what noise "
                 f"explains at section {i}; check canonicalization",
                 LineOffsetWarning,
                 stacklevel=2,

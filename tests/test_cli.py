@@ -321,6 +321,9 @@ class TestCompareFits:
             ("--semi-major", "nan"),
             ("--noise-sigma", "nan"),
             ("--points", 5),
+            ("--noise-sigma", -0.1),
+            ("--arc-fraction", 0),
+            ("--arc-fraction", 1.5),
         ):
             try:
                 code = run("compare-fits", "--output-dir", tmp_path, flag, value)

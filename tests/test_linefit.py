@@ -205,9 +205,9 @@ class TestDetectDirection:
             detect_direction(canon)
 
     def test_tightly_aligned_window_on_correct_part_does_not_warn(self):
-        # a 1000 x 400 part at sigma 0.02 mm: the chord endpoints of sections
-        # 23-27 happen to line up to a residual of about 0.004 mm, while the
-        # part's median window residual and the line offset there are 0.017 mm
+        # a 1000 x 400 part at sigma 0.02 mm whose sections 23-27 once tripped
+        # the warning when the line was fitted to major-chord endpoints only,
+        # which happened to line up to a residual of about 0.004 mm
         amp = math.radians(3.0)
         spec = HelixSpec(
             radius=120.0, pitch_per_turn=60.0, semi_major=8.0, semi_minor=5.0,
@@ -233,6 +233,28 @@ class TestDetectDirection:
         with pytest.warns(LineOffsetWarning, match="check canonicalization"):
             detect_direction(shifted)
 
+    def test_window_line_is_the_fit_to_every_window_point(self):
+        # section-specific shifts make the parallel-axis term of the pooled
+        # scatter matter; the reference fits the stacked points directly
+        spec = HelixSpec(sections=7, noise_sigma=0.05, rng_seed=6)
+        part = generate(spec)
+        groups = segment_sections(part.points, labels=part.labels)
+        canon = [
+            dataclasses.replace(c, points_canonical=c.points_canonical + [0.0, 0.3 * i, -0.2 * i])
+            for i, c in enumerate(map(canonicalize_section, groups))
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LineOffsetWarning)
+            res = detect_direction(canon, window=3)
+        for i, r in enumerate(res):
+            window = np.vstack([c.points_canonical for c in canon[max(0, i - 1) : i + 2]])
+            ref = direction_from_points(window[:, 1:])
+            assert (r.line.a, r.line.b, r.line.c) == pytest.approx(
+                (ref.line.a, ref.line.b, ref.line.c), abs=1e-12
+            )
+            assert r.theta_x == pytest.approx(ref.theta_x, abs=1e-12)
+            assert r.rms_orthogonal_residual == pytest.approx(ref.rms_orthogonal_residual, rel=1e-9)
+
     def test_line_passes_near_origin_after_canonicalization(self):
         spec = HelixSpec(sections=8, helix_angle=0.35, rng_seed=4)
         part = generate(spec)
@@ -241,17 +263,29 @@ class TestDetectDirection:
         for r in detect_direction(canon):
             assert abs(r.line.c) < 1e-6 * spec.semi_major
 
-    def test_fully_twisted_section_falls_back(self):
-        # twist near 90 deg: chord endpoints project to nearly one ZY point
+    @pytest.mark.parametrize(
+        "twist, sigma, tol",
+        [
+            (math.pi / 2 - 1e-9, 0.0, 1e-6),
+            (math.pi / 2, 0.0, 1e-9),
+            (-math.pi / 2, 0.0, 1e-9),
+            (math.pi / 2, 0.02, 5e-3),
+            (-math.pi / 2, 0.02, 5e-3),
+        ],
+        ids=["near-90", "90", "minus-90", "90-noisy", "minus-90-noisy"],
+    )
+    def test_fully_twisted_section(self, twist, sigma, tol):
+        # the major axis lies along x, which the ZY projection drops, so the
+        # projected sections are short segments of the minor axis
         spec = HelixSpec(
-            twist_profile=lambda i: math.pi / 2 - 1e-9, sections=4, rng_seed=5
+            twist_profile=lambda i: twist, sections=4, noise_sigma=sigma, rng_seed=5
         )
         part = generate(spec)
         groups = segment_sections(part.points, labels=part.labels)
         canon = [canonicalize_section(g) for g in groups]
         res = detect_direction(canon)
         for r in res:
-            assert abs(r.theta_x - spec.helix_angle) < 1e-6
+            assert abs(r.theta_x - spec.helix_angle) < tol
 
     def test_direction_from_points_reports_rms(self):
         rng = np.random.default_rng(62)

@@ -150,6 +150,17 @@ def test_random_doubles_round_trip_exactly(tmp_path):
     assert np.array_equal(got_labels, labels)
 
 
+def test_unlabeled_random_doubles_round_trip_exactly(tmp_path):
+    rng = np.random.default_rng(1)
+    pts = rng.normal(scale=rng.choice([1e-300, 1e-3, 1.0, 1e5, 1e300], size=(2000, 1)),
+                     size=(2000, 3))
+    path = tmp_path / "cloud.csv"
+    report.write_cloud_csv(path, pts)
+    got_pts, got_labels = read_cloud_csv(path)
+    assert got_pts.tobytes() == pts.tobytes()
+    assert got_labels is None
+
+
 class TestEvaluationCsv:
     SECTIONS_HEADER = (
         "index,azimuth_rad,azimuth_deg,centroid_radius_mm,theta_x_rad,theta_x_deg,"

@@ -12,11 +12,15 @@
 # --twist-sine-amp-deg 3) evaluated with each fitter, with gauss-newton at
 # --gn-max-iterations 2, and unlabeled with --sections 40; a 1000 x 400
 # labeled part with trace and gauss-newton; a --twist-constant-deg 45 part;
+# a --twist-constant-deg 90 part, whose major axes the ZY projection drops;
 # a noise-free planar part (--pitch 0 --helix-angle-deg 0, whose pitch
 # estimate is exactly 0.0, so a sign-of-zero change shows in report.json);
 # a noise-free circular part (--seed 5 --semi-major 5 --semi-minor 5, the
 # only part whose rows report "circle_degenerate": true); and compare-fits
 # at --arc-fraction 1 and at --arc-fraction 0.3 --noise-sigma 0.1.
+#
+# When the trees differ, the largest absolute change in each column of every
+# differing sections.csv and arc.csv is printed after the diff.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -68,6 +72,10 @@ run_set() {
     hb synth-45 synth --output-dir "$out/t45" --twist-constant-deg 45
     hb t45 evaluate --input "$out/t45/cloud.csv" --output-dir "$out/t45-trace"
 
+    hb synth-90 synth --output-dir "$out/t90" --twist-constant-deg 90
+    hb t90 evaluate --input "$out/t90/cloud.csv" --output-dir "$out/t90-trace" \
+        --fitter trace
+
     hb synth-planar synth --output-dir "$out/planar" --pitch 0 --helix-angle-deg 0
     hb planar evaluate --input "$out/planar/cloud.csv" --output-dir "$out/planar-trace" \
         --fitter trace
@@ -82,12 +90,45 @@ run_set() {
         --noise-sigma 0.1
 }
 
+# column_changes PARENT_OUT CHANGE_OUT: largest absolute change per column of
+# each sections.csv and arc.csv that differs between the two output trees.
+column_changes() {
+    python3 - "$1" "$2" <<'EOF'
+import csv
+import sys
+from pathlib import Path
+
+parent, change = map(Path, sys.argv[1:])
+for old in sorted(parent.rglob("*.csv")):
+    new = change / old.relative_to(parent)
+    if old.name not in ("sections.csv", "arc.csv") or not new.exists():
+        continue
+    if old.read_bytes() == new.read_bytes():
+        continue
+    with old.open(newline="") as fa, new.open(newline="") as fb:
+        rows_a, rows_b = list(csv.DictReader(fa)), list(csv.DictReader(fb))
+    print(f"{old.relative_to(parent)}: largest absolute change per column")
+    if len(rows_a) != len(rows_b) or (rows_a and rows_a[0].keys() != rows_b[0].keys()):
+        print("  header or row count differs")
+        continue
+    for col in rows_a[0] if rows_a else ():
+        changed = [(a[col], b[col]) for a, b in zip(rows_a, rows_b) if a[col] != b[col]]
+        if not changed:
+            continue
+        try:
+            print(f"  {col}: {max(abs(float(b) - float(a)) for a, b in changed):.3g}")
+        except ValueError:
+            print(f"  {col}: non-numeric values differ")
+EOF
+}
+
 run_set "$1" "$work/parent"
 run_set "$2" "$work/change"
 
 if diff -r "$work/parent" "$work/change"; then
     echo "identical: $(find "$work/parent" -type f | wc -l) files"
 else
+    column_changes "$work/parent" "$work/change"
     echo "outputs differ" >&2
     exit 1
 fi
