@@ -75,12 +75,12 @@ def geometric_residuals(points, params: EllipseParams) -> np.ndarray:
     """Signed orthogonal distance to the ellipse boundary for each point."""
     pts = as_points(points, 2)
     local = _to_local(pts, params.center, params.orientation)
-    _, dist = _foot_points(local, params.semi_major, params.semi_minor)
+    _, dist, _ = _foot_points(local, params.semi_major, params.semi_minor)
     return dist
 
 
 def _rms(values: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(values))))
+    return math.sqrt(float(np.square(values).sum()) / values.size)
 
 
 def _normalize_points(pts: np.ndarray):
@@ -202,9 +202,14 @@ def fit_gauss_newton(
 
     Minimizes the sum of squared point-to-boundary distances over
     (center, semi-axes, orientation) with Levenberg damping; only steps that
-    do not increase the geometric RMS are accepted. ``init`` defaults to the
-    trace-constraint solution. At most ``max_iterations`` steps are taken;
-    ``converged`` is False when the budget runs out first.
+    do not increase the geometric RMS are accepted. The fit has converged
+    when a step changes the RMS by at most 1e-12 in either direction (or is
+    itself negligible): a rise that small is rounding at the optimum, so the
+    current iterate is kept instead of damping the step towards zero. Each
+    trial starts its foot-point solve from the accepted iterate's angles.
+    ``init`` defaults to the trace-constraint solution. At most
+    ``max_iterations`` steps are taken; ``converged`` is False when the
+    budget runs out first.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
@@ -217,7 +222,7 @@ def fit_gauss_newton(
     theta = np.array(
         [init.center[0], init.center[1], init.semi_major, init.semi_minor, init.orientation]
     )
-    residual, jac = _gn_residual_jacobian(pts, theta)
+    residual, jac, angles = _gn_residual_jacobian(pts, theta)
     rms = _rms(residual)
     mu = _DAMPING_FLOOR
     converged = False
@@ -226,7 +231,6 @@ def fit_gauss_newton(
     for iterations in range(1, max_iterations + 1):
         g = jac.T @ residual
         h = jac.T @ jac
-        accepted = False
         while mu < 1e18:
             try:
                 delta = np.linalg.solve(h + mu * np.eye(5), -g)
@@ -238,19 +242,24 @@ def fit_gauss_newton(
             trial[3] = abs(trial[3])
             if min(trial[2], trial[3]) < _AXIS_FLOOR:
                 raise CollapsedAxis("a semi-axis collapsed during iteration")
-            trial_residual, trial_jac = _gn_residual_jacobian(pts, trial)
+            trial_residual, trial_jac, trial_angles = _gn_residual_jacobian(pts, trial, angles)
             trial_rms = _rms(trial_residual)
-            if trial_rms <= rms:
-                accepted = True
+            if trial_rms - rms <= _RESIDUAL_TOL:
                 break
             mu *= 10.0
-        if not accepted:
+        else:
+            break  # damping exhausted without an acceptable step
+        if trial_rms > rms:
+            # A rise this small is rounding: more damping only shrinks the
+            # step towards zero, so the current iterate is the optimum.
+            converged = True
             break
         step_small = float(np.linalg.norm(delta)) <= _STEP_TOL * (
             1.0 + float(np.linalg.norm(theta))
         )
         residual_small = (rms - trial_rms) <= _RESIDUAL_TOL
-        theta, residual, jac, rms = trial, trial_residual, trial_jac, trial_rms
+        theta, residual, jac, rms, angles = (
+            trial, trial_residual, trial_jac, trial_rms, trial_angles)
         mu = max(_DAMPING_FLOOR, mu * 0.1)
         if step_small or residual_small:
             converged = True
@@ -283,7 +292,7 @@ def point_to_ellipse_distance(point, params: EllipseParams) -> float:
     """
     pts = as_points(np.asarray(point, dtype=float).reshape(1, 2), 2)
     local = _to_local(pts, params.center, params.orientation)
-    _, dist = _foot_points(local, params.semi_major, params.semi_minor)
+    _, dist, _ = _foot_points(local, params.semi_major, params.semi_minor)
     return float(dist[0])
 
 
@@ -291,7 +300,7 @@ def ellipse_foot_point(point, params: EllipseParams) -> np.ndarray:
     """Closest boundary point to ``point``."""
     pts = as_points(np.asarray(point, dtype=float).reshape(1, 2), 2)
     local = _to_local(pts, params.center, params.orientation)
-    foot, _ = _foot_points(local, params.semi_major, params.semi_minor)
+    foot, _, _ = _foot_points(local, params.semi_major, params.semi_minor)
     ca, sa = math.cos(params.orientation), math.sin(params.orientation)
     rot = np.array([[ca, -sa], [sa, ca]])
     return foot[0] @ rot.T + params.center
@@ -307,80 +316,95 @@ def _to_local(pts: np.ndarray, center, orientation: float) -> np.ndarray:
     return (pts - center) @ rot.T
 
 
-def _foot_points(local: np.ndarray, a: float, b: float):
+def _foot_points(local: np.ndarray, a: float, b: float, start: np.ndarray | None = None):
     """Vectorized foot points of ``local`` points on an axis-aligned ellipse.
 
-    Returns (foot points in the local frame, signed distances). The
-    foot-point condition in the first quadrant is
+    Returns (foot points in the local frame, signed distances, foot-point
+    angles in [0, pi/2]). The foot-point condition in the first quadrant is
     g(t) = (a^2 - b^2) sin t cos t - a P sin t + b Q cos t = 0
     with g(0) = bQ >= 0 and g(pi/2) = -aP <= 0, so the root is bracketed;
-    Newton steps that leave the bracket fall back to bisection. Points on a
-    symmetry axis are resolved in closed form (the bracket endpoints can be
+    Newton steps that leave the bracket fall back to bisection. Newton
+    starts from ``start`` (angles in [0, pi/2], such as an earlier solve's)
+    or by default from arctan2(aQ, bP). Points on a symmetry axis are
+    resolved in closed form whatever the start (the bracket endpoints can be
     spurious roots there).
     """
     sign_p = np.where(local[:, 0] >= 0.0, 1.0, -1.0)
     sign_q = np.where(local[:, 1] >= 0.0, 1.0, -1.0)
     p = np.abs(local[:, 0])
     q = np.abs(local[:, 1])
-    t = np.arctan2(a * q, b * p)
+    t = np.arctan2(a * q, b * p) if start is None else np.array(start, dtype=float)
 
     on_u_axis = q == 0.0
     on_v_axis = p == 0.0
     general = ~(on_u_axis | on_v_axis)
+    all_general = bool(general.all())
 
-    if np.any(on_u_axis):
-        # Interior root exists when the point is inside the evolute cusp.
-        pu = p[on_u_axis]
-        if a > b:
-            cusp = (a * a - b * b) / a
-            ct = np.where(pu < cusp, a * pu / (a * a - b * b), 1.0)
-            t[on_u_axis] = np.arccos(np.clip(ct, -1.0, 1.0))
-        else:
-            t[on_u_axis] = 0.0
-    if np.any(on_v_axis):
-        qv = q[on_v_axis]
-        if b > a:
-            cusp = (b * b - a * a) / b
-            st = np.where(qv < cusp, b * qv / (b * b - a * a), 1.0)
-            t[on_v_axis] = np.arcsin(np.clip(st, -1.0, 1.0))
-        else:
-            t[on_v_axis] = math.pi / 2.0
-    center = on_u_axis & on_v_axis
-    if np.any(center):
-        t[center] = 0.0 if a <= b else math.pi / 2.0
+    if not all_general:
+        if np.any(on_u_axis):
+            # Interior root exists when the point is inside the evolute cusp.
+            pu = p[on_u_axis]
+            if a > b:
+                cusp = (a * a - b * b) / a
+                ct = np.where(pu < cusp, a * pu / (a * a - b * b), 1.0)
+                t[on_u_axis] = np.arccos(np.clip(ct, -1.0, 1.0))
+            else:
+                t[on_u_axis] = 0.0
+        if np.any(on_v_axis):
+            qv = q[on_v_axis]
+            if b > a:
+                cusp = (b * b - a * a) / b
+                st = np.where(qv < cusp, b * qv / (b * b - a * a), 1.0)
+                t[on_v_axis] = np.arcsin(np.clip(st, -1.0, 1.0))
+            else:
+                t[on_v_axis] = math.pi / 2.0
+        center = on_u_axis & on_v_axis
+        if np.any(center):
+            t[center] = 0.0 if a <= b else math.pi / 2.0
 
-    if np.any(general):
-        tg = t[general]
-        pg, qg = p[general], q[general]
+    # Without on-axis points the whole arrays are the general set, and the
+    # masked gathers and the scatter back are skipped.
+    if all_general:
+        tg, ap, bq = t, a * p, b * q
+    else:
+        tg, ap, bq = t[general], a * p[general], b * q[general]
+    if tg.size:
         lo = np.zeros_like(tg)
         hi = np.full_like(tg, math.pi / 2.0)
         diff = a * a - b * b
-        for _ in range(90):
-            st, ct = np.sin(tg), np.cos(tg)
-            g = diff * st * ct - a * pg * st + b * qg * ct
-            lo = np.where(g > 0.0, tg, lo)
-            hi = np.where(g < 0.0, tg, hi)
-            dg = diff * (ct * ct - st * st) - a * pg * ct - b * qg * st
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(90):
+                st, ct = np.sin(tg), np.cos(tg)
+                g = diff * st * ct - ap * st + bq * ct
+                np.copyto(lo, tg, where=g > 0.0)
+                np.copyto(hi, tg, where=g < 0.0)
+                dg = diff * (ct * ct - st * st) - ap * ct - bq * st
                 newton = np.where(g == 0.0, tg, tg - g / dg)
-            bad = ~np.isfinite(newton) | (newton < lo) | (newton > hi)
-            t_next = np.where(bad, 0.5 * (lo + hi), newton)
-            # One ulp at t ~ 1 is 2.2e-16, so a tighter bound never settles.
-            if np.max(np.abs(t_next - tg)) < 1e-15:
+                # NaN and +-inf fail both comparisons and so bisect.
+                in_bracket = (newton >= lo) & (newton <= hi)
+                t_next = np.where(in_bracket, newton, 0.5 * (lo + hi))
+                # One ulp at t ~ 1 is 2.2e-16, so a tighter bound never settles.
+                settled = np.max(np.abs(t_next - tg)) < 1e-15
                 tg = t_next
-                break
-            tg = t_next
+                if settled:
+                    break
+    if all_general:
+        t = tg
+    else:
         t[general] = tg
 
-    foot = np.column_stack((sign_p * a * np.cos(t), sign_q * b * np.sin(t)))
+    foot = np.empty_like(local)
+    foot[:, 0] = sign_p * a * np.cos(t)
+    foot[:, 1] = sign_q * b * np.sin(t)
     delta = local - foot
     dist = np.hypot(delta[:, 0], delta[:, 1])
     inside = (local[:, 0] / a) ** 2 + (local[:, 1] / b) ** 2 < 1.0
-    return foot, np.where(inside, -dist, dist)
+    return foot, np.where(inside, -dist, dist), t
 
 
-def _gn_residual_jacobian(pts: np.ndarray, theta: np.ndarray):
-    """Signed distances and their Jacobian w.r.t. (cx, cy, a, b, phi).
+def _gn_residual_jacobian(pts: np.ndarray, theta: np.ndarray, start: np.ndarray | None = None):
+    """Signed distances, their Jacobian w.r.t. (cx, cy, a, b, phi) and the
+    foot-point angles, solved from ``start`` when given (see _foot_points).
 
     By the envelope theorem the foot-point angle's dependence on the
     parameters drops out, leaving d(dist)/d(param) = -n . dq/d(param) with
@@ -388,7 +412,7 @@ def _gn_residual_jacobian(pts: np.ndarray, theta: np.ndarray):
     """
     a, b, phi = theta[2:]
     local = _to_local(pts, theta[:2], phi)
-    foot, dist = _foot_points(local, a, b)
+    foot, dist, angles = _foot_points(local, a, b, start)
 
     ct = foot[:, 0] / a
     st = foot[:, 1] / b
@@ -404,4 +428,4 @@ def _gn_residual_jacobian(pts: np.ndarray, theta: np.ndarray):
     jac[:, 2] = -nlx * ct
     jac[:, 3] = -nly * st
     jac[:, 4] = nlx * b * st - nly * a * ct
-    return dist, jac
+    return dist, jac, angles

@@ -17,14 +17,18 @@ from helibend import (
     params_to_conic,
     point_to_ellipse_distance,
 )
-from helibend.conicfit import ellipse_foot_point
+from helibend import conicfit
+from helibend.conicfit import _foot_points, ellipse_foot_point
 from helibend.errors import (
     CollapsedAxis,
     DegenerateConfiguration,
     NotAnEllipse,
     TooFewPoints,
 )
-from helibend.torsion import rectify_against
+from helibend.geometry import canonicalize_section
+from helibend.helix import HelixSpec, generate, segment_sections
+from helibend.linefit import detect_direction
+from helibend.torsion import GAUSS_NEWTON, observe_torsion, rectify_against
 
 from helpers import arc_points, random_ellipse
 
@@ -311,6 +315,47 @@ class TestGaussNewton:
         # a single damped step cannot reach both tolerances from a noisy init
         assert isinstance(fit.converged, bool)
 
+    @pytest.mark.parametrize("max_iterations", [1, 2, 100])
+    def test_result_holds_plain_python_types(self, max_iterations):
+        # numpy scalars would not survive json.dumps in report consumers
+        rng = np.random.default_rng(15)
+        params = EllipseParams(np.zeros(2), 5.0, 2.0, 0.3)
+        pts = params.boundary_points(40) + rng.normal(0, 0.2, (40, 2))
+        for init in (None, params):
+            fit = fit_gauss_newton(pts, init=init, max_iterations=max_iterations)
+            assert type(fit.iterations) is int
+            assert type(fit.converged) is bool
+
+    def test_rounding_rise_ends_the_fit_without_a_damping_cascade(self):
+        # Section 3 of the 800 x 100 benchmark part (seed 1): at its optimum
+        # the undamped step raises the RMS by rounding, and raising the
+        # damping tenfold per rejected trial took 13 residual evaluations for
+        # 3 iterations. The rise now ends the fit, so each iteration costs one.
+        amp = math.radians(3.0)
+        spec = HelixSpec(
+            radius=120.0, pitch_per_turn=60.0, semi_major=8.0, semi_minor=5.0,
+            helix_angle=math.atan2(60.0 / (2.0 * math.pi), 120.0),
+            twist_profile=lambda i: amp * math.sin(2.0 * math.pi * (i / 799)),
+            extent=3.0, sections=800, points_per_section=100, noise_sigma=0.02,
+            rng_seed=1,
+        )
+        part = generate(spec)
+        canonical = [canonicalize_section(g)
+                     for g in segment_sections(part.points, labels=part.labels)]
+        theta_x = detect_direction(canonical)[3].theta_x
+        calls = []
+        evaluate = conicfit._gn_residual_jacobian
+
+        def counted(*args):
+            calls.append(1)
+            return evaluate(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(conicfit, "_gn_residual_jacobian", counted)
+            fit = observe_torsion(canonical[3], theta_x, GAUSS_NEWTON)
+        assert (fit.iterations, fit.converged) == (3, True)
+        assert len(calls) <= fit.iterations + 1
+
     def test_iteration_budget_below_one_rejected(self):
         pts = EllipseParams(np.zeros(2), 5.0, 2.0, 0.3).boundary_points(20)
         with pytest.raises(ValueError, match="max_iterations must be >= 1"):
@@ -379,6 +424,49 @@ class TestPointToEllipseDistance:
             geometric_residuals(np.array([point]), params)
         with pytest.raises(ValueError, match="non-finite"):
             function(point, params)
+
+
+class TestFootPointWarmStart:
+    """Any start angle in [0, pi/2] reaches the cold start's foot points."""
+
+    @staticmethod
+    def _probe_points(rng, a, b):
+        scale = 3.0 * max(a, b)
+        axis = np.linspace(-scale, scale, 41)
+        zeros = np.zeros_like(axis)
+        sets = [
+            rng.normal(0.0, 2.0 * max(a, b), (200, 2)),
+            np.column_stack((axis, zeros)),
+            np.column_stack((zeros, axis)),
+            np.zeros((1, 2)),
+        ]
+        # Both evolute cusps, approached on and just off the symmetry axis.
+        offsets = np.array([-1e-3, -1e-6, 0.0, 1e-6, 1e-3])
+        cusp_u = abs(a * a - b * b) / a
+        cusp_v = abs(a * a - b * b) / b
+        for sign in (1.0, -1.0):
+            for off_axis in (0.0, 1e-6):
+                sets.append(np.column_stack((sign * (cusp_u + offsets), np.full(5, off_axis))))
+                sets.append(np.column_stack((np.full(5, off_axis), sign * (cusp_v + offsets))))
+        return np.vstack(sets)
+
+    # a < b covers Gauss-Newton iterates, whose semi-axes may swap roles.
+    @pytest.mark.parametrize("a, b", [(5.0, 2.0), (2.0, 5.0), (8.0, 7.9), (3.0, 3.0), (1.0, 10.0)])
+    def test_matches_cold_start(self, a, b):
+        rng = np.random.default_rng(41)
+        pts = self._probe_points(rng, a, b)
+        cold_foot, cold_dist, cold_angles = _foot_points(pts, a, b)
+        # Poor starts, far from most roots, so Newton leaves the bracket and
+        # the bisection fallback runs.
+        for start in (np.zeros(len(pts)), np.full(len(pts), math.pi / 2.0),
+                      rng.uniform(0.0, math.pi / 2.0, len(pts))):
+            foot, dist, angles = _foot_points(pts, a, b, start)
+            assert np.max(np.abs(foot - cold_foot)) < 1e-12
+            assert np.max(np.abs(dist - cold_dist)) < 1e-12
+            assert np.all((angles >= 0.0) & (angles <= math.pi / 2.0))
+        on_axis = (pts[:, 0] == 0.0) | (pts[:, 1] == 0.0)
+        _, _, angles = _foot_points(pts, a, b, np.full(len(pts), 0.7))
+        assert np.array_equal(angles[on_axis], cold_angles[on_axis])
 
 
 class TestAlgebraicResiduals:

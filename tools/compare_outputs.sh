@@ -20,7 +20,8 @@
 # at --arc-fraction 1 and at --arc-fraction 0.3 --noise-sigma 0.1.
 #
 # When the trees differ, the largest absolute change in each column of every
-# differing sections.csv and arc.csv is printed after the diff.
+# differing evaluate table (sections.csv, arc.csv) and compare-fits table
+# (sweep.csv, summary.csv) is printed after the diff.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -91,17 +92,18 @@ run_set() {
 }
 
 # column_changes PARENT_OUT CHANGE_OUT: largest absolute change per column of
-# each sections.csv and arc.csv that differs between the two output trees.
+# each table that differs between the two output trees.
 column_changes() {
     python3 - "$1" "$2" <<'EOF'
 import csv
 import sys
 from pathlib import Path
 
+TABLES = ("sections.csv", "arc.csv", "sweep.csv", "summary.csv")
 parent, change = map(Path, sys.argv[1:])
 for old in sorted(parent.rglob("*.csv")):
     new = change / old.relative_to(parent)
-    if old.name not in ("sections.csv", "arc.csv") or not new.exists():
+    if old.name not in TABLES or not new.exists():
         continue
     if old.read_bytes() == new.read_bytes():
         continue
