@@ -10,7 +10,6 @@ arc radius, central angle and arc length are reported per arc.
 from ._version import __version__
 from .conicfit import (
     FitResult,
-    algebraic_residuals,
     ellipse_foot_point,
     fit_bookstein,
     fit_gauss_newton,
@@ -22,7 +21,6 @@ from .conicfit import (
 from .geometry import (
     BOOKSTEIN,
     TRACE,
-    UNCONSTRAINED,
     CanonicalSection,
     Conic2D,
     EllipseParams,
@@ -62,7 +60,6 @@ __all__ = [
     "__version__",
     "BOOKSTEIN",
     "TRACE",
-    "UNCONSTRAINED",
     "FITTERS",
     "ArcGeometry",
     "ArcReport",
@@ -77,7 +74,6 @@ __all__ = [
     "HelixSpec",
     "Line2D",
     "SyntheticPart",
-    "algebraic_residuals",
     "arc_parameters",
     "canonicalize_section",
     "conic_to_params",

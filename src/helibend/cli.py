@@ -37,6 +37,7 @@ from .linefit import DEFAULT_WINDOW
 from .pipeline import evaluate_cloud
 from .report import (
     EvaluationReport,
+    _csv_text,
     arc_csv_text,
     read_cloud_csv,
     sections_csv_text,
@@ -262,12 +263,14 @@ def _cmd_compare_fits(args) -> int:
                 fit = fit_section_ellipse(pts, fitter)
             raw = fit.params.orientation
             rectified = rectify_against(raw, float(true))
-            rows.append((fitter, trial, float(true), raw, rectified))
+            rows.append(dict(fitter=fitter, trial=trial, true_theta_y_rad=float(true),
+                             detected_raw_rad=raw, detected_rectified_rad=rectified))
             detected_list.append(rectified)
         detected = np.array(detected_list)
         in_band = np.abs(true_angles) < band
         err = detected[in_band] - true_angles[in_band]
-        summary.append((fitter, int(in_band.sum()), float(np.std(err))))
+        summary.append(dict(fitter=fitter, trials_in_band=int(in_band.sum()),
+                            std_error_rad=float(np.std(err))))
         svg = svg_scatter(
             np.degrees(true_angles),
             np.degrees(detected),
@@ -278,14 +281,8 @@ def _cmd_compare_fits(args) -> int:
         )
         (out / f"compare_{fitter}.svg").write_text(svg, encoding="utf-8")
 
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("fitter,trial,true_theta_y_rad,detected_raw_rad,detected_rectified_rad\n")
-        for fitter, trial, true, raw, rect in rows:
-            fh.write(f"{fitter},{trial},{true!r},{raw!r},{rect!r}\n")
-    with open(out / "summary.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("fitter,trials_in_band,std_error_rad\n")
-        for fitter, count, std in summary:
-            fh.write(f"{fitter},{count},{std!r}\n")
+    (out / "sweep.csv").write_text(_csv_text(rows), encoding="utf-8")
+    (out / "summary.csv").write_text(_csv_text(summary), encoding="utf-8")
     return EXIT_OK
 
 

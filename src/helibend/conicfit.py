@@ -34,14 +34,11 @@ from .errors import (
 )
 from .geometry import (
     BOOKSTEIN,
-    CIRCLE_DEGENERACY_TOL,
     TRACE,
-    UNCONSTRAINED,
     Conic2D,
     EllipseParams,
     as_points,
     conic_to_params,
-    fold_half_open,
     normalize_conic,
     params_to_conic,
 )
@@ -66,17 +63,9 @@ class FitResult:
     converged: bool = True
 
 
-def algebraic_residuals(points, conic: Conic2D) -> np.ndarray:
-    """F(x_i) for each point; zero when the point lies on the conic."""
-    return conic.evaluate(points)
-
-
 def geometric_residuals(points, params: EllipseParams) -> np.ndarray:
     """Signed orthogonal distance to the ellipse boundary for each point."""
-    pts = as_points(points, 2)
-    local = _to_local(pts, params.center, params.orientation)
-    _, dist, _ = _foot_points(local, params.semi_major, params.semi_minor)
-    return dist
+    return _ellipse_foot_points(points, params)[1]
 
 
 def _rms(values: np.ndarray) -> float:
@@ -112,7 +101,7 @@ def _linear_result(pts: np.ndarray, conic: Conic2D, params: EllipseParams) -> Fi
     return FitResult(
         conic=conic,
         params=params,
-        rms_algebraic_residual=_rms(algebraic_residuals(pts, conic)),
+        rms_algebraic_residual=_rms(conic.evaluate(pts)),
         rms_geometric_residual=_rms(geometric_residuals(pts, params)),
     )
 
@@ -187,10 +176,8 @@ def moment_init(points) -> EllipseParams:
     evals, evecs = np.linalg.eigh(cov)
     if evals[0] <= 0.0:
         raise DegenerateConfiguration("points are collinear")
-    semi_major = math.sqrt(2.0 * evals[1])
-    semi_minor = math.sqrt(2.0 * evals[0])
-    orientation = fold_half_open(math.atan2(evecs[1, 1], evecs[0, 1]))
-    return EllipseParams(mean, semi_major, semi_minor, orientation)
+    return EllipseParams.from_axes(mean, math.sqrt(2.0 * evals[1]), math.sqrt(2.0 * evals[0]),
+                                   math.atan2(evecs[1, 1], evecs[0, 1]))
 
 
 def fit_gauss_newton(
@@ -265,18 +252,12 @@ def fit_gauss_newton(
             converged = True
             break
 
-    cx, cy, sa, sb, phi = theta
-    if sb > sa:
-        sa, sb = sb, sa
-        phi += math.pi / 2.0
-    phi = fold_half_open(phi)
-    defined = sa / sb - 1.0 > CIRCLE_DEGENERACY_TOL
-    params = EllipseParams(np.array([cx, cy]), sa, sb, phi if defined else 0.0, defined)
-    conic = params_to_conic(params, UNCONSTRAINED)
+    params = EllipseParams.from_axes(theta[:2].copy(), *theta[2:])
+    conic = params_to_conic(params)
     return FitResult(
         conic=conic,
         params=params,
-        rms_algebraic_residual=_rms(algebraic_residuals(pts, conic)),
+        rms_algebraic_residual=_rms(conic.evaluate(pts)),
         rms_geometric_residual=rms,
         iterations=iterations,
         converged=converged,
@@ -290,20 +271,21 @@ def point_to_ellipse_distance(point, params: EllipseParams) -> float:
     parametric foot-point angle with a bisection fallback, so it converges
     for every input.
     """
-    pts = as_points(np.asarray(point, dtype=float).reshape(1, 2), 2)
-    local = _to_local(pts, params.center, params.orientation)
-    _, dist, _ = _foot_points(local, params.semi_major, params.semi_minor)
-    return float(dist[0])
+    return float(_ellipse_foot_points(np.reshape(point, (1, 2)), params)[1][0])
 
 
 def ellipse_foot_point(point, params: EllipseParams) -> np.ndarray:
     """Closest boundary point to ``point``."""
-    pts = as_points(np.asarray(point, dtype=float).reshape(1, 2), 2)
-    local = _to_local(pts, params.center, params.orientation)
-    foot, _, _ = _foot_points(local, params.semi_major, params.semi_minor)
+    foot = _ellipse_foot_points(np.reshape(point, (1, 2)), params)[0]
     ca, sa = math.cos(params.orientation), math.sin(params.orientation)
     rot = np.array([[ca, -sa], [sa, ca]])
     return foot[0] @ rot.T + params.center
+
+
+def _ellipse_foot_points(points, params: EllipseParams):
+    """Validated ``points`` in the ellipse frame, passed to _foot_points."""
+    local = _to_local(as_points(points, 2), params.center, params.orientation)
+    return _foot_points(local, params.semi_major, params.semi_minor)
 
 
 def _to_local(pts: np.ndarray, center, orientation: float) -> np.ndarray:

@@ -22,11 +22,10 @@ import numpy as np
 
 from .errors import DegenerateSection, NotAnEllipse, TooFewPoints
 
-# Conic normalizations for normalize_conic; the first two also name the
-# linear fitters that impose them.
+# Conic normalizations for normalize_conic; each also names the linear
+# fitter that imposes it.
 BOOKSTEIN = "bookstein"
 TRACE = "trace"
-UNCONSTRAINED = "none"
 
 # Relative axis-ratio window treated as a circle (orientation undefined).
 CIRCLE_DEGENERACY_TOL = 1e-6
@@ -34,11 +33,10 @@ CIRCLE_DEGENERACY_TOL = 1e-6
 
 def fold_half_open(angle: float) -> float:
     """Fold an angle into (-pi/2, pi/2] modulo pi."""
+    # remainder lies in [-pi/2, pi/2], so only the closed lower end moves.
     a = math.remainder(angle, math.pi)
     if a <= -math.pi / 2:
         a += math.pi
-    elif a > math.pi / 2:
-        a -= math.pi
     return a
 
 
@@ -165,6 +163,18 @@ class EllipseParams:
         if not (-math.pi / 2 < self.orientation <= math.pi / 2):
             raise ValueError("orientation outside (-pi/2, pi/2]")
 
+    @classmethod
+    def from_axes(cls, center, a: float, b: float, angle: float) -> "EllipseParams":
+        """Semi-axis ``a`` at ``angle`` and ``b`` across it, in canonical form:
+        major axis first, angle folded into (-pi/2, pi/2], and orientation 0.0
+        and undefined when the axis ratio is within CIRCLE_DEGENERACY_TOL of 1.
+        """
+        if b > a:
+            a, b, angle = b, a, angle + math.pi / 2.0
+        if a / b - 1.0 <= CIRCLE_DEGENERACY_TOL:
+            return cls(center, a, b, 0.0, orientation_defined=False)
+        return cls(center, a, b, fold_half_open(angle))
+
     def boundary_points(self, n: int = 64, t0: float = 0.0) -> np.ndarray:
         """Sample n points on the boundary, equally spaced in parameter angle."""
         return self._sample(t0 + 2.0 * math.pi * np.arange(n) / n)
@@ -206,24 +216,22 @@ def conic_to_params(conic: Conic2D) -> EllipseParams:
     evals, evecs = np.linalg.eigh(a)
     axes = np.sqrt(-k / evals)
     # eigh sorts eigenvalues ascending, so the first axis is the major one.
-    semi_major, semi_minor = float(axes[0]), float(axes[1])
-    major_dir = evecs[:, 0]
-    if semi_major / semi_minor - 1.0 <= CIRCLE_DEGENERACY_TOL:
-        return EllipseParams(center, semi_major, semi_minor, 0.0, orientation_defined=False)
-    orientation = fold_half_open(math.atan2(major_dir[1], major_dir[0]))
-    return EllipseParams(center, semi_major, semi_minor, orientation)
+    return EllipseParams.from_axes(
+        center, float(axes[0]), float(axes[1]), math.atan2(evecs[1, 0], evecs[0, 0])
+    )
 
 
-def params_to_conic(params: EllipseParams, constraint: str = TRACE) -> Conic2D:
-    """Inverse of conic_to_params, normalized to the requested constraint."""
+def params_to_conic(params: EllipseParams) -> Conic2D:
+    """Inverse of conic_to_params: the natural conic, which reads -1 at the
+    centre. ``normalize_conic`` rescales it to a constraint.
+    """
     ca, sa = math.cos(params.orientation), math.sin(params.orientation)
     u = np.array([ca, sa])
     w = np.array([-sa, ca])
     a = np.outer(u, u) / params.semi_major**2 + np.outer(w, w) / params.semi_minor**2
     b = -2.0 * a @ params.center
     c = float(params.center @ a @ params.center) - 1.0
-    conic = Conic2D(a[0, 0], a[0, 1], a[1, 1], b[0], b[1], c)
-    return normalize_conic(conic, constraint)
+    return Conic2D(a[0, 0], a[0, 1], a[1, 1], b[0], b[1], c)
 
 
 def normalize_conic(conic: Conic2D, constraint: str) -> Conic2D:
@@ -240,8 +248,6 @@ def normalize_conic(conic: Conic2D, constraint: str) -> Conic2D:
             raise NotAnEllipse("quadratic part vanishes", conic=conic)
         sign = 1.0 if conic.a11 + conic.a22 >= 0.0 else -1.0
         return conic.scaled(sign / norm)
-    if constraint == UNCONSTRAINED:
-        return conic
     raise ValueError(f"unknown constraint: {constraint!r}")
 
 

@@ -152,9 +152,12 @@ def _read_cloud_lines(fh):
     return pts, (np.array(labels, dtype=np.int64) if has_labels else None)
 
 
+_TRUTH_HEADER = "section,phi,theta_x_true,theta_y_true,cx,cy,cz"
+
+
 def write_truth_csv(path, truth) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("section,phi,theta_x_true,theta_y_true,cx,cy,cz\n")
+        fh.write(_TRUTH_HEADER + "\n")
         for i in range(len(truth.phi)):
             c = truth.centroids[i]
             fh.write(
@@ -164,39 +167,58 @@ def write_truth_csv(path, truth) -> None:
 
 
 def read_truth_csv(path):
-    """Parse a ground-truth sidecar into arrays (phi, theta_x, theta_y, centroids)."""
+    """Parse a ground-truth sidecar into arrays (phi, theta_x, theta_y, centroids).
+
+    The first line that is neither blank nor a ``#`` comment must be the
+    header, and data row i must be section i. Raises InputFormatError naming
+    the line otherwise.
+    """
     rows = []
+    seen_header = False
     lineno = 0
     with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if line.startswith("section,"):
+            fields = [f.strip() for f in line.split(",")]
+            if not seen_header:
+                if ",".join(fields) != _TRUTH_HEADER:
+                    raise InputFormatError(
+                        f"line {lineno}: expected header {_TRUTH_HEADER!r}, got {line!r}",
+                        line_number=lineno,
+                    )
+                seen_header = True
                 continue
-            fields = line.split(",")
             if len(fields) != 7:
                 raise InputFormatError(
                     f"line {lineno}: expected 7 fields", line_number=lineno
                 )
             try:
-                row = [float(f) for f in fields]
+                section = int(fields[0])
+                row = [float(f) for f in fields[1:]]
             except ValueError as exc:
                 raise InputFormatError(
                     f"line {lineno}: {exc}", line_number=lineno
                 ) from exc
+            if section != len(rows):
+                raise InputFormatError(
+                    f"line {lineno}: expected section {len(rows)}, got {section}",
+                    line_number=lineno,
+                )
             if not all(math.isfinite(v) for v in row):
                 raise InputFormatError(
                     f"line {lineno}: non-finite value", line_number=lineno
                 )
             rows.append(row)
     if not rows:
+        wanted = "a data row" if seen_header else "the header"
         raise InputFormatError(
-            f"line {lineno + 1}: expected a data row, got end of file",
+            f"line {lineno + 1}: expected {wanted}, got end of file",
             line_number=lineno + 1,
         )
     data = np.array(rows, dtype=float)
-    return data[:, 1], data[:, 2], data[:, 3], data[:, 4:7]
+    return data[:, 0], data[:, 1], data[:, 2], data[:, 3:6]
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +305,8 @@ def _csv_cell(value) -> str:
         return "true" if value else "false"
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, int):
         return str(value)
     return _fmt(value)

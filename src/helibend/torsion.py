@@ -32,14 +32,13 @@ FITTERS = (TRACE, BOOKSTEIN, GAUSS_NEWTON)
 _HALF_PI = math.pi / 2.0
 _TIE_TOL = 1e-12
 
-# Largest rectified jump between adjacent sections the filter can vouch for.
-_MAX_JUMP = math.pi / 4.0
-
 
 def fit_section_ellipse(
     points2d, fitter: str = TRACE, gn_max_iterations: int = DEFAULT_MAX_ITERATIONS
 ) -> FitResult:
     """Dispatch to one of the three fitting methods by name."""
+    # The fitters are looked up in this module at call time, so a wrapper
+    # installed on helibend.torsion.fit_trace (or its siblings) sees the call.
     if fitter == TRACE:
         return fit_trace(points2d)
     if fitter == BOOKSTEIN:
@@ -69,11 +68,14 @@ def observe_torsion(
 
 
 def _nearest_branch(raw: float, anchor: float):
-    """Branch of ``raw`` (offsets 0, +-pi/2) nearest ``anchor``.
+    """Branch raw + k*pi/2, over every integer k, nearest ``anchor``.
 
-    Ties are resolved toward zero; returns (value, ambiguous flag).
+    Only the two branches that bracket the anchor can be nearest; k = 0 keeps
+    ``raw`` itself (adding 0.0 would turn -0.0 into 0.0). Ties are resolved
+    toward zero, then to ``raw``; returns (value, ambiguous flag).
     """
-    candidates = (raw - _HALF_PI, raw, raw + _HALF_PI)
+    k = math.floor((anchor - raw) / _HALF_PI)
+    candidates = [raw + j * _HALF_PI if j else raw for j in (k, k + 1)]
     dists = [abs(c - anchor) for c in candidates]
     best = min(dists)
     tied = [c for c, d in zip(candidates, dists) if d - best <= _TIE_TOL]
@@ -89,12 +91,12 @@ def _nearest_branch(raw: float, anchor: float):
 def rectify_torsion(raw_series) -> np.ndarray:
     """Continuity filter for a torsion series.
 
-    Each raw reading in (-pi/2, pi/2] is shifted by k*(pi/2), k in
-    {-1, 0, 1}, to the branch nearest the previous rectified value; the
-    first sample anchors to the branch nearest zero. Corrects isolated
-    major/minor axis swaps in otherwise slowly twisting series and is
-    idempotent on already-continuous input. Warns when a rectified jump
-    between adjacent samples exceeds pi/4, the filter's envelope.
+    Each raw reading in (-pi/2, pi/2] is shifted by k*(pi/2), for any
+    integer k, to the branch nearest the previous rectified value; the first
+    sample anchors to the branch nearest zero. As in phase unwrapping, this
+    follows any twist whose step between adjacent sections stays below pi/4
+    (no rectified step can exceed it), corrects isolated major/minor axis
+    swaps, and is idempotent on already-continuous input.
     """
     values = np.asarray(raw_series, dtype=float)
     if values.ndim != 1:
@@ -116,26 +118,18 @@ def rectify_torsion(raw_series) -> np.ndarray:
             )
         out[i] = value
         anchor = value
-    jump = float(np.abs(np.diff(out)).max(initial=0.0))
-    if jump > _MAX_JUMP:
-        warnings.warn(
-            f"rectified torsion jumps by {jump:.3g} rad between "
-            "adjacent sections; twist rate exceeds the filter's envelope",
-            UserWarning,
-            stacklevel=2,
-        )
     return out
 
 
 def rectify_against(raw: float, reference: float) -> float:
-    """Branch of ``raw`` (any integer multiple of pi/2) nearest ``reference``.
+    """Branch of ``raw`` (any integer multiple of pi/2) nearest ``reference``,
+    by the rule ``rectify_torsion`` applies, without its warning on a tie.
 
     Used when ground truth or a design value is available for each sample
     independently, e.g. in fitter-comparison sweeps where adjacent samples
     are unrelated measurements.
     """
-    k = round((reference - raw) / _HALF_PI)
-    return raw + k * _HALF_PI
+    return _nearest_branch(raw, reference)[0]
 
 
 def torsion_deviation(raw_series, expected) -> np.ndarray:

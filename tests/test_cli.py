@@ -201,6 +201,13 @@ class TestEvaluate:
         assert exc.value.code == 2
         assert f"error: argument {flag}: must be >= 1" in capsys.readouterr().err
 
+    def test_non_numeric_count_flag_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("evaluate", "--input", tmp_path / "cloud.csv", "--output-dir", tmp_path / "o",
+                "--window", "abc")
+        assert exc.value.code == 2
+        assert "error: argument --window: invalid int value: 'abc'" in capsys.readouterr().err
+
     def test_sections_flag_contradicting_labels_is_input_error(self, tmp_path, capsys):
         data = tmp_path / "data"
         synth(data, seed=5, sections=6)
@@ -270,6 +277,45 @@ class TestReadTruthCsv:
         with pytest.raises(InputFormatError, match="line 3: non-finite") as exc:
             read_truth_csv(path)
         assert exc.value.line_number == 3
+
+    def test_wrong_field_count_names_line(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text(
+            "section,phi,theta_x_true,theta_y_true,cx,cy,cz\n"
+            "0,0.0,0.1,0.0,120.0,0.0,0.0\n"
+            "1,0.5,0.1,0.0,105.3,57.5\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(InputFormatError, match="line 3: expected 7 fields") as exc:
+            read_truth_csv(path)
+        assert exc.value.line_number == 3
+
+    @pytest.mark.parametrize(
+        "sections, line",
+        [(("1", "0"), 2), (("0", "0"), 3), (("0", "2.5"), 3), (("0", "2"), 3)],
+    )
+    def test_row_must_read_its_own_section(self, tmp_path, sections, line):
+        path = tmp_path / "truth.csv"
+        path.write_text(
+            "section,phi,theta_x_true,theta_y_true,cx,cy,cz\n"
+            + "".join(f"{s},0.5,0.1,0.0,105.3,57.5,4.8\n" for s in sections),
+            encoding="utf-8",
+        )
+        with pytest.raises(InputFormatError, match=f"line {line}:") as exc:
+            read_truth_csv(path)
+        assert exc.value.line_number == line
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("# sidecar\n0,0.0,0.1,0.0,120.0,0.0,0.0\n", "line 2: expected header"),
+         ("# sidecar\n", "line 2: expected the header, got end of file")],
+    )
+    def test_missing_header_names_line(self, tmp_path, text, message):
+        path = tmp_path / "truth.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputFormatError, match=message) as exc:
+            read_truth_csv(path)
+        assert exc.value.line_number == 2
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         assert synth(tmp_path, sections=3) == 0

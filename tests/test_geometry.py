@@ -16,7 +16,7 @@ from helibend import (
     params_to_conic,
 )
 from helibend.errors import DegenerateSection, NotAnEllipse, TooFewPoints
-from helibend.geometry import rotation_z
+from helibend.geometry import normalize_conic, rotation_z
 
 from helpers import random_ellipse, random_helix_spec
 
@@ -47,6 +47,36 @@ class TestFold:
         assert fold_half_open(math.pi) == pytest.approx(0.0, abs=1e-15)
         assert fold_half_open(2.0) == pytest.approx(2.0 - math.pi)
         assert fold_half_open(-2.0) == pytest.approx(math.pi - 2.0)
+
+
+class TestEllipseParams:
+    def test_rejects_center_of_wrong_shape(self):
+        with pytest.raises(ValueError, match="center"):
+            EllipseParams(np.zeros(3), 2.0, 1.0, 0.0)
+
+    def test_rejects_minor_longer_than_major(self):
+        with pytest.raises(ValueError, match="semi_major >= semi_minor"):
+            EllipseParams(np.zeros(2), 1.0, 2.0, 0.0)
+
+    @pytest.mark.parametrize("orientation", [-math.pi / 2, 2.0])
+    def test_rejects_orientation_outside_half_open_range(self, orientation):
+        with pytest.raises(ValueError, match="orientation"):
+            EllipseParams(np.zeros(2), 2.0, 1.0, orientation)
+
+    def test_from_axes_swaps_to_major_first(self):
+        params = EllipseParams.from_axes(np.zeros(2), 1.0, 2.0, 0.3)
+        assert (params.semi_major, params.semi_minor) == (2.0, 1.0)
+        assert params.orientation == pytest.approx(0.3 + math.pi / 2 - math.pi)
+        assert params.orientation_defined
+
+    def test_from_axes_folds_the_angle(self):
+        params = EllipseParams.from_axes(np.zeros(2), 2.0, 1.0, 3.0)
+        assert params.orientation == fold_half_open(3.0)
+
+    def test_from_axes_circle_has_no_orientation(self):
+        params = EllipseParams.from_axes(np.zeros(2), 2.0, 2.0 * (1 - 1e-7), 0.7)
+        assert params.orientation == 0.0
+        assert not params.orientation_defined
 
 
 class TestCanonicalize:
@@ -130,13 +160,13 @@ class TestConicConversion:
 
     def test_params_to_conic_examples(self):
         circle = EllipseParams(np.zeros(2), 1.0, 1.0, 0.0, orientation_defined=False)
-        c = params_to_conic(circle, TRACE)
+        c = normalize_conic(params_to_conic(circle), TRACE)
         assert (c.a11, c.a12, c.a22, c.c) == pytest.approx((0.5, 0.0, 0.5, -0.5), abs=1e-15)
-        c = params_to_conic(circle, BOOKSTEIN)
+        c = normalize_conic(params_to_conic(circle), BOOKSTEIN)
         r = 1 / math.sqrt(2)
         assert (c.a11, c.a22, c.c) == pytest.approx((r, r, -r), abs=1e-15)
         ell = EllipseParams(np.zeros(2), 2.0, 1.0, 0.0)
-        c = params_to_conic(ell, TRACE)
+        c = normalize_conic(params_to_conic(ell), TRACE)
         assert (c.a11, c.a22, c.c) == pytest.approx((0.2, 0.8, -0.8), abs=1e-15)
 
     def test_conic_zero_on_boundary(self):
@@ -144,13 +174,13 @@ class TestConicConversion:
         for _ in range(20):
             params = random_ellipse(rng)
             for tag in (TRACE, BOOKSTEIN):
-                conic = params_to_conic(params, tag)
+                conic = normalize_conic(params_to_conic(params), tag)
                 residuals = conic.evaluate(params.boundary_points(32))
                 assert np.max(np.abs(residuals)) < 1e-10
 
     def test_round_trip(self):
         params = EllipseParams(np.array([3.0, -1.0]), 5.0, 2.0, 0.4)
-        back = conic_to_params(params_to_conic(params, TRACE))
+        back = conic_to_params(normalize_conic(params_to_conic(params), TRACE))
         assert np.allclose(back.center, params.center, atol=1e-10)
         assert back.semi_major == pytest.approx(5.0, abs=1e-10)
         assert back.semi_minor == pytest.approx(2.0, abs=1e-10)
@@ -161,7 +191,7 @@ class TestConicConversion:
         for _ in range(50):
             params = random_ellipse(rng)
             for tag in (TRACE, BOOKSTEIN):
-                back = conic_to_params(params_to_conic(params, tag))
+                back = conic_to_params(normalize_conic(params_to_conic(params), tag))
                 scale = params.semi_major
                 assert np.max(np.abs(back.center - params.center)) < 1e-9 * max(
                     1.0, float(np.abs(params.center).max())
@@ -176,9 +206,9 @@ class TestConicConversion:
         rng = np.random.default_rng(29)
         for _ in range(20):
             params = random_ellipse(rng)
-            c = params_to_conic(params, TRACE)
+            c = normalize_conic(params_to_conic(params), TRACE)
             assert abs(c.a11 + c.a22 - 1.0) < 1e-12
-            c = params_to_conic(params, BOOKSTEIN)
+            c = normalize_conic(params_to_conic(params), BOOKSTEIN)
             assert abs(c.a11**2 + 2 * c.a12**2 + c.a22**2 - 1.0) < 1e-12
 
     def test_hyperbola_rejected(self):

@@ -205,6 +205,16 @@ class TestSegmentSections:
         with pytest.raises(UnderfilledSection, match="section 5 holds 4 points"):
             segment_sections(part.points[:12], labels=labels[:12])
 
+    def test_labels_of_wrong_length_rejected(self):
+        part = generate(HelixSpec(sections=2, rng_seed=17))
+        with pytest.raises(ValueError, match="labels length"):
+            segment_sections(part.points, labels=part.labels[:-1])
+
+    def test_unlabeled_without_section_count_rejected(self):
+        part = generate(HelixSpec(sections=2, rng_seed=18))
+        with pytest.raises(ValueError, match="expected_sections must be >= 1"):
+            segment_sections(part.points)
+
 
 class TestArcParameters:
     def _sections_for(self, spec):

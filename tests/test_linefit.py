@@ -146,6 +146,10 @@ class TestDirectionAngle:
         assert surface_direction_angle(Line2D(1.0, 0.0, 0.0)) == 0.0
         assert surface_direction_angle(Line2D(0.0, 1.0, 0.0)) == math.pi / 2
 
+    def test_non_unit_normal_rejected(self):
+        with pytest.raises(ValueError, match="a\\^2 \\+ b\\^2 = 1"):
+            Line2D(1.0, 1.0, 0.0)
+
 
 class TestRectifyDirection:
     def test_identity_on_branch(self):

@@ -1,9 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from helibend import HelixSpec, evaluate_cloud, evaluate_sections, generate, segment_sections
+from helibend import (
+    HelixSpec,
+    evaluate_cloud,
+    evaluate_sections,
+    fold_half_open,
+    generate,
+    segment_sections,
+)
 from helibend.errors import AmbiguousBranch, TooFewSections
 
 from helpers import random_helix_spec
@@ -70,15 +78,18 @@ class TestPipelinePlumbing:
             assert result.arc.centroid_radius[i] == pytest.approx(spec.radius, abs=1e-9)
         assert result.all_converged
 
-    def test_fast_twist_warns_and_evaluates(self):
-        # a near-pi reversal between sections 1 and 2 is beyond the filter
+    def test_fast_twist_evaluates_without_warning(self):
+        # the reading folds from 1.4 to -1.4; the nearest branch is -1.4 + pi
         twists = [0.7, 1.4, -1.4, -1.4]
         spec = HelixSpec(sections=4, twist_profile=lambda i: twists[i], rng_seed=10)
         part = generate(spec)
-        with pytest.warns(UserWarning, match="twist rate exceeds the filter's envelope"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
             result = evaluate_sections(segment_sections(part.points, labels=part.labels))
         raw = [f.params.orientation for f in result.fits]
         assert np.max(np.abs(np.array(raw) - twists)) < 1e-8
+        off = [fold_half_open(r - t) for r, t in zip(result.arc.theta_y_rectified, twists)]
+        assert np.max(np.abs(off)) < 1e-8
 
     def test_ambiguous_branch_warns_and_evaluates(self):
         # a 45 degree twist sits exactly between two branches
@@ -106,3 +117,19 @@ class TestPipelinePlumbing:
         groups = segment_sections(part.points, labels=part.labels)
         with pytest.raises(TooFewSections):
             evaluate_sections(groups[:1])
+
+
+class TestRampTracking:
+    """Linear twist ramps over 60 sections at sigma 0.02 mm: the rectified
+    reading follows the twist through every quarter turn it passes."""
+
+    @pytest.mark.parametrize("ramp_deg", [100.0, 170.0, 300.0, -400.0])
+    def test_rectified_twist_follows_the_ramp(self, ramp_deg):
+        ramp = math.radians(ramp_deg)
+        spec = HelixSpec(sections=60, noise_sigma=0.02, rng_seed=3,
+                         twist_profile=lambda i: ramp * i / 59)
+        part = generate(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            result = evaluate_cloud(part.points, labels=part.labels)
+        assert np.max(np.abs(result.arc.theta_y_rectified - part.truth.theta_y)) < 5e-3

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helibend import (
+    EllipseParams,
     HelixSpec,
     canonicalize_section,
     detect_direction,
@@ -16,6 +17,7 @@ from helibend import (
     torsion_deviation,
 )
 from helibend.errors import AmbiguousBranch, LengthMismatch
+from helibend.torsion import fit_section_ellipse
 
 
 def canonical_sections(spec):
@@ -56,6 +58,13 @@ class TestObserveTorsion:
         got = observe_torsion(canon[0], truth.theta_x[0])
         assert not got.params.orientation_defined
         assert got.params.orientation == 0.0
+
+
+class TestFitSectionEllipse:
+    def test_rejects_unknown_fitter(self):
+        pts = EllipseParams(np.zeros(2), 2.0, 1.0, 0.3).boundary_points(12)
+        with pytest.raises(ValueError, match="unknown fitter 'taubin'"):
+            fit_section_ellipse(pts, "taubin")
 
 
 class TestRectifyTorsion:
@@ -114,6 +123,24 @@ class TestRectifyTorsion:
         with pytest.raises(ValueError, match="finite"):
             rectify_torsion([0.1, math.nan])
 
+    def test_rejects_two_dimensional_input(self):
+        with pytest.raises(ValueError, match="1-D"):
+            rectify_torsion([[0.1, 0.2], [0.3, 0.4]])
+
+    @pytest.mark.parametrize("step", [0.7, -0.7])
+    def test_follows_steps_below_quarter_pi_through_many_turns(self, step):
+        # 19 steps of 0.7 rad wind the twist through 13.3 rad, so the branch
+        # shift k runs far beyond -1..1
+        truth = step * np.arange(20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = rectify_torsion([_fold(t) for t in truth])
+        assert np.max(np.abs(out - truth)) < 1e-12
+
+    def test_negative_zero_kept(self):
+        assert math.copysign(1.0, rectify_torsion([-0.0])[0]) == -1.0
+        assert math.copysign(1.0, rectify_against(-0.0, 0.0)) == -1.0
+
 
 class TestRectifyAgainst:
     def test_identity_when_close(self):
@@ -123,16 +150,14 @@ class TestRectifyAgainst:
         assert rectify_against(math.pi / 2, -math.pi / 2) == pytest.approx(-math.pi / 2)
         assert rectify_against(0.1, 0.1 + 2 * math.pi) == pytest.approx(0.1 + 2 * math.pi)
 
+    def test_tie_resolved_like_the_filter(self):
+        # pi/4 lies midway between its own branch and -pi/4: the raw reading stays
+        assert rectify_against(math.pi / 4, 0.0) == math.pi / 4
+        assert rectify_against(-math.pi / 4, 0.0) == -math.pi / 4
+
 
 class TestTorsionSeries:
     """A series is the raw readings of consecutive sections, in order."""
-
-    def test_fast_twist_warns(self):
-        # pi/2-lattice correction cannot bridge a near-pi reversal
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rectify_torsion([0.7, 1.4, -1.4])
-        assert any("twist rate" in str(w.message) for w in caught)
 
     def test_slow_twist_does_not_warn(self):
         with warnings.catch_warnings():

@@ -1,11 +1,14 @@
 #!/bin/sh
 # Byte-identity check for changes that must leave every output unchanged.
 #
-# Usage: tools/compare_outputs.sh PARENT_SRC CHANGE_SRC
+# Usage: tools/compare_outputs.sh PARENT CHANGE
 #
 # Each argument is a checkout of this repository (a directory holding
-# src/helibend). The same fixed set of synth, evaluate and compare-fits runs
-# is made against each checkout, and the two output trees, exit codes
+# src/helibend) or a git revision of the repository this script lives in,
+# whose src is exported with `git archive` into a temporary directory; for
+# example `tools/compare_outputs.sh HEAD .` checks the working tree against
+# the last commit. The same fixed set of synth, evaluate and compare-fits
+# runs is made against each checkout, and the two output trees, exit codes
 # included, are compared with `diff -r`. Exits 0 when they are identical.
 #
 # The set: criterion 8's part (synth --seed 42 --noise-sigma 0.05
@@ -25,15 +28,30 @@
 set -u
 
 if [ $# -ne 2 ]; then
-    echo "usage: $0 PARENT_SRC CHANGE_SRC" >&2
+    echo "usage: $0 PARENT CHANGE" >&2
     exit 2
 fi
 
+repo=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
+# checkout ARG NAME: print a directory holding src/helibend for ARG, exporting
+# a git revision's src to $work/NAME.
+checkout() {
+    if [ -d "$1/src/helibend" ]; then
+        cd "$1" && pwd
+    elif git -C "$repo" rev-parse --quiet --verify "$1^{commit}" > /dev/null; then
+        mkdir "$work/$2" && git -C "$repo" archive "$1" src | tar -x -C "$work/$2" \
+            && echo "$work/$2"
+    else
+        echo "$0: $1 is neither a checkout holding src/helibend nor a git revision" >&2
+        return 1
+    fi
+}
+
 run_set() {
-    src=$(cd "$1" && pwd)/src
+    src=$1/src
     out=$2
     mkdir -p "$out"
     codes=$out/exit_codes.txt
@@ -124,8 +142,10 @@ for old in sorted(parent.rglob("*.csv")):
 EOF
 }
 
-run_set "$1" "$work/parent"
-run_set "$2" "$work/change"
+parent=$(checkout "$1" parent-src) || exit 2
+change=$(checkout "$2" change-src) || exit 2
+run_set "$parent" "$work/parent"
+run_set "$change" "$work/change"
 
 if diff -r "$work/parent" "$work/change"; then
     echo "identical: $(find "$work/parent" -type f | wc -l) files"
