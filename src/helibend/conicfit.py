@@ -51,6 +51,7 @@ DEFAULT_MAX_ITERATIONS = 100
 _STEP_TOL = 1e-12
 _RESIDUAL_TOL = 1e-12
 _DAMPING_FLOOR = 1e-12
+_EYE5 = np.eye(5)
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,11 @@ def _rms(values: np.ndarray) -> float:
 
 
 def _normalize_points(pts: np.ndarray):
-    mean = pts.mean(axis=0)
+    # sum / n is the arithmetic of ndarray.mean without its wrapper.
+    n = len(pts)
+    mean = pts.sum(axis=0) / n
     centered = pts - mean
-    scale = math.sqrt(float(np.mean(np.sum(centered * centered, axis=1))))
+    scale = math.sqrt(float((centered * centered).sum(axis=1).sum()) / n)
     if scale <= 0.0:
         raise DegenerateConfiguration("all points coincide")
     return centered / scale, mean, scale
@@ -101,7 +104,7 @@ def _linear_result(pts: np.ndarray, conic: Conic2D, params: EllipseParams) -> Fi
     return FitResult(
         conic=conic,
         params=params,
-        rms_algebraic_residual=_rms(conic.evaluate(pts)),
+        rms_algebraic_residual=_rms(conic._evaluate(pts)),
         rms_geometric_residual=_rms(geometric_residuals(pts, params)),
     )
 
@@ -151,7 +154,12 @@ def _trace_solve(pts: np.ndarray) -> tuple[Conic2D, EllipseParams]:
         raise TooFewPoints(f"need at least 6 points, got {len(pts)}")
     norm, mean, scale = _normalize_points(pts)
     u, v = norm[:, 0], norm[:, 1]
-    design = np.column_stack((v * v - u * u, 2.0 * u * v, u, v, np.ones_like(u)))
+    design = np.empty((len(u), 5))
+    design[:, 0] = v * v - u * u
+    design[:, 1] = 2.0 * u * v
+    design[:, 2] = u
+    design[:, 3] = v
+    design[:, 4] = 1.0
     rhs = -u * u
     sol, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < 5:
@@ -193,8 +201,9 @@ def fit_gauss_newton(
     when a step changes the RMS by at most 1e-12 in either direction (or is
     itself negligible): a rise that small is rounding at the optimum, so the
     current iterate is kept instead of damping the step towards zero. Each
-    trial starts its foot-point solve from the accepted iterate's angles.
-    ``init`` defaults to the trace-constraint solution. At most
+    trial starts its foot-point solve from the accepted iterate's angles and
+    computes distances only; the Jacobian is formed only at an iterate that
+    another step starts from. ``init`` defaults to the trace-constraint solution. At most
     ``max_iterations`` steps are taken; ``converged`` is False when the
     budget runs out first.
     """
@@ -216,11 +225,13 @@ def fit_gauss_newton(
     iterations = 0
 
     for iterations in range(1, max_iterations + 1):
+        if jac is None:
+            jac = _gn_jacobian(theta, foot)
         g = jac.T @ residual
         h = jac.T @ jac
         while mu < 1e18:
             try:
-                delta = np.linalg.solve(h + mu * np.eye(5), -g)
+                delta = np.linalg.solve(h + mu * _EYE5, -g)
             except np.linalg.LinAlgError:
                 mu *= 10.0
                 continue
@@ -229,7 +240,7 @@ def fit_gauss_newton(
             trial[3] = abs(trial[3])
             if min(trial[2], trial[3]) < _AXIS_FLOOR:
                 raise CollapsedAxis("a semi-axis collapsed during iteration")
-            trial_residual, trial_jac, trial_angles = _gn_residual_jacobian(pts, trial, angles)
+            trial_foot, trial_residual, trial_angles = _gn_residual(pts, trial, angles)
             trial_rms = _rms(trial_residual)
             if trial_rms - rms <= _RESIDUAL_TOL:
                 break
@@ -241,23 +252,25 @@ def fit_gauss_newton(
             # step towards zero, so the current iterate is the optimum.
             converged = True
             break
-        step_small = float(np.linalg.norm(delta)) <= _STEP_TOL * (
-            1.0 + float(np.linalg.norm(theta))
+        # sqrt(x.dot(x)) is the arithmetic of np.linalg.norm on a vector.
+        step_small = math.sqrt(delta.dot(delta)) <= _STEP_TOL * (
+            1.0 + math.sqrt(theta.dot(theta))
         )
         residual_small = (rms - trial_rms) <= _RESIDUAL_TOL
-        theta, residual, jac, rms, angles = (
-            trial, trial_residual, trial_jac, trial_rms, trial_angles)
+        # The next iteration, if any, forms the Jacobian at the new iterate.
+        theta, foot, residual, jac, rms, angles = (
+            trial, trial_foot, trial_residual, None, trial_rms, trial_angles)
         mu = max(_DAMPING_FLOOR, mu * 0.1)
         if step_small or residual_small:
             converged = True
             break
 
-    params = EllipseParams.from_axes(theta[:2].copy(), *theta[2:])
+    params = EllipseParams.from_axes(theta[:2], *theta[2:])
     conic = params_to_conic(params)
     return FitResult(
         conic=conic,
         params=params,
-        rms_algebraic_residual=_rms(conic.evaluate(pts)),
+        rms_algebraic_residual=_rms(conic._evaluate(pts)),
         rms_geometric_residual=rms,
         iterations=iterations,
         converged=converged,
@@ -311,18 +324,19 @@ def _foot_points(local: np.ndarray, a: float, b: float, start: np.ndarray | None
     resolved in closed form whatever the start (the bracket endpoints can be
     spurious roots there).
     """
-    sign_p = np.where(local[:, 0] >= 0.0, 1.0, -1.0)
-    sign_q = np.where(local[:, 1] >= 0.0, 1.0, -1.0)
-    p = np.abs(local[:, 0])
-    q = np.abs(local[:, 1])
+    sign = np.where(local >= 0.0, 1.0, -1.0)
+    pq = np.abs(local)
+    p, q = pq[:, 0], pq[:, 1]
     t = np.arctan2(a * q, b * p) if start is None else np.array(start, dtype=float)
+    # -0.0 counts as zero, as the axis masks below do.
+    all_general = np.count_nonzero(local) == local.size
 
-    on_u_axis = q == 0.0
-    on_v_axis = p == 0.0
-    general = ~(on_u_axis | on_v_axis)
-    all_general = bool(general.all())
-
-    if not all_general:
+    if all_general:
+        tg, ap, bq = t, a * p, b * q
+    else:
+        on_u_axis = q == 0.0
+        on_v_axis = p == 0.0
+        general = ~(on_u_axis | on_v_axis)
         if np.any(on_u_axis):
             # Interior root exists when the point is inside the evolute cusp.
             pu = p[on_u_axis]
@@ -343,30 +357,38 @@ def _foot_points(local: np.ndarray, a: float, b: float, start: np.ndarray | None
         center = on_u_axis & on_v_axis
         if np.any(center):
             t[center] = 0.0 if a <= b else math.pi / 2.0
-
-    # Without on-axis points the whole arrays are the general set, and the
-    # masked gathers and the scatter back are skipped.
-    if all_general:
-        tg, ap, bq = t, a * p, b * q
-    else:
         tg, ap, bq = t[general], a * p[general], b * q[general]
-    if tg.size:
-        lo = np.zeros_like(tg)
-        hi = np.full_like(tg, math.pi / 2.0)
-        diff = a * a - b * b
+
+    n = len(tg)
+    if n:
+        # a^2 - b^2 and 0.0 as arrays: an array operand is a cheaper
+        # dispatch than a Python float, and the values are the same.
+        zero = np.zeros(n)
+        diff = zero + (a * a - b * b)
+        lo = np.zeros(n)
+        hi = lo + math.pi / 2.0
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(90):
                 st, ct = np.sin(tg), np.cos(tg)
                 g = diff * st * ct - ap * st + bq * ct
-                np.copyto(lo, tg, where=g > 0.0)
-                np.copyto(hi, tg, where=g < 0.0)
+                np.copyto(lo, tg, where=g > zero)
+                np.copyto(hi, tg, where=g < zero)
                 dg = diff * (ct * ct - st * st) - ap * ct - bq * st
-                newton = np.where(g == 0.0, tg, tg - g / dg)
-                # NaN and +-inf fail both comparisons and so bisect.
+                # Where g == 0 and dg != 0 this is tg - (+-0.0) == tg, the
+                # value the fallback's where() picks; 0/0 is NaN and fails
+                # the bracket test, which then runs the fallback.
+                newton = tg - g / dg
                 in_bracket = (newton >= lo) & (newton <= hi)
-                t_next = np.where(in_bracket, newton, 0.5 * (lo + hi))
+                # count_nonzero is ndarray.all() without its reduction wrapper.
+                if np.count_nonzero(in_bracket) == n:
+                    t_next = newton
+                else:
+                    newton = np.where(g == 0.0, tg, newton)
+                    # NaN and +-inf fail both comparisons and so bisect.
+                    in_bracket = (newton >= lo) & (newton <= hi)
+                    t_next = np.where(in_bracket, newton, 0.5 * (lo + hi))
                 # One ulp at t ~ 1 is 2.2e-16, so a tighter bound never settles.
-                settled = np.max(np.abs(t_next - tg)) < 1e-15
+                settled = np.abs(t_next - tg).max() < 1e-15
                 tg = t_next
                 if settled:
                     break
@@ -375,9 +397,11 @@ def _foot_points(local: np.ndarray, a: float, b: float, start: np.ndarray | None
     else:
         t[general] = tg
 
+    # sign is +-1, so applying it last changes no bit of the product.
     foot = np.empty_like(local)
-    foot[:, 0] = sign_p * a * np.cos(t)
-    foot[:, 1] = sign_q * b * np.sin(t)
+    foot[:, 0] = a * np.cos(t)
+    foot[:, 1] = b * np.sin(t)
+    foot *= sign
     delta = local - foot
     dist = np.hypot(delta[:, 0], delta[:, 1])
     inside = (local[:, 0] / a) ** 2 + (local[:, 1] / b) ** 2 < 1.0
@@ -387,27 +411,42 @@ def _foot_points(local: np.ndarray, a: float, b: float, start: np.ndarray | None
 def _gn_residual_jacobian(pts: np.ndarray, theta: np.ndarray, start: np.ndarray | None = None):
     """Signed distances, their Jacobian w.r.t. (cx, cy, a, b, phi) and the
     foot-point angles, solved from ``start`` when given (see _foot_points).
+    """
+    foot, dist, angles = _gn_residual(pts, theta, start)
+    return dist, _gn_jacobian(theta, foot), angles
+
+
+def _gn_residual(pts: np.ndarray, theta: np.ndarray, start: np.ndarray | None = None):
+    """Foot points in the frame of ``theta`` = (cx, cy, a, b, phi), signed
+    distances and foot-point angles (see _foot_points).
+    """
+    a, b, phi = theta[2:].tolist()
+    return _foot_points(_to_local(pts, theta[:2], phi), a, b, start)
+
+
+def _gn_jacobian(theta: np.ndarray, foot: np.ndarray) -> np.ndarray:
+    """Jacobian of the signed distances w.r.t. (cx, cy, a, b, phi), from the
+    foot points ``_gn_residual`` returned for ``theta``.
 
     By the envelope theorem the foot-point angle's dependence on the
     parameters drops out, leaving d(dist)/d(param) = -n . dq/d(param) with
     n the outward unit normal at the foot point q.
     """
-    a, b, phi = theta[2:]
-    local = _to_local(pts, theta[:2], phi)
-    foot, dist, angles = _foot_points(local, a, b, start)
-
+    a, b, phi = theta[2:].tolist()
     ct = foot[:, 0] / a
     st = foot[:, 1] / b
-    normal = np.column_stack((ct / a, st / b))
-    normal /= np.hypot(normal[:, 0], normal[:, 1])[:, None]
-    nlx, nly = normal[:, 0], normal[:, 1]
+    nx = ct / a
+    ny = st / b
+    length = np.hypot(nx, ny)
+    nlx = nx / length
+    nly = ny / length
 
     ca, sa = math.cos(phi), math.sin(phi)
-    jac = np.empty((len(pts), 5))
+    jac = np.empty((len(foot), 5))
     # d q / d center is the identity, rotated back to the world frame.
     jac[:, 0] = -(nlx * ca - nly * sa)
     jac[:, 1] = -(nlx * sa + nly * ca)
     jac[:, 2] = -nlx * ct
     jac[:, 3] = -nly * st
     jac[:, 4] = nlx * b * st - nly * a * ct
-    return dist, jac, angles
+    return jac

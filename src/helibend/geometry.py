@@ -115,7 +115,10 @@ class Conic2D:
 
     def evaluate(self, points) -> np.ndarray:
         """F(x) per point; zero on the conic."""
-        pts = as_points(points, 2)
+        return self._evaluate(as_points(points, 2))
+
+    def _evaluate(self, pts: np.ndarray) -> np.ndarray:
+        """``evaluate`` on an (N, 2) float array that as_points already returned."""
         u, v = pts[:, 0], pts[:, 1]
         return (
             self.a11 * u * u
@@ -154,9 +157,12 @@ class EllipseParams:
     orientation_defined: bool = True
 
     def __post_init__(self):
-        ctr = np.asarray(self.center, dtype=float)
+        # A private read-only copy, so the frozen value cannot change through
+        # the caller's array or through ``center``.
+        ctr = np.array(self.center, dtype=float)
         if ctr.shape != (2,):
             raise ValueError("center must be a length-2 vector")
+        ctr.flags.writeable = False
         object.__setattr__(self, "center", ctr)
         if not (self.semi_major >= self.semi_minor > 0.0):
             raise ValueError("require semi_major >= semi_minor > 0")
@@ -210,7 +216,16 @@ def conic_to_params(conic: Conic2D) -> EllipseParams:
         conic = conic.scaled(-1.0)
         a = -a
     center = np.linalg.solve(a, -0.5 * conic.linear)
-    k = float(conic.evaluate(center[None, :])[0])
+    # F at the centre, in the order of Conic2D.evaluate.
+    u, v = center.tolist()
+    k = float(
+        conic.a11 * u * u
+        + 2.0 * conic.a12 * u * v
+        + conic.a22 * v * v
+        + conic.b1 * u
+        + conic.b2 * v
+        + conic.c
+    )
     if k >= 0.0:
         raise NotAnEllipse("imaginary ellipse (no real points)", conic=conic)
     evals, evecs = np.linalg.eigh(a)

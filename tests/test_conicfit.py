@@ -342,14 +342,14 @@ class TestGaussNewton:
                      for g in segment_sections(part.points, labels=part.labels)]
         theta_x = detect_direction(canonical)[3].theta_x
         calls = []
-        evaluate = conicfit._gn_residual_jacobian
+        evaluate = conicfit._gn_residual
 
         def counted(*args):
             calls.append(1)
             return evaluate(*args)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(conicfit, "_gn_residual_jacobian", counted)
+            patch.setattr(conicfit, "_gn_residual", counted)
             fit = observe_torsion(canonical[3], theta_x, GAUSS_NEWTON)
         assert (fit.iterations, fit.converged) == (3, True)
         assert len(calls) <= fit.iterations + 1

@@ -63,6 +63,14 @@ class TestEllipseParams:
         with pytest.raises(ValueError, match="orientation"):
             EllipseParams(np.zeros(2), 2.0, 1.0, orientation)
 
+    def test_center_is_a_read_only_copy(self):
+        c = np.array([1.0, 2.0])
+        params = EllipseParams(c, 3.0, 2.0, 0.1)
+        c[0] = 99.0
+        assert params.center.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError, match="read-only"):
+            params.center[1] = 5.0
+
     def test_from_axes_swaps_to_major_first(self):
         params = EllipseParams.from_axes(np.zeros(2), 1.0, 2.0, 0.3)
         assert (params.semi_major, params.semi_minor) == (2.0, 1.0)

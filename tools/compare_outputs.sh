@@ -9,7 +9,9 @@
 # example `tools/compare_outputs.sh HEAD .` checks the working tree against
 # the last commit. The same fixed set of synth, evaluate and compare-fits
 # runs is made against each checkout, and the two output trees, exit codes
-# included, are compared with `diff -r`. Exits 0 when they are identical.
+# and each run's stderr (as NAME.stderr, run-specific paths replaced by
+# fixed tokens) included, are compared with `diff -r`. Exits 0 when they are
+# identical.
 #
 # The set: criterion 8's part (synth --seed 42 --noise-sigma 0.05
 # --twist-sine-amp-deg 3) evaluated with each fitter, with gauss-newton at
@@ -57,12 +59,20 @@ run_set() {
     codes=$out/exit_codes.txt
     : > "$codes"
 
-    # hb NAME ARGS...: run the CLI from $src and record its exit code under NAME.
+    # hb NAME ARGS...: run the CLI from $src, record its exit code under NAME
+    # and keep its stderr as NAME.stderr, with the paths of this checkout, of
+    # the output tree and of this script's temporary directory replaced by
+    # fixed tokens (in that order: an exported checkout's path starts with
+    # the output tree's), so that the text of warnings and errors is compared
+    # too. A warning names the file and line of its warn call, so moving that
+    # call shows as a difference.
     hb() {
         name=$1
         shift
-        PYTHONPATH="$src" python3 -m helibend.cli "$@" 2>> "$work/stderr.log"
+        PYTHONPATH="$src" python3 -m helibend.cli "$@" 2> "$work/stderr.raw"
         echo "$name $?" >> "$codes"
+        sed -e "s|$src|<src>|g" -e "s|$out|<out>|g" -e "s|$work|<work>|g" \
+            "$work/stderr.raw" > "$out/$name.stderr"
     }
 
     hb synth-c8 synth --output-dir "$out/c8" --seed 42 --noise-sigma 0.05 \
