@@ -9,6 +9,7 @@ arc radius, central angle and arc length are reported per arc.
 
 from ._version import __version__
 from .conicfit import (
+    FitBatch,
     FitResult,
     ellipse_foot_point,
     fit_bookstein,
@@ -69,6 +70,7 @@ __all__ = [
     "EllipseParams",
     "EvaluationReport",
     "EvaluationResult",
+    "FitBatch",
     "FitResult",
     "GroundTruth",
     "HelixSpec",

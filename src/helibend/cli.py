@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .conicfit import DEFAULT_MAX_ITERATIONS, fit_gauss_newton, moment_init
+from .conicfit import DEFAULT_MAX_ITERATIONS, moment_init
 from .errors import (
     EmptyCloud,
     HelibendError,
@@ -45,7 +45,13 @@ from .report import (
     write_cloud_csv,
     write_truth_csv,
 )
-from .torsion import FITTERS, GAUSS_NEWTON, fit_section_ellipse, rectify_against
+from .torsion import (
+    FITTERS,
+    GAUSS_NEWTON,
+    fit_gauss_newton_sections,
+    fit_section_ellipse,
+    rectify_against,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -240,27 +246,17 @@ def _cmd_compare_fits(args) -> int:
     summary = []
     for fitter in FITTERS:
         rng = np.random.default_rng(args.seed)
+        trial_points = [_trial_points(args, float(true), rng) for true in true_angles]
+        if fitter == GAUSS_NEWTON:
+            # Deliberately not warm-started from the trace fit: the sweep compares
+            # the methods, so Gauss-Newton starts from plain moment estimates.
+            fits = fit_gauss_newton_sections(
+                [len(pts) for pts in trial_points], trial_points.__getitem__,
+                [moment_init(pts) for pts in trial_points])
+        else:
+            fits = [fit_section_ellipse(pts, fitter) for pts in trial_points]
         detected_list = []
-        for trial, true in enumerate(true_angles):
-            params = EllipseParams(
-                np.zeros(2),
-                args.semi_major,
-                args.semi_minor,
-                fold_half_open(float(true)),
-            )
-            if args.arc_fraction >= 1.0:
-                pts = params.boundary_points(args.points)
-            else:
-                pts = params.arc_points(args.points, args.arc_fraction,
-                                        rng.uniform(0.0, 2.0 * math.pi))
-            if args.noise_sigma > 0.0:
-                pts = pts + rng.normal(0.0, args.noise_sigma, pts.shape)
-            if fitter == GAUSS_NEWTON:
-                # Deliberately not warm-started from the trace fit: the sweep compares
-                # the methods, so Gauss-Newton starts from plain moment estimates.
-                fit = fit_gauss_newton(pts, init=moment_init(pts))
-            else:
-                fit = fit_section_ellipse(pts, fitter)
+        for trial, (true, fit) in enumerate(zip(true_angles, fits)):
             raw = fit.params.orientation
             rectified = rectify_against(raw, float(true))
             rows.append(dict(fitter=fitter, trial=trial, true_theta_y_rad=float(true),
@@ -284,6 +280,18 @@ def _cmd_compare_fits(args) -> int:
     (out / "sweep.csv").write_text(_csv_text(rows), encoding="utf-8")
     (out / "summary.csv").write_text(_csv_text(summary), encoding="utf-8")
     return EXIT_OK
+
+
+def _trial_points(args, true: float, rng) -> np.ndarray:
+    """One compare-fits trial: the ellipse at twist ``true``, sampled and noised."""
+    params = EllipseParams(np.zeros(2), args.semi_major, args.semi_minor, fold_half_open(true))
+    if args.arc_fraction >= 1.0:
+        pts = params.boundary_points(args.points)
+    else:
+        pts = params.arc_points(args.points, args.arc_fraction, rng.uniform(0.0, 2.0 * math.pi))
+    if args.noise_sigma > 0.0:
+        pts = pts + rng.normal(0.0, args.noise_sigma, pts.shape)
+    return pts
 
 
 def main(argv=None) -> int:

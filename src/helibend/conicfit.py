@@ -11,6 +11,12 @@ All three minimize a residual of the implicit conic F(x) = x^T A x + b^T x + c:
   the ellipse boundary over (center, semi-axes, orientation), with Levenberg
   damping so the geometric RMS never increases across accepted steps.
 
+The Gauss-Newton fit and the foot-point solve behind it take one section or
+a stack of equal-size sections. A stack is solved in lockstep, one set of
+array calls per round for all its sections, and every decision (step
+acceptance, damping, convergence, when a foot-point solve settles) is taken
+per section, so each section's result is bit for bit the one it gets alone.
+
 Input points are centered and scaled to unit RMS radius before the design
 matrices are formed, purely for conditioning. Both constraints depend only
 on A, which is unchanged by translation and scales uniformly under isotropic
@@ -22,6 +28,7 @@ original coordinates.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +36,7 @@ import numpy as np
 from .errors import (
     CollapsedAxis,
     DegenerateConfiguration,
+    HelibendError,
     NotAnEllipse,
     TooFewPoints,
 )
@@ -64,6 +72,22 @@ class FitResult:
     converged: bool = True
 
 
+class FitBatch(tuple):
+    """The FitResult of each section of a stack, in stack order."""
+
+    __slots__ = ()
+
+    @property
+    def iterations(self) -> int:
+        """Steps taken over all the fits."""
+        return sum(f.iterations for f in self)
+
+    @property
+    def converged(self) -> bool:
+        """Whether every fit converged."""
+        return all(f.converged for f in self)
+
+
 def geometric_residuals(points, params: EllipseParams) -> np.ndarray:
     """Signed orthogonal distance to the ellipse boundary for each point."""
     return _ellipse_foot_points(points, params)[1]
@@ -71,6 +95,18 @@ def geometric_residuals(points, params: EllipseParams) -> np.ndarray:
 
 def _rms(values: np.ndarray) -> float:
     return math.sqrt(float(np.square(values).sum()) / values.size)
+
+
+def _row_rms(values: np.ndarray) -> np.ndarray:
+    """The RMS of each row, by the arithmetic of _rms."""
+    return np.sqrt(np.square(values).sum(axis=1) / values.shape[1])
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row. A (1, k) @ (k, 1) matmul takes the BLAS
+    dot that norm takes on one vector; a sum of squares rounds differently.
+    """
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
 def _normalize_points(pts: np.ndarray):
@@ -190,10 +226,11 @@ def moment_init(points) -> EllipseParams:
 
 def fit_gauss_newton(
     points,
-    init: EllipseParams | None = None,
+    init: EllipseParams | Sequence[EllipseParams | None] | None = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> FitResult:
-    """Geometric (orthogonal-distance) ellipse fit.
+) -> FitResult | FitBatch:
+    """Geometric (orthogonal-distance) ellipse fit of one section or of a
+    stack of equal-size sections.
 
     Minimizes the sum of squared point-to-boundary distances over
     (center, semi-axes, orientation) with Levenberg damping; only steps that
@@ -203,77 +240,190 @@ def fit_gauss_newton(
     current iterate is kept instead of damping the step towards zero. Each
     trial starts its foot-point solve from the accepted iterate's angles and
     computes distances only; the Jacobian is formed only at an iterate that
-    another step starts from. ``init`` defaults to the trace-constraint solution. At most
-    ``max_iterations`` steps are taken; ``converged`` is False when the
-    budget runs out first.
+    another step starts from. ``init`` defaults to the trace-constraint
+    solution. At most ``max_iterations`` steps are taken; ``converged`` is
+    False when the budget runs out first.
+
+    ``points`` is one (n, 2) section, whose FitResult is returned, or a stack
+    (S, n, 2) of sections, whose fits are returned as a FitBatch in stack
+    order; ``init`` is then None or one EllipseParams (or None) per section.
+    The sections of a stack are iterated in lockstep, and each one's fit is
+    bit for bit the fit it gets alone. A stack raises the error of its
+    earliest failing section, as fitting the sections one by one would, with
+    that section's position in ``.section``.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    pts = as_points(points, 2)
+    stack, single = _as_section_stack(points)
+    count = len(stack)
+    if single:
+        inits = [init]
+    else:
+        inits = [None] * count if init is None else list(init)
+        if len(inits) != count:
+            raise ValueError(f"got {len(inits)} inits for {count} sections")
+    theta = np.empty((count, 5))
+    failures = {}
+    for k, (pts, start) in enumerate(zip(stack, inits)):
+        try:
+            theta[k] = _gn_start(pts, start)
+        except HelibendError as exc:
+            failures[k] = exc
+
+    rms = np.empty(count)
+    iterations = np.empty(count, dtype=int)
+    converged = np.empty(count, dtype=bool)
+    fitted = np.array([k for k in range(count) if k not in failures], dtype=int)
+    if fitted.size:
+        part = stack if fitted.size == count else stack[fitted]
+        theta[fitted], rms[fitted], iterations[fitted], converged[fitted], collapsed = (
+            _levenberg_marquardt(part, theta[fitted], max_iterations))
+        for j in collapsed:
+            failures[int(fitted[j])] = CollapsedAxis("a semi-axis collapsed during iteration")
+    if failures:
+        first = min(failures)
+        if not single:
+            failures[first].section = first
+        raise failures[first]
+
+    fits = FitBatch(
+        _gauss_newton_result(*row) for row in zip(stack, theta, rms, iterations, converged))
+    return fits[0] if single else fits
+
+
+def _gn_start(pts: np.ndarray, init: EllipseParams | None) -> tuple:
+    """The starting (cx, cy, a, b, phi): ``init``'s, or the trace fit's."""
     if len(pts) < 5:
         raise TooFewPoints(f"need at least 5 points, got {len(pts)}")
     if init is None:
         init = _trace_solve(pts)[1]
+    return init.center[0], init.center[1], init.semi_major, init.semi_minor, init.orientation
 
-    theta = np.array(
-        [init.center[0], init.center[1], init.semi_major, init.semi_minor, init.orientation]
-    )
-    residual, jac, angles = _gn_residual_jacobian(pts, theta)
-    rms = _rms(residual)
-    mu = _DAMPING_FLOOR
-    converged = False
-    iterations = 0
 
-    for iterations in range(1, max_iterations + 1):
-        if jac is None:
-            jac = _gn_jacobian(theta, foot)
-        g = jac.T @ residual
-        h = jac.T @ jac
-        while mu < 1e18:
-            try:
-                delta = np.linalg.solve(h + mu * _EYE5, -g)
-            except np.linalg.LinAlgError:
-                mu *= 10.0
-                continue
-            trial = theta + delta
-            trial[2] = abs(trial[2])
-            trial[3] = abs(trial[3])
-            if min(trial[2], trial[3]) < _AXIS_FLOOR:
-                raise CollapsedAxis("a semi-axis collapsed during iteration")
-            trial_foot, trial_residual, trial_angles = _gn_residual(pts, trial, angles)
-            trial_rms = _rms(trial_residual)
-            if trial_rms - rms <= _RESIDUAL_TOL:
-                break
-            mu *= 10.0
-        else:
-            break  # damping exhausted without an acceptable step
-        if trial_rms > rms:
-            # A rise this small is rounding: more damping only shrinks the
-            # step towards zero, so the current iterate is the optimum.
-            converged = True
+def _as_section_stack(points) -> tuple[np.ndarray, bool]:
+    """``points`` as a validated (S, n, 2) stack, and whether it was one (n, 2) section."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 3:
+        return as_points(pts, 2)[None], True
+    if pts.shape[2] != 2:
+        raise ValueError(f"expected an (S, n, 2) stack of sections, got shape {pts.shape}")
+    # Validated as one (S * n, 2) array, but each section keeps its memory
+    # layout: the column sums of the trace init round by it.
+    as_points(pts.reshape(-1, 2), 2)
+    return pts, False
+
+
+def _levenberg_marquardt(pts: np.ndarray, theta: np.ndarray, max_iterations: int):
+    """Damped Gauss-Newton over a stack of sections in lockstep.
+
+    Each round solves, evaluates and tests one damped trial step for every
+    section still running, then forms the Jacobian and normal equations of
+    every section whose accepted step another step follows: one _gn_residual
+    call, one _gn_jacobian call and one stacked solve per round. Every
+    decision reads only its own section's values, so each section takes the
+    steps it takes alone. Returns theta, the geometric RMS, the iteration
+    count and the convergence flag per section, and the positions of the
+    sections whose semi-axis collapsed (which stop there).
+    """
+    count = len(pts)
+    theta = theta.copy()
+    foot, residual, angles = _gn_residual(pts, theta, None)
+    rms = _row_rms(residual)
+    grad, hess = _normal_equations(_gn_jacobian(theta, foot), residual)
+    del foot, residual  # each round's are freed before the next round's trial
+    mu = np.full(count, _DAMPING_FLOOR)
+    iterations = np.ones(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+    running = np.ones(count, dtype=bool)
+    collapsed = []
+
+    while True:
+        running &= mu < 1e18  # damping exhausted without an acceptable step
+        live = np.flatnonzero(running)
+        if not live.size:
             break
-        # sqrt(x.dot(x)) is the arithmetic of np.linalg.norm on a vector.
-        step_small = math.sqrt(delta.dot(delta)) <= _STEP_TOL * (
-            1.0 + math.sqrt(theta.dot(theta))
-        )
-        residual_small = (rms - trial_rms) <= _RESIDUAL_TOL
-        # The next iteration, if any, forms the Jacobian at the new iterate.
-        theta, foot, residual, jac, rms, angles = (
-            trial, trial_foot, trial_residual, None, trial_rms, trial_angles)
-        mu = max(_DAMPING_FLOOR, mu * 0.1)
-        if step_small or residual_small:
-            converged = True
-            break
+        delta, singular = _damped_steps(hess[live] + mu[live, None, None] * _EYE5, -grad[live])
+        if singular is not None:
+            mu[live[singular]] *= 10.0
+            live, delta = live[~singular], delta[~singular]
+        trial = theta[live] + delta
+        np.abs(trial[:, 2:4], out=trial[:, 2:4])
+        a, b = trial[:, 2], trial[:, 3]
+        # min(a, b) as Python's min picks it, NaN included.
+        small = np.where(b < a, b, a) < _AXIS_FLOOR
+        if small.any():
+            collapsed.extend(live[small].tolist())
+            running[live[small]] = False
+            live, delta, trial = live[~small], delta[~small], trial[~small]
+        if not live.size:
+            continue
 
+        # A slice while every section runs: a view, not a copy.
+        rows = live if len(live) < count else slice(None)
+        foot, residual, trial_angles = _gn_residual(pts[rows], trial, angles[rows])
+        trial_rms = _row_rms(residual)
+        old_rms = rms[live]
+        accepted = trial_rms - old_rms <= _RESIDUAL_TOL
+        mu[live[~accepted]] *= 10.0
+        # A rise this small is rounding: more damping only shrinks the step
+        # towards zero, so the current iterate is the optimum.
+        rose = accepted & (trial_rms > old_rms)
+        took = accepted & ~rose
+        before = theta[live]
+        step_small = _row_norms(delta) <= _STEP_TOL * (1.0 + _row_norms(before))
+        done = took & (step_small | (old_rms - trial_rms <= _RESIDUAL_TOL))
+        moved = live[took]
+        theta[moved] = trial[took]
+        angles[moved] = trial_angles[took]
+        rms[moved] = trial_rms[took]
+        mu[moved] = np.maximum(_DAMPING_FLOOR, mu[moved] * 0.1)
+        converged[live[rose | done]] = True
+        more = took & ~done & (iterations[live] < max_iterations)
+        running[live[accepted & ~more]] = False
+        if more.any():
+            # The Jacobian only at an iterate that another step starts from.
+            fresh = live[more]
+            iterations[fresh] += 1
+            grad[fresh], hess[fresh] = _normal_equations(
+                _gn_jacobian(trial[more], foot[more]), residual[more])
+        del foot, residual, trial_angles
+    return theta, rms, iterations, converged, collapsed
+
+
+def _normal_equations(jac: np.ndarray, residual: np.ndarray):
+    """J^T r and J^T J of each section of a stack."""
+    jac_t = jac.transpose(0, 2, 1)
+    return (jac_t @ residual[..., None])[..., 0], jac_t @ jac
+
+
+def _damped_steps(lhs: np.ndarray, rhs: np.ndarray):
+    """Solutions of a stack of 5x5 systems, and a mask of the singular ones
+    (None when there are none), whose rows are left unset.
+    """
+    try:
+        return np.linalg.solve(lhs, rhs[..., None])[..., 0], None
+    except np.linalg.LinAlgError:
+        pass
+    steps = np.empty_like(rhs)
+    singular = np.zeros(len(rhs), dtype=bool)
+    for j, (a, b) in enumerate(zip(lhs, rhs)):
+        try:
+            steps[j] = np.linalg.solve(a, b[:, None])[:, 0]
+        except np.linalg.LinAlgError:
+            singular[j] = True
+    return steps, singular
+
+
+def _gauss_newton_result(pts, theta, rms, iterations, converged) -> FitResult:
     params = EllipseParams.from_axes(theta[:2], *theta[2:])
     conic = params_to_conic(params)
     return FitResult(
         conic=conic,
         params=params,
         rms_algebraic_residual=_rms(conic._evaluate(pts)),
-        rms_geometric_residual=rms,
-        iterations=iterations,
-        converged=converged,
+        rms_geometric_residual=float(rms),
+        iterations=int(iterations),
+        converged=bool(converged),
     )
 
 
@@ -301,152 +451,194 @@ def _ellipse_foot_points(points, params: EllipseParams):
     return _foot_points(local, params.semi_major, params.semi_minor)
 
 
-def _to_local(pts: np.ndarray, center, orientation: float) -> np.ndarray:
-    """Rotate/translate points into the ellipse-aligned frame.
+def _to_local(pts: np.ndarray, center, orientation) -> np.ndarray:
+    """Rotate/translate points into the ellipse-aligned frame: one section
+    (n, 2) with a scalar orientation, or a stack (S, n, 2) with one centre
+    (S, 1, 2) and one orientation (S,) per section.
 
     Not EllipseParams: Gauss-Newton iterates may have a < b, which it rejects.
     """
-    ca, sa = math.cos(orientation), math.sin(orientation)
-    rot = np.array([[ca, sa], [-sa, ca]])
-    return (pts - center) @ rot.T
+    ca, sa = np.cos(orientation), np.sin(orientation)
+    rot = np.empty(np.shape(orientation) + (2, 2))
+    rot[..., 0, 0] = ca
+    rot[..., 0, 1] = sa
+    rot[..., 1, 0] = -sa
+    rot[..., 1, 1] = ca
+    return (pts - center) @ np.swapaxes(rot, -1, -2)
 
 
-def _foot_points(local: np.ndarray, a: float, b: float, start: np.ndarray | None = None):
+def _foot_points(local: np.ndarray, a, b, start: np.ndarray | None = None):
     """Vectorized foot points of ``local`` points on an axis-aligned ellipse.
 
-    Returns (foot points in the local frame, signed distances, foot-point
-    angles in [0, pi/2]). The foot-point condition in the first quadrant is
-    g(t) = (a^2 - b^2) sin t cos t - a P sin t + b Q cos t = 0
-    with g(0) = bQ >= 0 and g(pi/2) = -aP <= 0, so the root is bracketed;
-    Newton steps that leave the bracket fall back to bisection. Newton
-    starts from ``start`` (angles in [0, pi/2], such as an earlier solve's)
-    or by default from arctan2(aQ, bP). Points on a symmetry axis are
-    resolved in closed form whatever the start (the bracket endpoints can be
-    spurious roots there).
+    ``local`` is one section (n, 2) with scalar semi-axes ``a`` and ``b``,
+    or a stack (S, n, 2) with one ``a`` and ``b`` per section. Returns (foot
+    points in the local frame, signed distances, foot-point angles in
+    [0, pi/2]) shaped like the input. Newton starts from ``start`` (angles
+    in [0, pi/2], such as an earlier solve's) or by default from
+    arctan2(aQ, bP). Points on a symmetry axis are resolved in closed form
+    whatever the start (the bracket endpoints can be spurious roots there).
     """
-    sign = np.where(local >= 0.0, 1.0, -1.0)
+    if local.ndim == 3:
+        a = np.reshape(a, (-1, 1))
+        b = np.reshape(b, (-1, 1))
     pq = np.abs(local)
-    p, q = pq[:, 0], pq[:, 1]
+    p, q = pq[..., 0], pq[..., 1]
     t = np.arctan2(a * q, b * p) if start is None else np.array(start, dtype=float)
-    # -0.0 counts as zero, as the axis masks below do.
-    all_general = np.count_nonzero(local) == local.size
-
-    if all_general:
-        tg, ap, bq = t, a * p, b * q
-    else:
-        on_u_axis = q == 0.0
-        on_v_axis = p == 0.0
-        general = ~(on_u_axis | on_v_axis)
-        if np.any(on_u_axis):
-            # Interior root exists when the point is inside the evolute cusp.
-            pu = p[on_u_axis]
-            if a > b:
-                cusp = (a * a - b * b) / a
-                ct = np.where(pu < cusp, a * pu / (a * a - b * b), 1.0)
-                t[on_u_axis] = np.arccos(np.clip(ct, -1.0, 1.0))
-            else:
-                t[on_u_axis] = 0.0
-        if np.any(on_v_axis):
-            qv = q[on_v_axis]
-            if b > a:
-                cusp = (b * b - a * a) / b
-                st = np.where(qv < cusp, b * qv / (b * b - a * a), 1.0)
-                t[on_v_axis] = np.arcsin(np.clip(st, -1.0, 1.0))
-            else:
-                t[on_v_axis] = math.pi / 2.0
-        center = on_u_axis & on_v_axis
-        if np.any(center):
-            t[center] = 0.0 if a <= b else math.pi / 2.0
-        tg, ap, bq = t[general], a * p[general], b * q[general]
-
-    n = len(tg)
-    if n:
-        # a^2 - b^2 and 0.0 as arrays: an array operand is a cheaper
-        # dispatch than a Python float, and the values are the same.
-        zero = np.zeros(n)
-        diff = zero + (a * a - b * b)
-        lo = np.zeros(n)
-        hi = lo + math.pi / 2.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(90):
-                st, ct = np.sin(tg), np.cos(tg)
-                g = diff * st * ct - ap * st + bq * ct
-                np.copyto(lo, tg, where=g > zero)
-                np.copyto(hi, tg, where=g < zero)
-                dg = diff * (ct * ct - st * st) - ap * ct - bq * st
-                # Where g == 0 and dg != 0 this is tg - (+-0.0) == tg, the
-                # value the fallback's where() picks; 0/0 is NaN and fails
-                # the bracket test, which then runs the fallback.
-                newton = tg - g / dg
-                in_bracket = (newton >= lo) & (newton <= hi)
-                # count_nonzero is ndarray.all() without its reduction wrapper.
-                if np.count_nonzero(in_bracket) == n:
-                    t_next = newton
-                else:
-                    newton = np.where(g == 0.0, tg, newton)
-                    # NaN and +-inf fail both comparisons and so bisect.
-                    in_bracket = (newton >= lo) & (newton <= hi)
-                    t_next = np.where(in_bracket, newton, 0.5 * (lo + hi))
-                # One ulp at t ~ 1 is 2.2e-16, so a tighter bound never settles.
-                settled = np.abs(t_next - tg).max() < 1e-15
-                tg = t_next
-                if settled:
-                    break
-    if all_general:
-        t = tg
-    else:
-        t[general] = tg
+    # -0.0 counts as zero, as the axis masks do. Points on an axis keep their
+    # closed-form angle and take no part in the Newton rounds.
+    on_axis = None if np.count_nonzero(local) == local.size else _axis_angles(t, p, q, a, b)
+    ap, bq = a * p, b * q
+    del pq, p, q  # not needed in the Newton rounds
+    t = _newton_angles(t, ap, bq, a * a - b * b, on_axis)
 
     # sign is +-1, so applying it last changes no bit of the product.
     foot = np.empty_like(local)
-    foot[:, 0] = a * np.cos(t)
-    foot[:, 1] = b * np.sin(t)
-    foot *= sign
+    foot[..., 0] = a * np.cos(t)
+    foot[..., 1] = b * np.sin(t)
+    foot *= np.where(local >= 0.0, 1.0, -1.0)
     delta = local - foot
-    dist = np.hypot(delta[:, 0], delta[:, 1])
-    inside = (local[:, 0] / a) ** 2 + (local[:, 1] / b) ** 2 < 1.0
+    dist = np.hypot(delta[..., 0], delta[..., 1])
+    inside = (local[..., 0] / a) ** 2 + (local[..., 1] / b) ** 2 < 1.0
     return foot, np.where(inside, -dist, dist), t
 
 
-def _gn_residual_jacobian(pts: np.ndarray, theta: np.ndarray, start: np.ndarray | None = None):
-    """Signed distances, their Jacobian w.r.t. (cx, cy, a, b, phi) and the
-    foot-point angles, solved from ``start`` when given (see _foot_points).
+def _newton_angles(t: np.ndarray, ap: np.ndarray, bq: np.ndarray, diff, on_axis):
+    """Foot-point angles from the starting angles ``t``, which it may overwrite.
+
+    The foot-point condition in the first quadrant is
+    g(t) = (a^2 - b^2) sin t cos t - a P sin t + b Q cos t = 0
+    with g(0) = bQ >= 0 and g(pi/2) = -aP <= 0, so the root is bracketed;
+    Newton steps that leave the bracket fall back to bisection. ``diff`` is
+    a^2 - b^2, and points in the ``on_axis`` mask keep their angle. Each
+    section (row of a stack) stops once its own largest step is below
+    1e-15, so a section in a stack takes the steps it takes alone.
     """
-    foot, dist, angles = _gn_residual(pts, theta, start)
-    return dist, _gn_jacobian(theta, foot), angles
+    # a^2 - b^2 and 0.0 as arrays: an array operand is a cheaper dispatch
+    # than a Python float, and the values are the same.
+    zero = np.zeros(t.shape)
+    diff = zero + diff
+    lo = np.zeros(t.shape)
+    hi = lo + math.pi / 2.0
+    rows = None  # the sections still iterating, once some have settled
+    tg = t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(90):
+            t_next = _newton_step(tg, lo, hi, ap, bq, diff, zero, on_axis)
+            # One ulp at t ~ 1 is 2.2e-16, so a tighter bound never settles.
+            settled = np.abs(t_next - tg).max(axis=-1) < 1e-15
+            tg = t_next
+            if settled.ndim == 0:  # one section
+                if settled:
+                    break
+                continue
+            done = np.count_nonzero(settled)
+            if done == len(settled):
+                break
+            if done:
+                # Store the sections that settled and go on with the others.
+                if rows is None:
+                    rows = np.arange(len(t))
+                t[rows[settled]] = tg[settled]
+                keep = ~settled
+                rows, tg, lo, hi, diff, ap, bq = (
+                    x[keep] for x in (rows, tg, lo, hi, diff, ap, bq))
+                zero = zero[:len(rows)]
+                if on_axis is not None:
+                    on_axis = on_axis[keep]
+    if rows is None:
+        return tg
+    t[rows] = tg
+    return t
 
 
-def _gn_residual(pts: np.ndarray, theta: np.ndarray, start: np.ndarray | None = None):
-    """Foot points in the frame of ``theta`` = (cx, cy, a, b, phi), signed
-    distances and foot-point angles (see _foot_points).
+def _newton_step(t, lo, hi, ap, bq, diff, zero, on_axis) -> np.ndarray:
+    """One safeguarded Newton step from the angles ``t``; narrows the
+    bracket [``lo``, ``hi``] in place.
     """
-    a, b, phi = theta[2:].tolist()
-    return _foot_points(_to_local(pts, theta[:2], phi), a, b, start)
+    st, ct = np.sin(t), np.cos(t)
+    g = diff * st * ct - ap * st + bq * ct
+    np.copyto(lo, t, where=g > zero)
+    np.copyto(hi, t, where=g < zero)
+    dg = diff * (ct * ct - st * st) - ap * ct - bq * st
+    # Where g == 0 and dg != 0 this is t - (+-0.0) == t, the value the
+    # fallback's where() picks; 0/0 is NaN and fails the bracket test, which
+    # then runs the fallback. So the fallback leaves every in-bracket step as
+    # it is, and a section of a stack gets the same values whichever path
+    # the stack takes.
+    newton = t - g / dg
+    in_bracket = (newton >= lo) & (newton <= hi)
+    if on_axis is not None:
+        in_bracket |= on_axis
+    # count_nonzero is ndarray.all() without its reduction wrapper.
+    if np.count_nonzero(in_bracket) == in_bracket.size:
+        t_next = newton
+    else:
+        newton = np.where(g == 0.0, t, newton)
+        # NaN and +-inf fail both comparisons and so bisect.
+        in_bracket = (newton >= lo) & (newton <= hi)
+        t_next = np.where(in_bracket, newton, 0.5 * (lo + hi))
+    return t_next if on_axis is None else np.where(on_axis, t, t_next)
+
+
+def _axis_angles(t: np.ndarray, p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Write the closed-form foot-point angle of every point on a symmetry
+    axis into ``t``; ``a`` and ``b`` are scalars or one row per section.
+    Returns the mask of those points.
+    """
+    a = np.broadcast_to(a, t.shape)
+    b = np.broadcast_to(b, t.shape)
+    on_u_axis = q == 0.0
+    on_v_axis = p == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if np.any(on_u_axis):
+            # Interior root exists when the point is inside the evolute cusp.
+            pu, au, bu = p[on_u_axis], a[on_u_axis], b[on_u_axis]
+            cusp = (au * au - bu * bu) / au
+            ct = np.where(pu < cusp, au * pu / (au * au - bu * bu), 1.0)
+            t[on_u_axis] = np.where(au > bu, np.arccos(np.clip(ct, -1.0, 1.0)), 0.0)
+        if np.any(on_v_axis):
+            qv, av, bv = q[on_v_axis], a[on_v_axis], b[on_v_axis]
+            cusp = (bv * bv - av * av) / bv
+            st = np.where(qv < cusp, bv * qv / (bv * bv - av * av), 1.0)
+            t[on_v_axis] = np.where(bv > av, np.arcsin(np.clip(st, -1.0, 1.0)), math.pi / 2.0)
+    center = on_u_axis & on_v_axis
+    if np.any(center):
+        t[center] = np.where(a[center] <= b[center], 0.0, math.pi / 2.0)
+    return on_u_axis | on_v_axis
+
+
+def _gn_residual(pts: np.ndarray, theta: np.ndarray, start: np.ndarray | None):
+    """Foot points of a stack of sections in the frames of their ``theta``
+    rows = (cx, cy, a, b, phi), signed distances and foot-point angles (see
+    _foot_points).
+    """
+    local = _to_local(pts, theta[:, None, :2], theta[:, 4])
+    return _foot_points(local, theta[:, 2], theta[:, 3], start)
 
 
 def _gn_jacobian(theta: np.ndarray, foot: np.ndarray) -> np.ndarray:
-    """Jacobian of the signed distances w.r.t. (cx, cy, a, b, phi), from the
-    foot points ``_gn_residual`` returned for ``theta``.
+    """Jacobians (S, n, 5) of the signed distances w.r.t. (cx, cy, a, b, phi),
+    from the foot points ``_gn_residual`` returned for the ``theta`` rows.
 
     By the envelope theorem the foot-point angle's dependence on the
     parameters drops out, leaving d(dist)/d(param) = -n . dq/d(param) with
     n the outward unit normal at the foot point q.
     """
-    a, b, phi = theta[2:].tolist()
-    ct = foot[:, 0] / a
-    st = foot[:, 1] / b
+    a, b, phi = theta[:, 2:3], theta[:, 3:4], theta[:, 4:5]
+    ct = foot[..., 0] / a
+    st = foot[..., 1] / b
     nx = ct / a
     ny = st / b
     length = np.hypot(nx, ny)
-    nlx = nx / length
-    nly = ny / length
+    nlx = np.divide(nx, length, out=nx)
+    nly = np.divide(ny, length, out=ny)
 
-    ca, sa = math.cos(phi), math.sin(phi)
-    jac = np.empty((len(foot), 5))
+    ca, sa = np.cos(phi), np.sin(phi)
+    jac = np.empty(foot.shape[:-1] + (5,))
     # d q / d center is the identity, rotated back to the world frame.
-    jac[:, 0] = -(nlx * ca - nly * sa)
-    jac[:, 1] = -(nlx * sa + nly * ca)
-    jac[:, 2] = -nlx * ct
-    jac[:, 3] = -nly * st
-    jac[:, 4] = nlx * b * st - nly * a * ct
+    jac[..., 0] = -(nlx * ca - nly * sa)
+    jac[..., 1] = -(nlx * sa + nly * ca)
+    jac[..., 2] = -nlx * ct
+    jac[..., 3] = -nly * st
+    jac[..., 4] = nlx * b * st - nly * a * ct
     return jac

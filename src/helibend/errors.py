@@ -2,7 +2,13 @@
 
 
 class HelibendError(Exception):
-    """Base class for all analysis errors raised by this package."""
+    """Base class for all analysis errors raised by this package.
+
+    ``.section`` is the position of the failing section when a fit over
+    several sections raised the error, else None.
+    """
+
+    section: int | None = None
 
 
 class TooFewPoints(HelibendError):

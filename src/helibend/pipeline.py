@@ -1,10 +1,13 @@
 """Full evaluation pipeline: canonicalize, detect direction, observe
 torsion, rectify and summarize arc geometry.
 
-Sections are evaluated in one sequential pass: the per-section stages are
-chains of small numpy calls that a thread pool only serializes on the
-interpreter lock. ``evaluate_sections`` accepts ``workers`` for compatibility;
-it has no effect.
+Each stage takes all sections at once. Torsion observation fits the
+Gauss-Newton sections in blocks of equal point count, one stacked
+Levenberg-Marquardt fit per block, whose results equal fitting each section
+alone; canonicalization and the trace and Bookstein fits take one section
+per call. Everything runs on the calling thread: a thread pool would
+only serialize these chains of small numpy calls on the interpreter lock,
+so the ``workers`` argument of ``evaluate_sections`` has no effect.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import torsion as _torsion
-from .conicfit import DEFAULT_MAX_ITERATIONS, FitResult
+from .conicfit import DEFAULT_MAX_ITERATIONS, FitBatch
 from .geometry import TRACE, canonicalize_section
 from .helix import ArcGeometry, arc_parameters, segment_sections
 from .linefit import DEFAULT_WINDOW, detect_direction
@@ -37,11 +40,11 @@ class ArcReport:
 class EvaluationResult:
     arc: ArcReport
     # One ellipse fit per section; params.orientation is the raw torsion reading.
-    fits: tuple[FitResult, ...]
+    fits: FitBatch
 
     @property
     def all_converged(self) -> bool:
-        return all(f.converged for f in self.fits)
+        return self.fits.converged
 
 
 def evaluate_sections(
@@ -54,10 +57,7 @@ def evaluate_sections(
     """Run the evaluation stages over pre-segmented section point sets."""
     canonical = [canonicalize_section(points) for points in section_points]
     directions = detect_direction(canonical, window=window)
-    fits = tuple(
-        observe_torsion(section, direction.theta_x, fitter, gn_max_iterations)
-        for section, direction in zip(canonical, directions)
-    )
+    fits = observe_torsion(canonical, [d.theta_x for d in directions], fitter, gn_max_iterations)
     # looked up on the module at call time, so a wrapper installed on
     # helibend.torsion.rectify_torsion sees the call
     rectified = _torsion.rectify_torsion([f.params.orientation for f in fits])

@@ -13,24 +13,37 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from .conicfit import (
     DEFAULT_MAX_ITERATIONS,
+    FitBatch,
     FitResult,
     fit_bookstein,
     fit_gauss_newton,
     fit_trace,
 )
-from .errors import AmbiguousBranch, LengthMismatch
-from .geometry import BOOKSTEIN, TRACE, CanonicalSection, direction_rotation, fold_half_open
+from .errors import AmbiguousBranch, HelibendError, LengthMismatch
+from .geometry import (
+    BOOKSTEIN,
+    TRACE,
+    CanonicalSection,
+    EllipseParams,
+    direction_rotation,
+    fold_half_open,
+)
 
 GAUSS_NEWTON = "gauss-newton"
 FITTERS = (TRACE, BOOKSTEIN, GAUSS_NEWTON)
 
 _HALF_PI = math.pi / 2.0
 _TIE_TOL = 1e-12
+# Points per Gauss-Newton block: enough sections to share each round's numpy
+# call overhead, few enough that a block's arrays (about 200 bytes a point)
+# add little to the evaluation's peak memory, which they set.
+_GN_BLOCK_POINTS = 3072
 
 
 def fit_section_ellipse(
@@ -49,22 +62,92 @@ def fit_section_ellipse(
 
 
 def observe_torsion(
-    section: CanonicalSection,
-    theta_x: float,
+    sections: Sequence[CanonicalSection],
+    theta_x: Sequence[float],
     fitter: str = TRACE,
     gn_max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> FitResult:
-    """Torsion reading of one canonical section.
+) -> FitBatch:
+    """Torsion readings of canonical sections, one FitResult per section.
 
-    Removes the surface-direction tilt, projects the points onto the ZX
-    plane as (u, v) = (z, x) and fits an ellipse. The reading is the fit's
-    ``params.orientation``, the major-axis angle from the +Z axis; a
-    circle-degenerate fit reads 0.0 with ``params.orientation_defined``
-    cleared instead of an arbitrary orientation.
+    Removes each section's surface-direction tilt ``theta_x[i]``, projects
+    its points onto the ZX plane as (u, v) = (z, x) and fits an ellipse. The
+    reading is the fit's ``params.orientation``, the major-axis angle from
+    the +Z axis; a circle-degenerate fit reads 0.0 with
+    ``params.orientation_defined`` cleared instead of an arbitrary
+    orientation.
+
+    Trace and Bookstein fit one section per call; Gauss-Newton sections are
+    fitted in blocks by fit_gauss_newton_sections. Either way the error of
+    the earliest failing section is raised, as a loop over the sections
+    would.
     """
+    if len(sections) != len(theta_x):
+        raise LengthMismatch(f"{len(sections)} sections but {len(theta_x)} tilts")
+    if fitter == GAUSS_NEWTON:
+        return fit_gauss_newton_sections(
+            [len(s.points_canonical) for s in sections],
+            lambda i: _projected(sections[i], theta_x[i]),
+            max_iterations=gn_max_iterations,
+        )
+    return FitBatch(fit_section_ellipse(_projected(s, t), fitter)
+                    for s, t in zip(sections, theta_x))
+
+
+def _projected(section: CanonicalSection, theta_x: float) -> np.ndarray:
+    """The section's (z, x) coordinates with its tilt removed."""
     # Row vectors times the tilt R apply R^T, which removes the tilt.
     flat = section.points_canonical @ direction_rotation(theta_x)
-    return fit_section_ellipse(flat[:, [2, 0]], fitter, gn_max_iterations)
+    return flat[:, [2, 0]]
+
+
+def fit_gauss_newton_sections(
+    sizes: Sequence[int],
+    section_points: Callable[[int], np.ndarray],
+    inits: Sequence[EllipseParams | None] | None = None,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+) -> FitBatch:
+    """Gauss-Newton fits of sections with point counts ``sizes``, one
+    FitResult per section in order.
+
+    The sections are grouped into blocks of equal point count, each in
+    section order and holding at most ``_GN_BLOCK_POINTS`` points, and each
+    block is one stacked fit_gauss_newton call whose results equal the
+    sections' own fits. ``section_points(i)`` gives section i's (n, 2)
+    points when its block is fitted, so only one block's points are held at
+    a time; ``inits`` is None or one EllipseParams (or None) per section.
+    The error of the earliest failing section is raised, as a loop over the
+    sections would, with that section's index in ``.section``.
+    """
+    fits = [None] * len(sizes)
+    failure = None
+    for block in _gn_blocks(sizes):
+        stack = np.stack([section_points(i) for i in block])
+        block_inits = None if inits is None else [inits[i] for i in block]
+        try:
+            batch = fit_gauss_newton(stack, init=block_inits, max_iterations=max_iterations)
+        except HelibendError as exc:
+            exc.section = block[exc.section]
+            if failure is None or exc.section < failure.section:
+                failure = exc
+            continue
+        for i, fit in zip(block, batch):
+            fits[i] = fit
+    if failure is not None:
+        raise failure
+    return FitBatch(fits)
+
+
+def _gn_blocks(sizes: Sequence[int]):
+    """Positions of the sections, grouped by size into blocks in section
+    order of at most _GN_BLOCK_POINTS points (and at least one section).
+    """
+    by_size: dict[int, list[int]] = {}
+    for i, size in enumerate(sizes):
+        by_size.setdefault(size, []).append(i)
+    for size, positions in by_size.items():
+        per_block = max(1, _GN_BLOCK_POINTS // max(size, 1))
+        for start in range(0, len(positions), per_block):
+            yield positions[start:start + per_block]
 
 
 def _nearest_branch(raw: float, anchor: float):

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from helibend import torsion
 from helibend.cli import main
+from helibend.conicfit import fit_gauss_newton
 from helibend.errors import InputFormatError
 from helibend.report import EvaluationReport, read_cloud_csv, read_truth_csv
 
@@ -388,6 +390,19 @@ class TestCompareFits:
     def test_inverted_range_rejected(self, tmp_path):
         assert run("compare-fits", "--output-dir", tmp_path,
                    "--min-angle-deg", 50, "--max-angle-deg", -50) == 2
+
+    def test_gauss_newton_trials_fitted_in_bounded_blocks(self, tmp_path, monkeypatch):
+        stacks = []
+
+        def recorded(points, *args, **kwargs):
+            stacks.append(np.shape(points))
+            return fit_gauss_newton(points, *args, **kwargs)
+
+        monkeypatch.setattr(torsion, "fit_gauss_newton", recorded)
+        assert run("compare-fits", "--output-dir", tmp_path, "--trials", 181) == 0
+        assert len(stacks) > 1
+        assert sum(shape[0] for shape in stacks) == 181
+        assert all(shape[0] * shape[1] <= torsion._GN_BLOCK_POINTS for shape in stacks)
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -350,9 +350,37 @@ class TestGaussNewton:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(conicfit, "_gn_residual", counted)
-            fit = observe_torsion(canonical[3], theta_x, GAUSS_NEWTON)
+            fit, = observe_torsion([canonical[3]], [theta_x], GAUSS_NEWTON)
         assert (fit.iterations, fit.converged) == (3, True)
         assert len(calls) <= fit.iterations + 1
+
+    def test_stack_raises_the_earliest_failing_section(self):
+        # One section's semi-axis collapses during iteration and another has
+        # no trace init; a loop over the sections raises whichever is first.
+        x = np.linspace(-2, 2, 20)
+        flat = np.column_stack((x, np.zeros_like(x)))
+        flat_init = EllipseParams(np.zeros(2), 2.0, 0.5, 0.0)
+        line = np.column_stack((x, 0.5 * x + 1.0))
+        ring = EllipseParams(np.array([1.0, 2.0]), 5.0, 3.0, 0.3).boundary_points(20)
+        for stack, inits, error, message in (
+            ((ring, flat, line), (None, flat_init, None), CollapsedAxis, "collapsed"),
+            ((ring, line, flat), (None, None, flat_init), DegenerateConfiguration,
+             "do not determine a conic"),
+        ):
+            with pytest.raises(error, match=message) as caught:
+                fit_gauss_newton(np.stack(stack), init=inits, max_iterations=200)
+            assert caught.value.section == 1
+        with pytest.raises(CollapsedAxis) as caught:
+            fit_gauss_newton(flat, init=flat_init, max_iterations=200)
+        assert caught.value.section is None
+
+    def test_stack_input_validated(self):
+        stack = np.stack([EllipseParams(np.zeros(2), 5.0, 2.0, 0.3).boundary_points(20)] * 2)
+        stack[1, 4, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_gauss_newton(stack)
+        with pytest.raises(ValueError, match=r"\(S, n, 2\) stack"):
+            fit_gauss_newton(np.zeros((2, 20, 3)))
 
     def test_iteration_budget_below_one_rejected(self):
         pts = EllipseParams(np.zeros(2), 5.0, 2.0, 0.3).boundary_points(20)

@@ -183,3 +183,27 @@ def test_jacobian_only_for_steps_that_continue(case):
     assert len(jacobians) == fit.iterations
     # The initial iterate plus at least one trial per iteration.
     assert len(residuals) >= fit.iterations + 1
+
+
+# Equal-size sections that take different numbers of steps to converge.
+STACK = np.stack([SECTION_B] + [section(seed, 20, fraction, sigma)[1] for seed, fraction, sigma in (
+    (73, 1.0, 0.05), (74, 0.6, 0.1), (75, 0.3, 0.05), (76, 0.8, 0.3), (77, 0.5, 0.02))])
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"max_iterations": 2},
+    {"init": [moment_init(pts) for pts in STACK]},
+], ids=["default", "budget-2", "moment-init"])
+def test_stack_fits_each_section_as_alone(kwargs):
+    batch = fit_gauss_newton(STACK, **kwargs)
+    inits = kwargs.get("init", [None] * len(STACK))
+    alone = [fit_gauss_newton(pts, init=init, max_iterations=kwargs.get("max_iterations", 100))
+             for pts, init in zip(STACK, inits)]
+    assert [fit_row(f) for f in batch] == [fit_row(f) for f in alone]
+    assert [f.conic for f in batch] == [f.conic for f in alone]
+    assert batch.iterations == sum(f.iterations for f in alone)
+    assert batch.converged == all(f.converged for f in alone)
+    if not kwargs:
+        # The sections leave the lockstep at different rounds.
+        assert len({f.iterations for f in alone}) > 2

@@ -6,13 +6,24 @@ import pytest
 
 from helibend import (
     HelixSpec,
+    canonicalize_section,
+    detect_direction,
     evaluate_cloud,
     evaluate_sections,
     fold_half_open,
     generate,
+    observe_torsion,
     segment_sections,
+    torsion,
 )
-from helibend.errors import AmbiguousBranch, TooFewSections
+from helibend.errors import (
+    AmbiguousBranch,
+    DegenerateConfiguration,
+    HelibendError,
+    NotAnEllipse,
+    TooFewSections,
+)
+from helibend.geometry import rotation_z
 
 from helpers import random_helix_spec
 
@@ -133,3 +144,81 @@ class TestRampTracking:
             warnings.simplefilter("error", UserWarning)
             result = evaluate_cloud(part.points, labels=part.labels)
         assert np.max(np.abs(result.arc.theta_y_rectified - part.truth.theta_y)) < 5e-3
+
+
+def fit_row(fit):
+    p = fit.params
+    return ([float(v).hex() for v in (*p.center, p.semi_major, p.semi_minor, p.orientation,
+                                      fit.rms_algebraic_residual, fit.rms_geometric_residual)],
+            fit.iterations, fit.converged)
+
+
+def ragged_groups(sections, points_per_section, seed):
+    """Sections of a noisy labeled part, every 25th one point short and every
+    31st three points short."""
+    spec = HelixSpec(sections=sections, points_per_section=points_per_section,
+                     noise_sigma=0.02, rng_seed=seed)
+    part = generate(spec)
+    groups = segment_sections(part.points, labels=part.labels)
+    return [g[:len(g) - (i % 25 == 7) - 3 * (i % 31 == 11)] for i, g in enumerate(groups)]
+
+
+def in_canonical_frame(group, local):
+    """Points with canonical coordinates ``local`` (zero mean) placed at the
+    centroid and azimuth of ``group``."""
+    centroid = group.mean(axis=0)
+    return local @ rotation_z(math.atan2(centroid[1], centroid[0])).T + centroid
+
+
+def failing_section(kind, count):
+    """Zero-mean canonical coordinates whose (z, x) projection is a line or
+    both branches of a hyperbola."""
+    s = np.linspace(-1.5, 1.5, count if kind == "line" else count // 2)
+    if kind == "line":
+        return np.column_stack((0.0 * s, 0.0 * s, s))
+    branch = np.column_stack((2.0 * np.sinh(s), 0.0 * s, np.cosh(s)))
+    return np.vstack((branch, -branch))
+
+
+class TestGaussNewtonBlocks:
+    def test_ragged_part_fits_each_section_as_alone(self):
+        n = 20
+        groups = ragged_groups(torsion._GN_BLOCK_POINTS // n * 6 // 5, n, 21)
+        sizes = [len(g) for g in groups]
+        assert len(set(sizes)) >= 3
+        # More sections of the common size than one block holds.
+        assert sizes.count(n) > torsion._GN_BLOCK_POINTS // n
+        result = evaluate_sections(groups, fitter="gauss-newton")
+        canonical = [canonicalize_section(g) for g in groups]
+        alone = [observe_torsion([c], [d.theta_x], "gauss-newton")[0]
+                 for c, d in zip(canonical, detect_direction(canonical))]
+        assert [fit_row(f) for f in result.fits] == [fit_row(f) for f in alone]
+        assert [f.conic for f in result.fits] == [f.conic for f in alone]
+        assert result.fits.iterations == sum(f.iterations for f in alone)
+
+    @pytest.mark.parametrize("kinds, error", [
+        (("line", "hyperbola"), DegenerateConfiguration),
+        (("hyperbola", "line"), NotAnEllipse),
+    ])
+    def test_earliest_failing_section_raises(self, kinds, error):
+        # Collinear points have no trace init and a hyperbola's best-fit conic
+        # is not an ellipse. The later failing section has the part's common
+        # size, so its block is fitted before the earlier section's.
+        groups = ragged_groups(12, 20, 22)
+        first, later = 3, 8
+        groups[first] = in_canonical_frame(groups[first], failing_section(kinds[0], 16))
+        groups[later] = in_canonical_frame(groups[later], failing_section(kinds[1], 20))
+        # What a loop fitting one section at a time raises.
+        canonical = [canonicalize_section(g) for g in groups]
+        failures = []
+        for i, (c, d) in enumerate(zip(canonical, detect_direction(canonical))):
+            try:
+                observe_torsion([c], [d.theta_x], "gauss-newton")
+            except HelibendError as exc:
+                failures.append((i, exc))
+        assert [(i, type(exc)) for i, exc in failures][0] == (first, error)
+        assert [i for i, _ in failures] == [first, later]
+        with pytest.raises(error) as caught:
+            evaluate_sections(groups, fitter="gauss-newton")
+        assert str(caught.value) == str(failures[0][1])
+        assert caught.value.section == first

@@ -30,7 +30,7 @@ class TestObserveTorsion:
     def test_untwisted_section_reads_zero(self):
         canon, truth = canonical_sections(HelixSpec(sections=4, rng_seed=1))
         for sec in canon:
-            got = observe_torsion(sec, truth.theta_x[0])
+            got, = observe_torsion([sec], [truth.theta_x[0]])
             assert got.params.orientation == pytest.approx(0.0, abs=1e-10)
             assert got.params.orientation_defined
 
@@ -40,7 +40,7 @@ class TestObserveTorsion:
             HelixSpec(sections=4, twist_profile=lambda i: twist, rng_seed=2)
         )
         for sec in canon:
-            got = observe_torsion(sec, truth.theta_x[0])
+            got, = observe_torsion([sec], [truth.theta_x[0]])
             assert abs(got.params.orientation - twist) < 1e-8
 
     @pytest.mark.parametrize("fitter", ["trace", "bookstein", "gauss-newton"])
@@ -49,13 +49,13 @@ class TestObserveTorsion:
         canon, truth = canonical_sections(
             HelixSpec(sections=3, twist_profile=lambda i: twist, rng_seed=3)
         )
-        got = observe_torsion(canon[1], truth.theta_x[0], fitter=fitter)
+        got, = observe_torsion([canon[1]], [truth.theta_x[0]], fitter=fitter)
         assert abs(got.params.orientation - twist) < 1e-8
 
     def test_circular_section_flagged(self):
         spec = HelixSpec(semi_major=6.0, semi_minor=6.0, sections=3, rng_seed=4)
         canon, truth = canonical_sections(spec)
-        got = observe_torsion(canon[0], truth.theta_x[0])
+        got, = observe_torsion([canon[0]], [truth.theta_x[0]])
         assert not got.params.orientation_defined
         assert got.params.orientation == 0.0
 
@@ -192,7 +192,8 @@ class TestDefectLocalization:
         spec = HelixSpec(sections=30, twist_profile=twist, rng_seed=8)
         canon, truth = canonical_sections(spec)
         directions = detect_direction(canon)
-        raw = [observe_torsion(c, d.theta_x).params.orientation for c, d in zip(canon, directions)]
+        raw = [observe_torsion([c], [d.theta_x])[0].params.orientation
+               for c, d in zip(canon, directions)]
         expected = np.full(30, 0.05)
         dev = torsion_deviation(raw, expected)
         flagged = np.flatnonzero(np.abs(dev) > defect / 2)

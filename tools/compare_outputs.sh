@@ -15,7 +15,9 @@
 #
 # The set: criterion 8's part (synth --seed 42 --noise-sigma 0.05
 # --twist-sine-amp-deg 3) evaluated with each fitter, with gauss-newton at
-# --gn-max-iterations 2, and unlabeled with --sections 40; a 1000 x 400
+# --gn-max-iterations 2, with gauss-newton after every 7th data row of its
+# cloud is dropped (sections of unequal size, so several Gauss-Newton
+# blocks), and unlabeled with --sections 40; a 1000 x 400
 # labeled part with trace and gauss-newton; a --twist-constant-deg 45 part;
 # a --twist-constant-deg 90 part, whose major axes the ZY projection drops;
 # a noise-free planar part (--pitch 0 --helix-angle-deg 0, whose pitch
@@ -83,6 +85,9 @@ run_set() {
     done
     hb c8-gn2 evaluate --input "$out/c8/cloud.csv" --output-dir "$out/c8-gn2" \
         --fitter gauss-newton --gn-max-iterations 2
+    awk 'NR == 1 || (NR - 1) % 7 != 0' "$out/c8/cloud.csv" > "$work/ragged.csv"
+    hb c8-ragged-gn evaluate --input "$work/ragged.csv" --output-dir "$out/c8-ragged-gn" \
+        --fitter gauss-newton
     cut -d, -f1-3 "$out/c8/cloud.csv" > "$work/unlabeled.csv"
     hb c8-unlabeled evaluate --input "$work/unlabeled.csv" \
         --output-dir "$out/c8-unlabeled" --sections 40
