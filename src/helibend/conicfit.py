@@ -11,11 +11,13 @@ All three minimize a residual of the implicit conic F(x) = x^T A x + b^T x + c:
   the ellipse boundary over (center, semi-axes, orientation), with Levenberg
   damping so the geometric RMS never increases across accepted steps.
 
-The Gauss-Newton fit and the foot-point solve behind it take one section or
-a stack of equal-size sections. A stack is solved in lockstep, one set of
-array calls per round for all its sections, and every decision (step
-acceptance, damping, convergence, when a foot-point solve settles) is taken
-per section, so each section's result is bit for bit the one it gets alone.
+The trace and Gauss-Newton fits and the foot-point solve behind them take
+one section or a stack of equal-size sections. A stack is solved with one set
+of array calls for all its sections: one stacked least-squares solve, conic
+conversion and foot-point pass for the trace fit, and lockstep rounds for
+Gauss-Newton, in which every decision (step acceptance, damping,
+convergence, when a foot-point solve settles) is taken per section. Each
+section's result is bit for bit the one it gets alone.
 
 Input points are centered and scaled to unit RMS radius before the design
 matrices are formed, purely for conditioning. Both constraints depend only
@@ -33,10 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:
+    from numpy.linalg import _umath_linalg
+except ImportError:  # a numpy without the private gufunc module
+    _umath_linalg = None
+
 from .errors import (
     CollapsedAxis,
     DegenerateConfiguration,
-    HelibendError,
     NotAnEllipse,
     TooFewPoints,
 )
@@ -46,9 +52,12 @@ from .geometry import (
     Conic2D,
     EllipseParams,
     as_points,
-    conic_to_params,
-    normalize_conic,
-    params_to_conic,
+    conic_matrices,
+    conic_values,
+    conics_to_params,
+    drop_failed,
+    normalize_conics,
+    params_to_conics,
 )
 
 _RANK_TOL = 1e-10
@@ -93,12 +102,9 @@ def geometric_residuals(points, params: EllipseParams) -> np.ndarray:
     return _ellipse_foot_points(points, params)[1]
 
 
-def _rms(values: np.ndarray) -> float:
-    return math.sqrt(float(np.square(values).sum()) / values.size)
-
-
 def _row_rms(values: np.ndarray) -> np.ndarray:
-    """The RMS of each row, by the arithmetic of _rms."""
+    """The RMS of each row of a C-ordered (S, n) array; numpy sums each row
+    pairwise, as it sums the row alone."""
     return np.sqrt(np.square(values).sum(axis=1) / values.shape[1])
 
 
@@ -109,40 +115,124 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
-def _normalize_points(pts: np.ndarray):
-    # sum / n is the arithmetic of ndarray.mean without its wrapper.
-    n = len(pts)
-    mean = pts.sum(axis=0) / n
-    centered = pts - mean
-    scale = math.sqrt(float((centered * centered).sum(axis=1).sum()) / n)
-    if scale <= 0.0:
-        raise DegenerateConfiguration("all points coincide")
-    return centered / scale, mean, scale
+def _normalize_points(stack: np.ndarray):
+    """Each section of a stack centred on its mean and scaled to unit RMS
+    radius, with the means (S, 2) and the radii (S,). A section whose points
+    coincide has radius 0.0 and non-finite scaled points.
+    """
+    # sum / n is the arithmetic of ndarray.mean without its wrapper. Each
+    # section's column sums round by its own memory layout, which
+    # _as_section_stack keeps.
+    n = stack.shape[1]
+    mean = stack.sum(axis=1) / n
+    centered = stack - mean[:, None, :]
+    scale = np.sqrt((centered * centered).sum(axis=2).sum(axis=1) / n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return centered / scale[:, None, None], mean, scale
 
 
-def _pull_back(conic: Conic2D, mean: np.ndarray, scale: float) -> Conic2D:
-    """Rewrite a conic fitted in (x - mean)/scale coordinates in the originals."""
-    a = conic.matrix / scale**2
-    b = conic.linear / scale - 2.0 * (a @ mean)
-    c = conic.c - float(conic.linear @ mean) / scale + float(mean @ a @ mean)
-    return Conic2D(a[0, 0], a[0, 1], a[1, 1], b[0], b[1], c)
+def _pull_back(coef: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Rewrite conics (S, 6) fitted in (x - mean)/scale coordinates in the
+    originals."""
+    # Python's pow: numpy's square rounds some squares differently.
+    scale2 = np.array([s**2 for s in scale.tolist()])
+    a = conic_matrices(coef) / scale2[:, None, None]
+    linear = coef[:, 3:5]
+    b = linear / scale[:, None] - 2.0 * (a @ mean[:, :, None])[:, :, 0]
+    c = (coef[:, 5] - (linear[:, None, :] @ mean[:, :, None])[:, 0, 0] / scale
+         + (mean[:, None, :] @ a @ mean[:, :, None])[:, 0, 0])
+    return np.column_stack((a[:, 0, 0], a[:, 0, 1], a[:, 1, 1], b, c))
 
 
-def _as_ellipse(conic: Conic2D, constraint: str) -> tuple[Conic2D, EllipseParams]:
-    """The best-fit conic normalized to ``constraint``, and its ellipse."""
-    if conic.det_a <= 0.0:
-        raise NotAnEllipse("best-fit conic is not an ellipse", conic=conic)
-    conic = normalize_conic(conic, constraint)
-    return conic, conic_to_params(conic)
+def _ellipses(coef: np.ndarray, constraint: str):
+    """The best-fit conics (S, 6) normalized to ``constraint``, their
+    ellipses, and the NotAnEllipse of each conic that is not one, by
+    position (its row left unset and its ellipse None).
+    """
+    failures: dict = {}
+    rows = np.arange(len(coef))
+    det = coef[:, 0] * coef[:, 2] - coef[:, 1] * coef[:, 1]
+    rows, (kept,) = drop_failed(det <= 0.0, rows, (coef,), failures, lambda j: NotAnEllipse(
+        "best-fit conic is not an ellipse", conic=Conic2D(*coef[j].tolist())))
+    # det(A) > 0 puts a11 and a22 on one side of zero, so every kept conic
+    # can be normalized.
+    normalized, _ = normalize_conics(kept, constraint)
+    found, more = conics_to_params(normalized)
+    return _scatter(len(coef), rows, normalized, found, more, failures)
 
 
-def _linear_result(pts: np.ndarray, conic: Conic2D, params: EllipseParams) -> FitResult:
-    return FitResult(
-        conic=conic,
-        params=params,
-        rms_algebraic_residual=_rms(conic._evaluate(pts)),
-        rms_geometric_residual=_rms(geometric_residuals(pts, params)),
-    )
+def _scatter(count: int, rows: np.ndarray, coef: np.ndarray, params, more: dict, failures: dict):
+    """Conics (count, 6), ellipses and failures of ``count`` sections, from
+    those of the sections at positions ``rows``; ``failures`` already holds
+    the others'."""
+    failures.update((int(rows[j]), exc) for j, exc in more.items())
+    if len(rows) == count:
+        return coef, params, failures
+    out = np.empty((count, 6))
+    out[rows] = coef
+    full = [None] * count
+    for r, p in zip(rows.tolist(), params):
+        full[r] = p
+    return out, full, failures
+
+
+def _linear_fits(stack: np.ndarray, coef: np.ndarray, params) -> FitBatch:
+    """The FitResults of a stack's sections from their normalized conics (S,
+    6) and ellipses: one stacked algebraic RMS and one foot-point pass for
+    the geometric RMS."""
+    theta = np.array([(*p.center, p.semi_major, p.semi_minor, p.orientation)
+                      for p in params]).reshape(-1, 5)
+    return _fit_batch(stack, coef, params, _row_rms(_gn_residual(stack, theta, None)[1]))
+
+
+def _fit_batch(stack, coef, params, geometric, iterations=None, converged=None) -> FitBatch:
+    """The FitResults of a stack's sections from their conics (S, 6),
+    ellipses, geometric RMS and, for an iterative fit, iteration counts and
+    convergence flags; the algebraic RMS is computed here, for all at once.
+    """
+    count = len(stack)
+    algebraic = _row_rms(conic_values(coef, stack))
+    iterations = [0] * count if iterations is None else iterations.tolist()
+    converged = [True] * count if converged is None else converged.tolist()
+    return FitBatch(
+        FitResult(Conic2D(*c), p, alg, geo, it, conv)
+        for c, p, alg, geo, it, conv in zip(
+            coef.tolist(), params, algebraic.tolist(), geometric.tolist(), iterations, converged))
+
+
+def _raise_earliest(failures: dict, single: bool) -> None:
+    """Raise the error of the earliest failing section, if any, with its
+    position in ``.section`` when the fit was of a stack."""
+    if failures:
+        first = min(failures)
+        if not single:
+            failures[first].section = first
+        raise failures[first]
+
+
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _stacked_lstsq(design: np.ndarray, rhs: np.ndarray):
+    """np.linalg.lstsq(design[k], rhs[k], rcond=None) of each matrix of a
+    stack: the solutions (S, k, r) and the ranks (S,).
+
+    np.linalg.lstsq is a 2-D wrapper around numpy's stacked gufunc, which
+    runs one LAPACK gelsd per matrix. Called on the stack with the wrapper's
+    signature, rcond and error handling, it gives each matrix the wrapper's
+    bits (checked on numpy 2.4), and a gelsd failure still raises
+    LinAlgError. Without the gufunc, each matrix is solved by the wrapper.
+    """
+    rows, cols = design.shape[-2:]
+    if getattr(_umath_linalg, "lstsq", None) is None:
+        solved = [np.linalg.lstsq(a, b, rcond=None) for a, b in zip(design, rhs)]
+        return np.array([x for x, _, _, _ in solved]), np.array([r for _, _, r, _ in solved])
+    with np.errstate(call=_lstsq_failed, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        x, _, rank, _ = _umath_linalg.lstsq(
+            design, rhs, np.finfo(float).eps * max(rows, cols), signature="ddd->ddid")
+    return x, rank
 
 
 def fit_bookstein(points) -> FitResult:
@@ -152,13 +242,16 @@ def fit_bookstein(points) -> FitResult:
     so with the quadratic block written in the scaled basis
     (u^2, sqrt(2) u v, v^2) it becomes a unit-norm condition. Eliminating the
     linear coefficients via QR leaves a smallest-singular-vector problem on
-    the 3x3 trailing block.
+    the 3x3 trailing block. One section per call.
     """
     pts = as_points(points, 2)
     if len(pts) < 6:
         raise TooFewPoints(f"need at least 6 points, got {len(pts)}")
-    norm, mean, scale = _normalize_points(pts)
-    u, v = norm[:, 0], norm[:, 1]
+    stack = pts[None]
+    norm, mean, scale = _normalize_points(stack)
+    if scale[0] <= 0.0:
+        raise DegenerateConfiguration("all points coincide")
+    u, v = norm[0, :, 0], norm[0, :, 1]
     design = np.column_stack(
         (u, v, np.ones_like(u), u * u, math.sqrt(2.0) * u * v, v * v)
     )
@@ -170,39 +263,62 @@ def fit_bookstein(points) -> FitResult:
     _, _, vt = np.linalg.svd(r22)
     p = vt[-1]
     q = np.linalg.lstsq(r11, -r12 @ p, rcond=None)[0]
-    scaled = Conic2D(p[0], p[1] / math.sqrt(2.0), p[2], q[0], q[1], q[2])
-    return _linear_result(pts, *_as_ellipse(_pull_back(scaled, mean, scale), BOOKSTEIN))
+    scaled = np.array([[p[0], p[1] / math.sqrt(2.0), p[2], q[0], q[1], q[2]]])
+    coef, params, failures = _ellipses(_pull_back(scaled, mean, scale), BOOKSTEIN)
+    _raise_earliest(failures, True)
+    return _linear_fits(stack, coef, params)[0]
 
 
-def fit_trace(points) -> FitResult:
-    """Least-squares conic fit under Trace(A) = 1.
+def fit_trace(points) -> FitResult | FitBatch:
+    """Least-squares conic fit under Trace(A) = 1 of one section or of a
+    stack of equal-size sections.
 
     Substituting a11 = 1 - a22 turns the constrained problem into an
     ordinary linear system in (a22, a12, b1, b2, c).
+
+    ``points`` is one (n, 2) section, whose FitResult is returned, or a stack
+    (S, n, 2) of sections, whose fits are returned as a FitBatch in stack
+    order. Each section's fit is bit for bit the fit it gets alone, and a
+    stack raises the error of its earliest failing section, as fitting the
+    sections one by one would, with that section's position in
+    ``.section``.
     """
-    pts = as_points(points, 2)
-    return _linear_result(pts, *_trace_solve(pts))
+    stack, single = _as_section_stack(points)
+    coef, params, failures = _trace_conics(stack)
+    _raise_earliest(failures, single)
+    fits = _linear_fits(stack, coef, params)
+    return fits[0] if single else fits
 
 
-def _trace_solve(pts: np.ndarray) -> tuple[Conic2D, EllipseParams]:
-    """The trace-constrained conic and its ellipse, without the residuals."""
-    if len(pts) < 6:
-        raise TooFewPoints(f"need at least 6 points, got {len(pts)}")
-    norm, mean, scale = _normalize_points(pts)
-    u, v = norm[:, 0], norm[:, 1]
-    design = np.empty((len(u), 5))
-    design[:, 0] = v * v - u * u
-    design[:, 1] = 2.0 * u * v
-    design[:, 2] = u
-    design[:, 3] = v
-    design[:, 4] = 1.0
-    rhs = -u * u
-    sol, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
-    if rank < 5:
-        raise DegenerateConfiguration("points do not determine a conic")
-    a22, a12, b1, b2, c = sol
-    scaled = Conic2D(1.0 - a22, a12, a22, b1, b2, c)
-    return _as_ellipse(_pull_back(scaled, mean, scale), TRACE)
+def _trace_conics(stack: np.ndarray):
+    """The trace-constrained conics (S, 6) of a stack of sections and their
+    ellipses, without the residuals, and the error of each section that has
+    none, by position (its conic left unset and its ellipse None).
+    """
+    count, n = stack.shape[:2]
+    if n < 6:
+        return None, [None] * count, {
+            k: TooFewPoints(f"need at least 6 points, got {n}") for k in range(count)}
+    failures: dict = {}
+    norm, mean, scale = _normalize_points(stack)
+    rows, (norm, mean, scale) = drop_failed(
+        scale <= 0.0, np.arange(count), (norm, mean, scale), failures,
+        lambda j: DegenerateConfiguration("all points coincide"))
+    u, v = norm[..., 0], norm[..., 1]
+    design = np.empty(u.shape + (5,))
+    design[..., 0] = v * v - u * u
+    design[..., 1] = 2.0 * u * v
+    design[..., 2] = u
+    design[..., 3] = v
+    design[..., 4] = 1.0
+    sol, rank = _stacked_lstsq(design, (-u * u)[..., None])
+    rows, (sol, mean, scale) = drop_failed(
+        rank < 5, rows, (sol[..., 0], mean, scale), failures,
+        lambda j: DegenerateConfiguration("points do not determine a conic"))
+    a22, a12, b1, b2, c = sol.T
+    scaled = np.column_stack((1.0 - a22, a12, a22, b1, b2, c))
+    coef, params, more = _ellipses(_pull_back(scaled, mean, scale), TRACE)
+    return _scatter(count, rows, coef, params, more, failures)
 
 
 def moment_init(points) -> EllipseParams:
@@ -262,13 +378,22 @@ def fit_gauss_newton(
         inits = [None] * count if init is None else list(init)
         if len(inits) != count:
             raise ValueError(f"got {len(inits)} inits for {count} sections")
-    theta = np.empty((count, 5))
+    n = stack.shape[1]
+    cold = [start is None for start in inits]
     failures = {}
-    for k, (pts, start) in enumerate(zip(stack, inits)):
-        try:
-            theta[k] = _gn_start(pts, start)
-        except HelibendError as exc:
-            failures[k] = exc
+    if n < 5:
+        failures = {k: TooFewPoints(f"need at least 5 points, got {n}") for k in range(count)}
+    elif any(cold):
+        # The trace fit of the whole stack: a subset would be a copy, whose
+        # sections lose the memory layout that their sums round by.
+        _, trace_params, trace_failures = _trace_conics(stack)
+        failures = {k: exc for k, exc in trace_failures.items() if cold[k]}
+        inits = [p if c else start for p, c, start in zip(trace_params, cold, inits)]
+    theta = np.empty((count, 5))
+    for k, start in enumerate(inits):
+        if k not in failures:
+            theta[k] = (start.center[0], start.center[1], start.semi_major, start.semi_minor,
+                        start.orientation)
 
     rms = np.empty(count)
     iterations = np.empty(count, dtype=int)
@@ -280,24 +405,11 @@ def fit_gauss_newton(
             _levenberg_marquardt(part, theta[fitted], max_iterations))
         for j in collapsed:
             failures[int(fitted[j])] = CollapsedAxis("a semi-axis collapsed during iteration")
-    if failures:
-        first = min(failures)
-        if not single:
-            failures[first].section = first
-        raise failures[first]
+    _raise_earliest(failures, single)
 
-    fits = FitBatch(
-        _gauss_newton_result(*row) for row in zip(stack, theta, rms, iterations, converged))
+    params = [EllipseParams.from_axes(t[:2], *t[2:]) for t in theta]
+    fits = _fit_batch(stack, params_to_conics(params), params, rms, iterations, converged)
     return fits[0] if single else fits
-
-
-def _gn_start(pts: np.ndarray, init: EllipseParams | None) -> tuple:
-    """The starting (cx, cy, a, b, phi): ``init``'s, or the trace fit's."""
-    if len(pts) < 5:
-        raise TooFewPoints(f"need at least 5 points, got {len(pts)}")
-    if init is None:
-        init = _trace_solve(pts)[1]
-    return init.center[0], init.center[1], init.semi_major, init.semi_minor, init.orientation
 
 
 def _as_section_stack(points) -> tuple[np.ndarray, bool]:
@@ -308,8 +420,15 @@ def _as_section_stack(points) -> tuple[np.ndarray, bool]:
     if pts.shape[2] != 2:
         raise ValueError(f"expected an (S, n, 2) stack of sections, got shape {pts.shape}")
     # Validated as one (S * n, 2) array, but each section keeps its memory
-    # layout: the column sums of the trace init round by it.
+    # layout: the column sums of the trace fit round by it. np.asarray
+    # copies a sequence of sections in C order, and the stacked sums of a
+    # stack whose sections do not lie one after another (a transposed or
+    # broadcast array) take another order, so both are stacked again
+    # section by section, each keeping its own layout.
     as_points(pts.reshape(-1, 2), 2)
+    if not isinstance(points, np.ndarray) or (
+            len(pts) > 1 and abs(pts.strides[0]) < max(abs(pts.strides[1]), abs(pts.strides[2]))):
+        pts = np.stack([np.asarray(section, dtype=float) for section in points])
     return pts, False
 
 
@@ -412,19 +531,6 @@ def _damped_steps(lhs: np.ndarray, rhs: np.ndarray):
         except np.linalg.LinAlgError:
             singular[j] = True
     return steps, singular
-
-
-def _gauss_newton_result(pts, theta, rms, iterations, converged) -> FitResult:
-    params = EllipseParams.from_axes(theta[:2], *theta[2:])
-    conic = params_to_conic(params)
-    return FitResult(
-        conic=conic,
-        params=params,
-        rms_algebraic_residual=_rms(conic._evaluate(pts)),
-        rms_geometric_residual=float(rms),
-        iterations=int(iterations),
-        converged=bool(converged),
-    )
 
 
 def point_to_ellipse_distance(point, params: EllipseParams) -> float:

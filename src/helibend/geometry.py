@@ -101,43 +101,13 @@ class Conic2D:
     b2: float
     c: float
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a12, self.a22]])
-
-    @property
-    def linear(self) -> np.ndarray:
-        return np.array([self.b1, self.b2])
-
-    @property
-    def det_a(self) -> float:
-        return self.a11 * self.a22 - self.a12 * self.a12
-
     def evaluate(self, points) -> np.ndarray:
         """F(x) per point; zero on the conic."""
-        return self._evaluate(as_points(points, 2))
+        return conic_values(self._row(), as_points(points, 2)[None])[0]
 
-    def _evaluate(self, pts: np.ndarray) -> np.ndarray:
-        """``evaluate`` on an (N, 2) float array that as_points already returned."""
-        u, v = pts[:, 0], pts[:, 1]
-        return (
-            self.a11 * u * u
-            + 2.0 * self.a12 * u * v
-            + self.a22 * v * v
-            + self.b1 * u
-            + self.b2 * v
-            + self.c
-        )
-
-    def scaled(self, factor: float) -> "Conic2D":
-        return Conic2D(
-            self.a11 * factor,
-            self.a12 * factor,
-            self.a22 * factor,
-            self.b1 * factor,
-            self.b2 * factor,
-            self.c * factor,
-        )
+    def _row(self) -> np.ndarray:
+        """The coefficients as a (1, 6) stack of conics."""
+        return np.array([[self.a11, self.a12, self.a22, self.b1, self.b2, self.c]], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -203,67 +173,130 @@ class EllipseParams:
         )
 
 
+# The stacked conic functions take conics as (S, 6) rows (a11, a12, a22, b1,
+# b2, c) and run one set of array calls for all of them. Each row gets the
+# bits it gets in a stack of one, which is what the per-conic function
+# computes. A row that fails does not stop the others: its error is returned
+# in a dict keyed by row position, and its output is left unset.
+
+
+def conic_values(coef: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """F(x) of each row's conic at each point of its section: ``coef`` (S, 6)
+    and ``pts`` (S, n, 2) give (S, n)."""
+    a11, a12, a22, b1, b2, c = coef.T[:, :, None]
+    u, v = pts[..., 0], pts[..., 1]
+    return a11 * u * u + 2.0 * a12 * u * v + a22 * v * v + b1 * u + b2 * v + c
+
+
+def conic_matrices(coef: np.ndarray) -> np.ndarray:
+    """The quadratic parts A of conic rows as C-ordered (S, 2, 2) matrices.
+    A matmul with another layout can take another BLAS path, whose rounding
+    differs."""
+    return np.take(coef, [0, 1, 1, 2], axis=1).reshape(-1, 2, 2)
+
+
+def drop_failed(failed, rows, arrays, failures, error):
+    """``rows`` and the row-aligned ``arrays`` without the rows in the mask
+    ``failed``; each dropped row gets ``error(j)``, j its position in
+    ``arrays``, in ``failures`` under its entry in ``rows``.
+    """
+    if not failed.any():
+        return rows, arrays
+    for j in np.flatnonzero(failed).tolist():
+        failures[int(rows[j])] = error(j)
+    keep = ~failed
+    return rows[keep], tuple(x[keep] for x in arrays)
+
+
+def conics_to_params(coef: np.ndarray) -> tuple[list, dict]:
+    """conic_to_params of each row: the EllipseParams of each row (None
+    where it failed) and the NotAnEllipse of each failed row."""
+    params = [None] * len(coef)
+    failures: dict = {}
+    rows = np.arange(len(coef))
+    det = coef[:, 0] * coef[:, 2] - coef[:, 1] * coef[:, 1]
+    rows, (coef,) = drop_failed(det <= 0.0, rows, (coef,), failures, lambda j: NotAnEllipse(
+        "quadratic form is not definite", conic=Conic2D(*coef[j].tolist())))
+    # Flip sign so A is positive definite; the zero set is unchanged.
+    coef = np.where(coef[:, :1] + coef[:, 2:3] < 0.0, -coef, coef)
+    a = conic_matrices(coef)
+    center = np.linalg.solve(a, -0.5 * coef[:, 3:5, None])[..., 0]
+    k = conic_values(coef, center[:, None, :])[:, 0]
+    rows, (coef, a, center, k) = drop_failed(
+        k >= 0.0, rows, (coef, a, center, k), failures, lambda j: NotAnEllipse(
+            "imaginary ellipse (no real points)", conic=Conic2D(*coef[j].tolist())))
+    evals, evecs = np.linalg.eigh(a)
+    axes = np.sqrt(-k[:, None] / evals)
+    # eigh sorts eigenvalues ascending, so the first axis is the major one.
+    for r, ctr, (major, minor), (ex, ey) in zip(
+            rows.tolist(), center, axes.tolist(), evecs[:, :, 0].tolist()):
+        params[r] = EllipseParams.from_axes(ctr, major, minor, math.atan2(ey, ex))
+    return params, failures
+
+
 def conic_to_params(conic: Conic2D) -> EllipseParams:
     """Convert an implicit conic to geometric ellipse parameters.
 
     Raises NotAnEllipse when det(A) <= 0 or the conic has no real points.
     """
-    if conic.det_a <= 0.0:
-        raise NotAnEllipse("quadratic form is not definite", conic=conic)
-    a = conic.matrix
-    # Flip sign so A is positive definite; the zero set is unchanged.
-    if conic.a11 + conic.a22 < 0.0:
-        conic = conic.scaled(-1.0)
-        a = -a
-    center = np.linalg.solve(a, -0.5 * conic.linear)
-    # F at the centre, in the order of Conic2D.evaluate.
-    u, v = center.tolist()
-    k = float(
-        conic.a11 * u * u
-        + 2.0 * conic.a12 * u * v
-        + conic.a22 * v * v
-        + conic.b1 * u
-        + conic.b2 * v
-        + conic.c
-    )
-    if k >= 0.0:
-        raise NotAnEllipse("imaginary ellipse (no real points)", conic=conic)
-    evals, evecs = np.linalg.eigh(a)
-    axes = np.sqrt(-k / evals)
-    # eigh sorts eigenvalues ascending, so the first axis is the major one.
-    return EllipseParams.from_axes(
-        center, float(axes[0]), float(axes[1]), math.atan2(evecs[1, 0], evecs[0, 0])
-    )
+    (params,), failures = conics_to_params(conic._row())
+    if failures:
+        raise failures[0]
+    return params
+
+
+def params_to_conics(params) -> np.ndarray:
+    """params_to_conic of each ellipse of a sequence, as (S, 6) rows."""
+    # ** on each scalar is C's pow: numpy's square rounds some squares
+    # differently.
+    ca, sa, major2, minor2 = np.array([
+        (math.cos(p.orientation), math.sin(p.orientation), p.semi_major**2, p.semi_minor**2)
+        for p in params]).reshape(-1, 4).T
+    center = np.array([p.center for p in params]).reshape(-1, 2)
+    u = np.stack((ca, sa), axis=1)
+    w = np.stack((-sa, ca), axis=1)
+    a = (u[:, :, None] * u[:, None, :] / major2[:, None, None]
+         + w[:, :, None] * w[:, None, :] / minor2[:, None, None])
+    b = (-2.0 * a @ center[:, :, None])[:, :, 0]
+    c = (center[:, None, :] @ a @ center[:, :, None])[:, 0, 0] - 1.0
+    return np.column_stack((a[:, 0, 0], a[:, 0, 1], a[:, 1, 1], b, c))
 
 
 def params_to_conic(params: EllipseParams) -> Conic2D:
     """Inverse of conic_to_params: the natural conic, which reads -1 at the
     centre. ``normalize_conic`` rescales it to a constraint.
     """
-    ca, sa = math.cos(params.orientation), math.sin(params.orientation)
-    u = np.array([ca, sa])
-    w = np.array([-sa, ca])
-    a = np.outer(u, u) / params.semi_major**2 + np.outer(w, w) / params.semi_minor**2
-    b = -2.0 * a @ params.center
-    c = float(params.center @ a @ params.center) - 1.0
-    return Conic2D(a[0, 0], a[0, 1], a[1, 1], b[0], b[1], c)
+    return Conic2D(*params_to_conics([params])[0].tolist())
+
+
+def normalize_conics(coef: np.ndarray, constraint: str) -> tuple[np.ndarray, dict]:
+    """normalize_conic of each row: the rescaled rows and the NotAnEllipse of
+    each row that cannot be rescaled."""
+    tr = coef[:, 0] + coef[:, 2]
+    if constraint == TRACE:
+        sign, norm = 1.0, tr
+        failed, message = tr == 0.0, "trace-normalization impossible (Trace(A) = 0)"
+    elif constraint == BOOKSTEIN:
+        # lambda1^2 + lambda2^2 = Trace(A^2) = a11^2 + 2 a12^2 + a22^2
+        sign = np.where(tr >= 0.0, 1.0, -1.0)
+        norm = np.array([math.sqrt(a11**2 + 2.0 * a12**2 + a22**2)
+                         for a11, a12, a22 in coef[:, :3]])
+        failed, message = norm == 0.0, "quadratic part vanishes"
+    else:
+        raise ValueError(f"unknown constraint: {constraint!r}")
+    failures = {j: NotAnEllipse(message, conic=Conic2D(*coef[j].tolist()))
+                for j in np.flatnonzero(failed).tolist()}
+    # A failed row's factor is infinite, and its output is not used.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return coef * (sign / norm)[:, None], failures
 
 
 def normalize_conic(conic: Conic2D, constraint: str) -> Conic2D:
     """Rescale conic coefficients to satisfy the named constraint exactly."""
-    if constraint == TRACE:
-        tr = conic.a11 + conic.a22
-        if tr == 0.0:
-            raise NotAnEllipse("trace-normalization impossible (Trace(A) = 0)", conic=conic)
-        return conic.scaled(1.0 / tr)
-    if constraint == BOOKSTEIN:
-        # lambda1^2 + lambda2^2 = Trace(A^2) = a11^2 + 2 a12^2 + a22^2
-        norm = math.sqrt(conic.a11**2 + 2.0 * conic.a12**2 + conic.a22**2)
-        if norm == 0.0:
-            raise NotAnEllipse("quadratic part vanishes", conic=conic)
-        sign = 1.0 if conic.a11 + conic.a22 >= 0.0 else -1.0
-        return conic.scaled(sign / norm)
-    raise ValueError(f"unknown constraint: {constraint!r}")
+    coef, failures = normalize_conics(conic._row(), constraint)
+    if failures:
+        raise failures[0]
+    return Conic2D(*coef[0].tolist())
 
 
 @dataclass(frozen=True)

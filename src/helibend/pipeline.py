@@ -1,13 +1,13 @@
 """Full evaluation pipeline: canonicalize, detect direction, observe
 torsion, rectify and summarize arc geometry.
 
-Each stage takes all sections at once. Torsion observation fits the
-Gauss-Newton sections in blocks of equal point count, one stacked
-Levenberg-Marquardt fit per block, whose results equal fitting each section
-alone; canonicalization and the trace and Bookstein fits take one section
-per call. Everything runs on the calling thread: a thread pool would
-only serialize these chains of small numpy calls on the interpreter lock,
-so the ``workers`` argument of ``evaluate_sections`` has no effect.
+Each stage takes all sections at once. Torsion observation fits the trace
+and Gauss-Newton sections in blocks of equal point count, one stacked fit
+per block, whose results equal fitting each section alone; canonicalization
+and the Bookstein fit take one section per call. Everything runs on the
+calling thread: a thread pool would only serialize these chains of small
+numpy calls on the interpreter lock, so the ``workers`` argument of
+``evaluate_sections`` has no effect.
 """
 
 from __future__ import annotations

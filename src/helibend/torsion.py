@@ -7,6 +7,11 @@ branch of the true twist (ellipse orientation wraps, and fits near a
 circular section can swap major and minor axes), so series of adjacent
 sections pass through a discrete rectification filter that picks, per
 sample, the branch nearest the previous rectified value.
+
+Trace and Gauss-Newton sections are fitted in blocks of equal point count
+(fit_sections), one stacked fit_trace or fit_gauss_newton call per block,
+whose results equal fitting each section alone; Bookstein fits one section
+per call.
 """
 
 from __future__ import annotations
@@ -40,10 +45,10 @@ FITTERS = (TRACE, BOOKSTEIN, GAUSS_NEWTON)
 
 _HALF_PI = math.pi / 2.0
 _TIE_TOL = 1e-12
-# Points per Gauss-Newton block: enough sections to share each round's numpy
-# call overhead, few enough that a block's arrays (about 200 bytes a point)
-# add little to the evaluation's peak memory, which they set.
-_GN_BLOCK_POINTS = 3072
+# Points per block of a trace or Gauss-Newton fit: enough sections to share
+# each numpy call's overhead, few enough that a block's arrays (about 200
+# bytes a point) add little to the evaluation's peak memory, which they set.
+_BLOCK_POINTS = 3072
 
 
 def fit_section_ellipse(
@@ -76,21 +81,20 @@ def observe_torsion(
     ``params.orientation_defined`` cleared instead of an arbitrary
     orientation.
 
-    Trace and Bookstein fit one section per call; Gauss-Newton sections are
-    fitted in blocks by fit_gauss_newton_sections. Either way the error of
-    the earliest failing section is raised, as a loop over the sections
-    would.
+    Trace and Gauss-Newton sections are fitted in blocks by fit_sections;
+    Bookstein fits one section per call. Either way the error of the
+    earliest failing section is raised, as a loop over the sections would.
     """
     if len(sections) != len(theta_x):
         raise LengthMismatch(f"{len(sections)} sections but {len(theta_x)} tilts")
-    if fitter == GAUSS_NEWTON:
-        return fit_gauss_newton_sections(
-            [len(s.points_canonical) for s in sections],
-            lambda i: _projected(sections[i], theta_x[i]),
-            max_iterations=gn_max_iterations,
-        )
-    return FitBatch(fit_section_ellipse(_projected(s, t), fitter)
-                    for s, t in zip(sections, theta_x))
+    if fitter == BOOKSTEIN:
+        return FitBatch(fit_bookstein(_projected(s, t)) for s, t in zip(sections, theta_x))
+    return fit_sections(
+        fitter,
+        [len(s.points_canonical) for s in sections],
+        lambda i: _projected(sections[i], theta_x[i]),
+        max_iterations=gn_max_iterations,
+    )
 
 
 def _projected(section: CanonicalSection, theta_x: float) -> np.ndarray:
@@ -100,31 +104,40 @@ def _projected(section: CanonicalSection, theta_x: float) -> np.ndarray:
     return flat[:, [2, 0]]
 
 
-def fit_gauss_newton_sections(
+def fit_sections(
+    fitter: str,
     sizes: Sequence[int],
     section_points: Callable[[int], np.ndarray],
     inits: Sequence[EllipseParams | None] | None = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> FitBatch:
-    """Gauss-Newton fits of sections with point counts ``sizes``, one
-    FitResult per section in order.
+    """Trace or Gauss-Newton fits of sections with point counts ``sizes``,
+    one FitResult per section in order.
 
     The sections are grouped into blocks of equal point count, each in
-    section order and holding at most ``_GN_BLOCK_POINTS`` points, and each
-    block is one stacked fit_gauss_newton call whose results equal the
-    sections' own fits. ``section_points(i)`` gives section i's (n, 2)
-    points when its block is fitted, so only one block's points are held at
-    a time; ``inits`` is None or one EllipseParams (or None) per section.
-    The error of the earliest failing section is raised, as a loop over the
-    sections would, with that section's index in ``.section``.
+    section order and holding at most ``_BLOCK_POINTS`` points, and each
+    block is one stacked fit_trace or fit_gauss_newton call whose results
+    equal the sections' own fits. ``section_points(i)`` gives section i's
+    (n, 2) points when its block is fitted, so only one block's points are
+    held at a time. ``inits`` (Gauss-Newton only) is None or one
+    EllipseParams (or None) per section. The error of the earliest failing
+    section is raised, as a loop over the sections would, with that
+    section's index in ``.section``.
     """
+    if fitter not in (TRACE, GAUSS_NEWTON):
+        raise ValueError(f"unknown fitter {fitter!r}; fit_sections takes {TRACE!r} or "
+                         f"{GAUSS_NEWTON!r}")
     fits = [None] * len(sizes)
     failure = None
-    for block in _gn_blocks(sizes):
+    for block in _blocks(sizes):
+        # np.stack keeps each section's memory layout, by which its sums round.
         stack = np.stack([section_points(i) for i in block])
-        block_inits = None if inits is None else [inits[i] for i in block]
         try:
-            batch = fit_gauss_newton(stack, init=block_inits, max_iterations=max_iterations)
+            if fitter == TRACE:
+                batch = fit_trace(stack)
+            else:
+                block_inits = None if inits is None else [inits[i] for i in block]
+                batch = fit_gauss_newton(stack, init=block_inits, max_iterations=max_iterations)
         except HelibendError as exc:
             exc.section = block[exc.section]
             if failure is None or exc.section < failure.section:
@@ -137,15 +150,15 @@ def fit_gauss_newton_sections(
     return FitBatch(fits)
 
 
-def _gn_blocks(sizes: Sequence[int]):
+def _blocks(sizes: Sequence[int]):
     """Positions of the sections, grouped by size into blocks in section
-    order of at most _GN_BLOCK_POINTS points (and at least one section).
+    order of at most _BLOCK_POINTS points (and at least one section).
     """
     by_size: dict[int, list[int]] = {}
     for i, size in enumerate(sizes):
         by_size.setdefault(size, []).append(i)
     for size, positions in by_size.items():
-        per_block = max(1, _GN_BLOCK_POINTS // max(size, 1))
+        per_block = max(1, _BLOCK_POINTS // max(size, 1))
         for start in range(0, len(positions), per_block):
             yield positions[start:start + per_block]
 

@@ -6,7 +6,6 @@ import pytest
 
 from helibend import torsion
 from helibend.cli import main
-from helibend.conicfit import fit_gauss_newton
 from helibend.errors import InputFormatError
 from helibend.report import EvaluationReport, read_cloud_csv, read_truth_csv
 
@@ -392,17 +391,24 @@ class TestCompareFits:
                    "--min-angle-deg", 50, "--max-angle-deg", -50) == 2
 
     def test_gauss_newton_trials_fitted_in_bounded_blocks(self, tmp_path, monkeypatch):
-        stacks = []
+        # The trace trials too.
+        stacks = {"fit_trace": [], "fit_gauss_newton": []}
 
-        def recorded(points, *args, **kwargs):
-            stacks.append(np.shape(points))
-            return fit_gauss_newton(points, *args, **kwargs)
+        def recorder(name):
+            fit = getattr(torsion, name)
 
-        monkeypatch.setattr(torsion, "fit_gauss_newton", recorded)
+            def recorded(points, *args, **kwargs):
+                stacks[name].append(np.shape(points))
+                return fit(points, *args, **kwargs)
+            return recorded
+
+        for name in stacks:
+            monkeypatch.setattr(torsion, name, recorder(name))
         assert run("compare-fits", "--output-dir", tmp_path, "--trials", 181) == 0
-        assert len(stacks) > 1
-        assert sum(shape[0] for shape in stacks) == 181
-        assert all(shape[0] * shape[1] <= torsion._GN_BLOCK_POINTS for shape in stacks)
+        for shapes in stacks.values():
+            assert len(shapes) > 1
+            assert sum(shape[0] for shape in shapes) == 181
+            assert all(shape[0] * shape[1] <= torsion._BLOCK_POINTS for shape in shapes)
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -7,6 +7,7 @@ from helibend import (
     BOOKSTEIN,
     TRACE,
     EllipseParams,
+    FitBatch,
     fit_bookstein,
     fit_gauss_newton,
     fit_trace,
@@ -21,6 +22,7 @@ from helibend.conicfit import _foot_points, ellipse_foot_point
 from helibend.errors import (
     CollapsedAxis,
     DegenerateConfiguration,
+    HelibendError,
     NotAnEllipse,
     TooFewPoints,
 )
@@ -34,6 +36,45 @@ from helpers import arc_points, random_ellipse
 
 def angle_error(got, true):
     return abs(fold_half_open(got - true))
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def fit_bits(fit):
+    p = fit.params
+    return (hexes([*p.center, p.semi_major, p.semi_minor, p.orientation,
+                   fit.rms_algebraic_residual, fit.rms_geometric_residual]),
+            fit.conic, fit.iterations, fit.converged)
+
+
+def noisy_arcs(count, n, seed):
+    """Noisy arcs of random ellipses, one (n, 2) C-ordered array each."""
+    rng = np.random.default_rng(seed)
+    return [arc_points(random_ellipse(rng), n, rng.uniform(0.3, 1.0), rng.uniform(0, 2 * math.pi))
+            + rng.normal(0.0, 0.05, (n, 2)) for _ in range(count)]
+
+
+def trace_error(pts):
+    """The error fit_trace raises on one section, or None."""
+    try:
+        fit_trace(pts)
+    except HelibendError as exc:
+        return exc
+    return None
+
+
+def failing_section(kind, n):
+    """n points that a trace fit rejects: on a line, on both branches of a
+    hyperbola, or all at one point."""
+    s = np.linspace(-1.2, 1.2, n // 2 if kind == "hyperbola" else n)
+    if kind == "line":
+        return np.column_stack((s, 0.5 * s + 1.0))
+    if kind == "point":
+        return np.full((n, 2), 3.0)
+    branch = np.column_stack((np.cosh(s), 2.0 * np.sinh(s)))
+    return np.vstack((branch, -branch))
 
 
 class TestTraceFit:
@@ -547,3 +588,129 @@ class TestStabilityOrdering:
             err_trace.append(rectify_against(ft.params.orientation, true) - true)
             err_gn.append(rectify_against(fg.params.orientation, true) - true)
         assert np.std(err_trace) < np.std(err_gn)
+
+
+class TestStackedLstsq:
+    """_stacked_lstsq against np.linalg.lstsq on each matrix, as the trace
+    fit called it per section: solution bits and rank."""
+
+    @pytest.mark.parametrize("shape", [(1, 6, 5), (9, 20, 5), (3, 400, 5), (4, 7, 3)])
+    def test_matches_lstsq_per_matrix(self, shape):
+        rng = np.random.default_rng(shape[1])
+        design = rng.normal(size=shape)
+        rhs = rng.normal(size=shape[:2] + (1,))
+        x, rank = conicfit._stacked_lstsq(design, rhs)
+        for k in range(shape[0]):
+            ref, _, ref_rank, _ = np.linalg.lstsq(design[k], rhs[k, :, 0], rcond=None)
+            assert hexes(x[k, :, 0]) == hexes(ref)
+            assert rank[k] == ref_rank
+
+    def test_rank_deficient_matrix(self):
+        rng = np.random.default_rng(8)
+        design = rng.normal(size=(3, 12, 5))
+        design[1, :, 4] = 2.0 * design[1, :, 0]
+        rhs = rng.normal(size=(3, 12, 1))
+        x, rank = conicfit._stacked_lstsq(design, rhs)
+        assert rank.tolist() == [5, 4, 5]
+        ref, _, _, _ = np.linalg.lstsq(design[1], rhs[1, :, 0], rcond=None)
+        assert hexes(x[1, :, 0]) == hexes(ref)
+
+    def test_without_the_gufunc_each_matrix_is_solved_alone(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        design = rng.normal(size=(5, 30, 5))
+        design[2, :, 3] = design[2, :, 1]
+        rhs = rng.normal(size=(5, 30, 1))
+        x, rank = conicfit._stacked_lstsq(design, rhs)
+        monkeypatch.setattr(conicfit, "_umath_linalg", None)
+        x_alone, rank_alone = conicfit._stacked_lstsq(design, rhs)
+        assert hexes(x_alone) == hexes(x)
+        assert rank_alone.tolist() == rank.tolist() == [5, 5, 4, 5, 5]
+
+    def test_failure_raises_lin_alg_error(self, capfd):
+        design = np.ones((2, 8, 5))
+        design[1, 3, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            np.linalg.lstsq(design[1], np.ones(8), rcond=None)
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            conicfit._stacked_lstsq(design, np.ones((2, 8, 1)))
+        capfd.readouterr()  # LAPACK reports the NaN on the process's stdout
+
+
+class TestPullBack:
+    def test_matches_the_per_conic_arithmetic(self):
+        # The arithmetic _pull_back replaces, written out as the reference.
+        rng = np.random.default_rng(35)
+        coef = rng.normal(size=(2000, 6))
+        mean = rng.uniform(-100.0, 100.0, (2000, 2))
+        scale = rng.uniform(0.5, 60.0, 2000)
+        # A square by pow and by multiplication differ on some of these.
+        assert any(s**2 != s * s for s in scale.tolist())
+        got = conicfit._pull_back(coef, mean, scale)
+        for row, (a11, a12, a22, b1, b2, c), m, s in zip(got, coef, mean, scale.tolist()):
+            a = np.array([[a11, a12], [a12, a22]]) / s**2
+            linear = np.array([b1, b2])
+            b = linear / s - 2.0 * (a @ m)
+            c = c - float(linear @ m) / s + float(m @ a @ m)
+            assert hexes(row) == hexes([a[0, 0], a[0, 1], a[1, 1], b[0], b[1], c])
+
+
+class TestTraceStacks:
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_stack_fits_each_section_as_alone(self, layout):
+        sections = noisy_arcs(9, 24, 31)
+        if layout == "F":
+            sections = [np.asfortranarray(pts) for pts in sections]
+        batch = fit_trace(np.stack(sections))
+        assert isinstance(batch, FitBatch)
+        assert [fit_bits(f) for f in batch] == [fit_bits(fit_trace(pts)) for pts in sections]
+        assert (batch.iterations, batch.converged) == (0, True)
+
+    @pytest.mark.parametrize("fit", [fit_trace, fit_gauss_newton])
+    def test_sequence_of_sections_fits_each_as_alone(self, fit):
+        sections = [np.asfortranarray(pts) for pts in noisy_arcs(9, 24, 31)]
+        assert [fit_bits(f) for f in fit(sections)] == [fit_bits(fit(pts)) for pts in sections]
+
+    def test_each_section_keeps_its_memory_layout(self):
+        # The column sums of an F-ordered section round differently from a
+        # C-ordered copy's; a stack whose sections interleave in memory is
+        # fitted as its sections are alone.
+        sections = noisy_arcs(9, 24, 31)
+        by_c = fit_trace(np.stack(sections))
+        by_f = fit_trace(np.stack([np.asfortranarray(pts) for pts in sections]))
+        assert [fit_bits(f) for f in by_c] != [fit_bits(f) for f in by_f]
+        interleaved = np.asfortranarray(np.stack(sections))
+        assert [fit_bits(f) for f in fit_trace(interleaved)] == [
+            fit_bits(fit_trace(pts)) for pts in interleaved]
+
+    @pytest.mark.parametrize("kinds", [
+        ("line", "hyperbola"), ("hyperbola", "line"), ("point", "hyperbola")])
+    def test_stack_raises_the_earliest_failing_section(self, kinds):
+        sections = noisy_arcs(6, 20, 32)
+        sections[1] = failing_section(kinds[0], 20)
+        sections[4] = failing_section(kinds[1], 20)
+        alone = [trace_error(pts) for pts in sections]
+        assert [k for k, exc in enumerate(alone) if exc is not None] == [1, 4]
+        with pytest.raises(HelibendError) as caught:
+            fit_trace(np.stack(sections))
+        assert type(caught.value) is type(alone[1])
+        assert str(caught.value) == str(alone[1])
+        assert caught.value.section == 1
+        if isinstance(alone[1], NotAnEllipse):
+            assert caught.value.conic == alone[1].conic
+
+    def test_too_few_points_in_a_stack(self):
+        sections = noisy_arcs(3, 5, 33)
+        with pytest.raises(TooFewPoints) as alone:
+            fit_trace(sections[0])
+        with pytest.raises(TooFewPoints) as caught:
+            fit_trace(np.stack(sections))
+        assert str(caught.value) == str(alone.value) == "need at least 6 points, got 5"
+        assert (caught.value.section, alone.value.section) == (0, None)
+
+    def test_stack_input_validated(self):
+        stack = np.stack(noisy_arcs(2, 20, 34))
+        stack[1, 4, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_trace(stack)
+        with pytest.raises(ValueError, match=r"\(S, n, 2\) stack"):
+            fit_trace(np.zeros((2, 20, 3)))

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -16,7 +18,14 @@ from helibend import (
     params_to_conic,
 )
 from helibend.errors import DegenerateSection, NotAnEllipse, TooFewPoints
-from helibend.geometry import normalize_conic, rotation_z
+from helibend.geometry import (
+    EllipseParams,
+    conics_to_params,
+    normalize_conic,
+    normalize_conics,
+    params_to_conics,
+    rotation_z,
+)
 
 from helpers import random_ellipse, random_helix_spec
 
@@ -227,3 +236,75 @@ class TestConicConversion:
     def test_imaginary_ellipse_rejected(self):
         with pytest.raises(NotAnEllipse):
             conic_to_params(Conic2D(0.5, 0.0, 0.5, 0.0, 0.0, 0.5))
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestStackedConversions:
+    """The stacked conversions against the per-conic arithmetic they
+    replace, written out here as the reference."""
+
+    @staticmethod
+    def ellipses(count, seed):
+        rng = np.random.default_rng(seed)
+        return [EllipseParams.from_axes(rng.uniform(-100, 100, 2), *rng.uniform(0.5, 60, 2),
+                                        rng.uniform(-1.5, 1.5)) for _ in range(count)]
+
+    def test_params_to_conics_matches_the_outer_products(self):
+        params = self.ellipses(2000, 40)
+        # A square by pow and by multiplication differ on some of these.
+        assert any(p.semi_major**2 != p.semi_major * p.semi_major for p in params)
+        got = params_to_conics(params)
+        for row, p in zip(got, params):
+            ca, sa = math.cos(p.orientation), math.sin(p.orientation)
+            u, w = np.array([ca, sa]), np.array([-sa, ca])
+            a = np.outer(u, u) / p.semi_major**2 + np.outer(w, w) / p.semi_minor**2
+            b = -2.0 * a @ p.center
+            c = float(p.center @ a @ p.center) - 1.0
+            assert hexes(row) == hexes([a[0, 0], a[0, 1], a[1, 1], b[0], b[1], c])
+
+    def test_conics_to_params_matches_one_at_a_time(self):
+        params = self.ellipses(300, 41)
+        coef = params_to_conics(params)
+        coef[::3] *= -1.0  # the sign flip
+        coef[7, 5] += 2.0  # F(centre) = +1: no real points
+        coef[11, 1] = 10.0  # not definite
+        got, failures = conics_to_params(coef)
+        assert sorted(failures) == [7, 11]
+        for k, row in enumerate(coef):
+            if k in failures:
+                assert got[k] is None
+                with pytest.raises(NotAnEllipse) as caught:
+                    conic_to_params(Conic2D(*row.tolist()))
+                assert str(failures[k]) == str(caught.value)
+                assert failures[k].conic == caught.value.conic
+                continue
+            a11, a12, a22, b1, b2, c = (-row if row[0] + row[2] < 0.0 else row).tolist()
+            a = np.array([[a11, a12], [a12, a22]])
+            center = np.linalg.solve(a, -0.5 * np.array([b1, b2]))
+            u, v = center.tolist()
+            k_value = a11 * u * u + 2.0 * a12 * u * v + a22 * v * v + b1 * u + b2 * v + c
+            evals, evecs = np.linalg.eigh(a)
+            axes = np.sqrt(-k_value / evals)
+            expected = EllipseParams.from_axes(center, float(axes[0]), float(axes[1]),
+                                               math.atan2(evecs[1, 0], evecs[0, 0]))
+            p = got[k]
+            assert hexes([*p.center, p.semi_major, p.semi_minor, p.orientation]) == hexes(
+                [*expected.center, expected.semi_major, expected.semi_minor,
+                 expected.orientation])
+
+    @pytest.mark.parametrize("constraint, message", [
+        (TRACE, "trace-normalization impossible"), (BOOKSTEIN, "quadratic part vanishes")])
+    def test_normalize_failure_spares_the_other_rows_and_warns_nothing(self, constraint, message):
+        flat = Conic2D(0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+        ring = params_to_conic(EllipseParams(np.array([1.0, 2.0]), 3.0, 2.0, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotAnEllipse, match=message) as caught:
+                normalize_conic(flat, constraint)
+            rows, failures = normalize_conics(np.array([astuple(flat), astuple(ring)]), constraint)
+        assert caught.value.conic == flat
+        assert list(failures) == [0] and str(failures[0]) == str(caught.value)
+        assert Conic2D(*rows[1].tolist()) == normalize_conic(ring, constraint)

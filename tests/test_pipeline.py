@@ -10,6 +10,7 @@ from helibend import (
     detect_direction,
     evaluate_cloud,
     evaluate_sections,
+    fit_trace,
     fold_half_open,
     generate,
     observe_torsion,
@@ -180,45 +181,83 @@ def failing_section(kind, count):
     return np.vstack((branch, -branch))
 
 
+# Collinear points have no trace fit (nor trace init) and a hyperbola's
+# best-fit conic is not an ellipse.
+EARLIEST_FAILURES = [
+    (("line", "hyperbola"), DegenerateConfiguration),
+    (("hyperbola", "line"), NotAnEllipse),
+]
+
+
+def assert_earliest_failing_section_raises(fitter, kinds, error):
+    # The later failing section has the part's common size, so its block is
+    # fitted before the earlier section's.
+    groups = ragged_groups(12, 20, 22)
+    first, later = 3, 8
+    groups[first] = in_canonical_frame(groups[first], failing_section(kinds[0], 16))
+    groups[later] = in_canonical_frame(groups[later], failing_section(kinds[1], 20))
+    # What a loop fitting one section at a time raises.
+    canonical = [canonicalize_section(g) for g in groups]
+    failures = []
+    for i, (c, d) in enumerate(zip(canonical, detect_direction(canonical))):
+        try:
+            observe_torsion([c], [d.theta_x], fitter)
+        except HelibendError as exc:
+            failures.append((i, exc))
+    assert [(i, type(exc)) for i, exc in failures][0] == (first, error)
+    assert [i for i, _ in failures] == [first, later]
+    with pytest.raises(error) as caught:
+        evaluate_sections(groups, fitter=fitter)
+    assert str(caught.value) == str(failures[0][1])
+    assert caught.value.section == first
+    if error is NotAnEllipse:
+        assert caught.value.conic == failures[0][1].conic
+
+
+def assert_ragged_part_fits_each_section_as_alone(fitter):
+    n = 20
+    groups = ragged_groups(torsion._BLOCK_POINTS // n * 6 // 5, n, 21)
+    sizes = [len(g) for g in groups]
+    assert len(set(sizes)) >= 3
+    # More sections of the common size than one block holds.
+    assert sizes.count(n) > torsion._BLOCK_POINTS // n
+    result = evaluate_sections(groups, fitter=fitter)
+    canonical = [canonicalize_section(g) for g in groups]
+    alone = [observe_torsion([c], [d.theta_x], fitter)[0]
+             for c, d in zip(canonical, detect_direction(canonical))]
+    assert [fit_row(f) for f in result.fits] == [fit_row(f) for f in alone]
+    assert [f.conic for f in result.fits] == [f.conic for f in alone]
+    assert result.fits.iterations == sum(f.iterations for f in alone)
+
+
+class TestTraceBlocks:
+    def test_ragged_part_fits_each_section_as_alone(self):
+        assert_ragged_part_fits_each_section_as_alone("trace")
+
+    @pytest.mark.parametrize("kinds, error", EARLIEST_FAILURES)
+    def test_earliest_failing_section_raises(self, kinds, error):
+        assert_earliest_failing_section_raises("trace", kinds, error)
+
+    def test_blocks_hold_at_most_the_block_limit(self, monkeypatch):
+        stacks = []
+
+        def recorded(points):
+            stacks.append(np.shape(points))
+            return fit_trace(points)
+
+        monkeypatch.setattr(torsion, "fit_trace", recorded)
+        groups = ragged_groups(300, 20, 23)
+        evaluate_sections(groups, fitter="trace")
+        assert sum(shape[0] for shape in stacks) == 300
+        assert all(shape[0] * shape[1] <= torsion._BLOCK_POINTS for shape in stacks)
+        # One block per size but the common one, whose sections fill two.
+        assert len(stacks) == len({len(g) for g in groups}) + 1
+
+
 class TestGaussNewtonBlocks:
     def test_ragged_part_fits_each_section_as_alone(self):
-        n = 20
-        groups = ragged_groups(torsion._GN_BLOCK_POINTS // n * 6 // 5, n, 21)
-        sizes = [len(g) for g in groups]
-        assert len(set(sizes)) >= 3
-        # More sections of the common size than one block holds.
-        assert sizes.count(n) > torsion._GN_BLOCK_POINTS // n
-        result = evaluate_sections(groups, fitter="gauss-newton")
-        canonical = [canonicalize_section(g) for g in groups]
-        alone = [observe_torsion([c], [d.theta_x], "gauss-newton")[0]
-                 for c, d in zip(canonical, detect_direction(canonical))]
-        assert [fit_row(f) for f in result.fits] == [fit_row(f) for f in alone]
-        assert [f.conic for f in result.fits] == [f.conic for f in alone]
-        assert result.fits.iterations == sum(f.iterations for f in alone)
+        assert_ragged_part_fits_each_section_as_alone("gauss-newton")
 
-    @pytest.mark.parametrize("kinds, error", [
-        (("line", "hyperbola"), DegenerateConfiguration),
-        (("hyperbola", "line"), NotAnEllipse),
-    ])
+    @pytest.mark.parametrize("kinds, error", EARLIEST_FAILURES)
     def test_earliest_failing_section_raises(self, kinds, error):
-        # Collinear points have no trace init and a hyperbola's best-fit conic
-        # is not an ellipse. The later failing section has the part's common
-        # size, so its block is fitted before the earlier section's.
-        groups = ragged_groups(12, 20, 22)
-        first, later = 3, 8
-        groups[first] = in_canonical_frame(groups[first], failing_section(kinds[0], 16))
-        groups[later] = in_canonical_frame(groups[later], failing_section(kinds[1], 20))
-        # What a loop fitting one section at a time raises.
-        canonical = [canonicalize_section(g) for g in groups]
-        failures = []
-        for i, (c, d) in enumerate(zip(canonical, detect_direction(canonical))):
-            try:
-                observe_torsion([c], [d.theta_x], "gauss-newton")
-            except HelibendError as exc:
-                failures.append((i, exc))
-        assert [(i, type(exc)) for i, exc in failures][0] == (first, error)
-        assert [i for i, _ in failures] == [first, later]
-        with pytest.raises(error) as caught:
-            evaluate_sections(groups, fitter="gauss-newton")
-        assert str(caught.value) == str(failures[0][1])
-        assert caught.value.section == first
+        assert_earliest_failing_section_raises("gauss-newton", kinds, error)

@@ -16,8 +16,15 @@ from helibend import (
     segment_sections,
     torsion_deviation,
 )
-from helibend.errors import AmbiguousBranch, LengthMismatch
-from helibend.torsion import fit_section_ellipse
+from helibend.conicfit import fit_gauss_newton, fit_trace
+from helibend.errors import (
+    AmbiguousBranch,
+    DegenerateConfiguration,
+    HelibendError,
+    LengthMismatch,
+    TooFewPoints,
+)
+from helibend.torsion import fit_section_ellipse, fit_sections
 
 
 def canonical_sections(spec):
@@ -65,6 +72,45 @@ class TestFitSectionEllipse:
         pts = EllipseParams(np.zeros(2), 2.0, 1.0, 0.3).boundary_points(12)
         with pytest.raises(ValueError, match="unknown fitter 'taubin'"):
             fit_section_ellipse(pts, "taubin")
+
+
+class TestFitSections:
+    @staticmethod
+    def sections(short, collinear):
+        """Noisy 20-point rings, but section ``short`` has 5 points and
+        section ``collinear`` lies on a line."""
+        rng = np.random.default_rng(12)
+        ring = EllipseParams(np.array([3.0, -1.0]), 6.0, 4.0, 0.4)
+        sections = [ring.boundary_points(20) + rng.normal(0, 0.05, (20, 2)) for _ in range(9)]
+        sections[collinear] = np.column_stack((np.linspace(0, 5, 20), np.linspace(1, 2, 20)))
+        sections[short] = sections[short][:5]
+        return sections
+
+    @pytest.mark.parametrize("fitter, fit", [("trace", fit_trace),
+                                             ("gauss-newton", fit_gauss_newton)])
+    @pytest.mark.parametrize("short, collinear", [(2, 5), (5, 2)])
+    def test_raises_the_earliest_failing_section(self, fitter, fit, short, collinear):
+        # The 20-point block is fitted first, the short section's block second.
+        sections = self.sections(short, collinear)
+        failures = []
+        for i, pts in enumerate(sections):
+            try:
+                fit(pts)
+            except HelibendError as exc:
+                failures.append((i, exc))
+        assert [(i, type(exc)) for i, exc in failures] == sorted(
+            [(short, TooFewPoints), (collinear, DegenerateConfiguration)])
+        first, expected = failures[0]
+        with pytest.raises(type(expected)) as caught:
+            fit_sections(fitter, [len(p) for p in sections], sections.__getitem__)
+        assert str(caught.value) == str(expected)
+        assert caught.value.section == first
+
+    @pytest.mark.parametrize("fitter", ["bookstein", "taubin"])
+    def test_rejects_other_fitters(self, fitter):
+        pts = EllipseParams(np.zeros(2), 2.0, 1.0, 0.3).boundary_points(12)
+        with pytest.raises(ValueError, match=f"unknown fitter '{fitter}'"):
+            fit_sections(fitter, [12], lambda i: pts)
 
 
 class TestRectifyTorsion:

@@ -15,9 +15,9 @@
 #
 # The set: criterion 8's part (synth --seed 42 --noise-sigma 0.05
 # --twist-sine-amp-deg 3) evaluated with each fitter, with gauss-newton at
-# --gn-max-iterations 2, with gauss-newton after every 7th data row of its
-# cloud is dropped (sections of unequal size, so several Gauss-Newton
-# blocks), and unlabeled with --sections 40; a 1000 x 400
+# --gn-max-iterations 2, with trace and with gauss-newton after every 7th
+# data row of its cloud is dropped (34 sections of 41 points and 6 of 42, so
+# blocks of two sizes), and unlabeled with --sections 40; a 1000 x 400
 # labeled part with trace and gauss-newton; a --twist-constant-deg 45 part;
 # a --twist-constant-deg 90 part, whose major axes the ZY projection drops;
 # a noise-free planar part (--pitch 0 --helix-angle-deg 0, whose pitch
@@ -86,6 +86,8 @@ run_set() {
     hb c8-gn2 evaluate --input "$out/c8/cloud.csv" --output-dir "$out/c8-gn2" \
         --fitter gauss-newton --gn-max-iterations 2
     awk 'NR == 1 || (NR - 1) % 7 != 0' "$out/c8/cloud.csv" > "$work/ragged.csv"
+    hb c8-ragged-trace evaluate --input "$work/ragged.csv" --output-dir "$out/c8-ragged-trace" \
+        --fitter trace
     hb c8-ragged-gn evaluate --input "$work/ragged.csv" --output-dir "$out/c8-ragged-gn" \
         --fitter gauss-newton
     cut -d, -f1-3 "$out/c8/cloud.csv" > "$work/unlabeled.csv"
