@@ -54,7 +54,6 @@ from .torsion import (
     observe_torsion,
     rectify_against,
     rectify_torsion,
-    torsion_deviation,
 )
 
 __all__ = [
@@ -99,5 +98,4 @@ __all__ = [
     "rectify_torsion",
     "segment_sections",
     "surface_direction_angle",
-    "torsion_deviation",
 ]

@@ -100,7 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="expected section count (required when the input has no section column)",
     )
     ev.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW,
-                    help="adjacent sections pooled per direction fit")
+                    help="adjacent sections pooled per direction fit, centred on the "
+                         "section; an even value pools one more")
     ev.add_argument("--workers", type=_positive_int, default=None,
                     help="accepted for interface uniformity; sections run sequentially")
     ev.add_argument("--format", choices=("csv", "report", "both"), default="both")
@@ -254,7 +255,7 @@ def _cmd_compare_fits(args) -> int:
             # sweep compares the methods, so it starts from plain moment estimates.
             inits = [moment_init(pts) for pts in trial_points] if fitter == GAUSS_NEWTON else None
             fits = fit_sections(fitter, [len(pts) for pts in trial_points],
-                                trial_points.__getitem__, inits)
+                                lambda block: np.stack([trial_points[i] for i in block]), inits)
         detected_list = []
         for trial, (true, fit) in enumerate(zip(true_angles, fits)):
             raw = fit.params.orientation

@@ -58,6 +58,7 @@ from .geometry import (
     drop_failed,
     normalize_conics,
     params_to_conics,
+    section_stack,
 )
 
 _RANK_TOL = 1e-10
@@ -414,22 +415,10 @@ def fit_gauss_newton(
 
 def _as_section_stack(points) -> tuple[np.ndarray, bool]:
     """``points`` as a validated (S, n, 2) stack, and whether it was one (n, 2) section."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 3:
-        return as_points(pts, 2)[None], True
-    if pts.shape[2] != 2:
-        raise ValueError(f"expected an (S, n, 2) stack of sections, got shape {pts.shape}")
-    # Validated as one (S * n, 2) array, but each section keeps its memory
-    # layout: the column sums of the trace fit round by it. np.asarray
-    # copies a sequence of sections in C order, and the stacked sums of a
-    # stack whose sections do not lie one after another (a transposed or
-    # broadcast array) take another order, so both are stacked again
-    # section by section, each keeping its own layout.
-    as_points(pts.reshape(-1, 2), 2)
-    if not isinstance(points, np.ndarray) or (
-            len(pts) > 1 and abs(pts.strides[0]) < max(abs(pts.strides[1]), abs(pts.strides[2]))):
-        pts = np.stack([np.asarray(section, dtype=float) for section in points])
-    return pts, False
+    stack, single = section_stack(points, 2)
+    if not single:
+        as_points(stack.reshape(-1, 2), 2)
+    return stack, single
 
 
 def _levenberg_marquardt(pts: np.ndarray, theta: np.ndarray, max_iterations: int):

@@ -316,25 +316,76 @@ class CanonicalSection:
     centroid_radius: float
 
 
-def canonicalize_section(points) -> CanonicalSection:
-    """Move one measured cross-section to the evaluation pose.
+def section_stack(points, dim: int) -> tuple[np.ndarray, bool]:
+    """``points`` as an (S, n, dim) stack, and whether it was one (n, dim)
+    section, which is validated as ``as_points`` does; the coordinates of a
+    stack are not checked here.
+
+    Each section of a stack keeps its memory layout, by which its sums round.
+    np.asarray copies a sequence of sections in C order, and the stacked sums
+    of a stack whose sections do not lie one after another (a transposed or
+    broadcast array) take another order, so both are stacked again section
+    by section, each keeping its own layout.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 3:
+        return as_points(pts, dim)[None], True
+    if pts.shape[2] != dim:
+        raise ValueError(f"expected an (S, n, {dim}) stack of sections, got shape {pts.shape}")
+    if not isinstance(points, np.ndarray) or (
+            len(pts) > 1 and abs(pts.strides[0]) < max(abs(pts.strides[1]), abs(pts.strides[2]))):
+        pts = np.stack([np.asarray(section, dtype=float) for section in points])
+    return pts, False
+
+
+def canonicalize_section(points) -> CanonicalSection | list[CanonicalSection]:
+    """Move one measured cross-section, or a stack of them, to the
+    evaluation pose.
 
     Rotates about the product axis by minus the centroid azimuth, then
-    translates the centroid to the origin.
+    translates the centroid to the origin. ``points`` is one (n, 3) section,
+    whose CanonicalSection is returned, or a stack (S, n, 3) of equal-size
+    sections (an array or a sequence), whose CanonicalSections are returned
+    in a list in stack order. Each is bit for bit the section's own, and a
+    stack raises the error of its earliest failing section, as canonicalizing
+    the sections one by one would, with that section's position in
+    ``.section``. The canonical points of a stack are views of one array.
     """
-    pts = as_points(points, 3)
-    if len(pts) < 6:
-        raise TooFewPoints(f"need at least 6 points per section, got {len(pts)}")
-    ctr = pts.mean(axis=0)
-    radius = math.hypot(ctr[0], ctr[1])
-    scale = max(1.0, float(np.abs(pts).max()))
-    if radius < 1e-12 * scale:
-        raise DegenerateSection("section centroid lies on the product axis")
-    phi = math.atan2(ctr[1], ctr[0])
-    rot = rotation_z(-phi)
-    return CanonicalSection(
-        points_canonical=pts @ rot.T + (-rot @ ctr),
-        centroid=ctr,
-        azimuth_phi=phi,
-        centroid_radius=radius,
-    )
+    stack, single = section_stack(points, 3)
+    count, n = stack.shape[:2]
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    failures: dict = {}
+    poses = []
+    if n < 6:
+        # Every section of the stack is too small; section 0 fails first.
+        failures = {k: TooFewPoints(f"need at least 6 points per section, got {n}")
+                    for k in range(count)}
+    else:
+        # A non-finite section's mean can warn; that section fails below.
+        with np.errstate(invalid="ignore", over="ignore"):
+            centroids = stack.mean(axis=1)
+        scales = np.abs(stack).max(axis=(1, 2)).tolist()
+        for k, ((x, y, _), scale) in enumerate(zip(centroids.tolist(), scales)):
+            radius = math.hypot(x, y)
+            if finite[k] and radius < 1e-12 * max(1.0, scale):
+                failures[k] = DegenerateSection("section centroid lies on the product axis")
+            poses.append((math.atan2(y, x), radius))
+    for k in np.flatnonzero(~finite).tolist():
+        failures[k] = ValueError("points contain non-finite coordinates")
+    if failures:
+        first = min(failures)
+        if not single:
+            failures[first].section = first
+        raise failures[first]
+    if not poses:
+        return []
+    rot = np.stack([rotation_z(-phi) for phi, _ in poses])
+    # A matmul per section, so each gets the BLAS call it gets alone.
+    canonical = stack @ rot.transpose(0, 2, 1)
+    canonical += (-rot @ centroids[:, :, None])[:, None, :, 0]
+    sections = [
+        CanonicalSection(points_canonical=pts, centroid=ctr, azimuth_phi=phi,
+                         centroid_radius=radius)
+        for pts, ctr, (phi, radius) in zip(canonical, centroids, poses)
+    ]
+    return sections[0] if single else sections

@@ -14,9 +14,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IsotropicScatter, TooFewPoints
 from .geometry import CanonicalSection, as_points, fold_half_open
+from .torsion import _blocks
 
 _ISOTROPY_TOL = 1e-12
 
@@ -71,15 +73,18 @@ class DirectionResult:
     rms_orthogonal_residual: float
 
 
-def _line_from_scatter(mean, scatter) -> tuple[Line2D, float]:
-    """TLS line through ``mean`` from a centered 2x2 scatter matrix, and the
-    scatter's smallest eigenvalue (the summed squared orthogonal distances)."""
-    evals, evecs = np.linalg.eigh(scatter)
-    if evals[1] - evals[0] <= _ISOTROPY_TOL * evals[1]:
-        raise IsotropicScatter("principal variances are equal; direction undefined")
-    a, b = evecs[:, 0]
-    c = -(a * mean[0] + b * mean[1])
-    return Line2D.normalized(a, b, c), float(evals[0])
+def _lines(means: np.ndarray, scatters: np.ndarray):
+    """TLS line through each mean (S, 2) from its centered 2x2 scatter
+    (S, 2, 2), and the scatter's smallest eigenvalue (the summed squared
+    orthogonal distances), one line at a time: an isotropic scatter raises
+    when its line is reached. One stacked eigh serves all of them.
+    """
+    evals, evecs = np.linalg.eigh(scatters)
+    for (mu, mv), (low, high), (a, b) in zip(
+            means.tolist(), evals.tolist(), evecs[:, :, 0].tolist()):
+        if high - low <= _ISOTROPY_TOL * high:
+            raise IsotropicScatter("principal variances are equal; direction undefined")
+        yield Line2D.normalized(a, b, -(a * mu + b * mv)), low
 
 
 def fit_tls_line(points) -> Line2D:
@@ -94,7 +99,7 @@ def fit_tls_line(points) -> Line2D:
         raise TooFewPoints("need at least 2 distinct points")
     mean = pts.mean(axis=0)
     centered = pts - mean
-    return _line_from_scatter(mean, centered.T @ centered)[0]
+    return next(_lines(mean[None], (centered.T @ centered)[None]))[0]
 
 
 def surface_direction_angle(line: Line2D) -> float:
@@ -132,38 +137,54 @@ def detect_direction(
 ) -> list[DirectionResult]:
     """Per-section surface direction from a sliding window of sections.
 
-    For each section one TLS line is fitted to the ZY-plane projections of
-    every point of the ``window`` neighboring canonical sections; the window
-    is clamped at the ends of the part. Each section's point count, ZY mean
-    and centered scatter are computed once and pooled per window by the
-    parallel-axis rule, and ``rms_orthogonal_residual`` is the RMS
-    orthogonal distance of the window's points from the line.
+    For each section i one TLS line is fitted to the ZY-plane projections of
+    every point of the sections i - window // 2 to i + window // 2, clamped
+    at the ends of the part; an even window thus pools window + 1 sections.
+    Each section's point count, ZY mean and centered scatter are computed
+    once, in blocks of equal-size sections, and pooled per window by the
+    parallel-axis rule, every interior window in one set of array calls, and
+    ``rms_orthogonal_residual`` is the RMS orthogonal distance of the
+    window's points from the line. Each window's result is bit for bit the
+    one that pooling that window alone gives.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     if not sections:
         return []
-    zy = [s.points_canonical[:, 1:] for s in sections]
-    counts = np.array([len(p) for p in zy], dtype=float)
-    means = np.array([p.mean(axis=0) for p in zy])
-    scatters = np.array([(p - m).T @ (p - m) for p, m in zip(zy, means)])
-    # canonical sections are centered, so the section extent is the scale
-    # against which a suspicious line offset is judged
-    extents = [float(np.abs(s.points_canonical).max()) for s in sections]
-    half = window // 2
+    counts, means, scatters, extents = _zy_moments(sections)
     n = len(sections)
-    results = []
-    for i in range(n):
+    half = window // 2
+    width = 2 * half + 1
+    totals = np.empty(n)
+    pooled_means = np.empty((n, 2))
+    pooled = np.empty((n, 2, 2))
+    if n >= width:
+        # The interior windows, stacked: each sum keeps the order, and each
+        # matmul the BLAS call, of a window's own pooling below.
+        inner = slice(half, n - half)
+        w = sliding_window_view(counts, width)
+        m = sliding_window_view(means, width, axis=0).transpose(0, 2, 1)
+        totals[inner] = w.sum(axis=1)
+        pooled_means[inner] = (w[:, None, :] @ m)[:, 0, :] / totals[inner, None]
+        d = m - pooled_means[inner, None, :]
+        summed = scatters[:len(w)]
+        for shift in range(1, width):
+            summed = summed + scatters[shift:shift + len(w)]
+        pooled[inner] = summed + (w[:, :, None] * d).transpose(0, 2, 1) @ d
+    # The windows clamped at the ends of the part.
+    for i in [*range(min(half, n)), *range(max(half, n - half), n)]:
         lo, hi = max(0, i - half), min(n, i + half + 1)
         w = counts[lo:hi]
-        total = w.sum()
-        mean = w @ means[lo:hi] / total
-        d = means[lo:hi] - mean
-        line, sse = _line_from_scatter(mean, scatters[lo:hi].sum(axis=0) + (w * d.T) @ d)
+        totals[i] = w.sum()
+        pooled_means[i] = w @ means[lo:hi] / totals[i]
+        d = means[lo:hi] - pooled_means[i]
+        pooled[i] = scatters[lo:hi].sum(axis=0) + (w * d.T) @ d
+    results = []
+    for i, ((line, sse), total) in enumerate(zip(_lines(pooled_means, pooled), totals.tolist())):
         # sse can round below 0 on noise-free parts
         rms = math.sqrt(max(sse, 0.0) / total)
         results.append(DirectionResult(line, surface_direction_angle(line), rms))
-        scale = max(extents[lo:hi])
+        scale = max(extents[max(0, i - half):i + half + 1])
         # the residual term keeps measurement noise from tripping the diagnostic
         if abs(line.c) > max(1e-6 * scale, 3.0 * rms):
             warnings.warn(
@@ -173,3 +194,26 @@ def detect_direction(
                 stacklevel=2,
             )
     return results
+
+
+def _zy_moments(sections: list[CanonicalSection]):
+    """Point counts, ZY means (S, 2), centered ZY scatters (S, 2, 2) and
+    largest absolute canonical coordinates of the sections, each section's
+    bit for bit its own, computed in blocks of equal-size sections."""
+    sizes = [len(s.points_canonical) for s in sections]
+    means = np.empty((len(sizes), 2))
+    scatters = np.empty((len(sizes), 2, 2))
+    extents = np.empty(len(sizes))
+    for block in _blocks(sizes):
+        pts = np.stack([sections[i].points_canonical for i in block])
+        zy = pts[..., 1:]
+        mean = zy.mean(axis=1)
+        # Two centered copies keep the product a general matmul (gemm): an
+        # array times its own transpose takes the symmetric kernel (syrk),
+        # which rounds differently.
+        scatters[block] = (zy - mean[:, None, :]).transpose(0, 2, 1) @ (zy - mean[:, None, :])
+        means[block] = mean
+        # canonical sections are centered, so the section extent is the
+        # scale against which a suspicious line offset is judged
+        extents[block] = np.abs(pts).max(axis=(1, 2))
+    return np.array(sizes, dtype=float), means, scatters, extents.tolist()

@@ -1,13 +1,11 @@
 """Full evaluation pipeline: canonicalize, detect direction, observe
 torsion, rectify and summarize arc geometry.
 
-Each stage takes all sections at once. Torsion observation fits the trace
-and Gauss-Newton sections in blocks of equal point count, one stacked fit
-per block, whose results equal fitting each section alone; canonicalization
-and the Bookstein fit take one section per call. Everything runs on the
-calling thread: a thread pool would only serialize these chains of small
-numpy calls on the interpreter lock, so the ``workers`` argument of
-``evaluate_sections`` has no effect.
+Each stage takes all sections at once. Canonicalization, direction moments
+and the trace or Gauss-Newton torsion fit run in blocks of equal-size
+sections (torsion.in_blocks), one set of array calls per block, with results
+equal to treating each section alone; Bookstein fits one section per call.
+All on the calling thread: the ``workers`` argument has no effect.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from .conicfit import DEFAULT_MAX_ITERATIONS, FitBatch
 from .geometry import TRACE, canonicalize_section
 from .helix import ArcGeometry, arc_parameters, segment_sections
 from .linefit import DEFAULT_WINDOW, detect_direction
-from .torsion import observe_torsion
+from .torsion import in_blocks, observe_torsion
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,9 @@ def evaluate_sections(
     gn_max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> EvaluationResult:
     """Run the evaluation stages over pre-segmented section point sets."""
-    canonical = [canonicalize_section(points) for points in section_points]
+    groups = list(section_points)
+    canonical = in_blocks([len(points) for points in groups],
+                          lambda block: canonicalize_section([groups[i] for i in block]))
     directions = detect_direction(canonical, window=window)
     fits = observe_torsion(canonical, [d.theta_x for d in directions], fitter, gn_max_iterations)
     # looked up on the module at call time, so a wrapper installed on

@@ -17,8 +17,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -235,6 +236,9 @@ class EvaluationReport:
     """
 
     document: dict
+    # Each table column's cells as last written, keyed by (table, column):
+    # report.json and the CSV tables share them (see _cached_cells).
+    _cell_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_result(
@@ -251,32 +255,31 @@ class EvaluationReport:
             "pitch_mm_per_rad": geo.pitch_per_radian,
             "sections": len(result.fits),
         }
-        sections = []
-        for i, (phi, radius, theta_x, line_rms, theta_y, fit) in enumerate(zip(
-            cols.azimuth_phi, cols.centroid_radius, cols.theta_x, cols.line_rms,
-            cols.theta_y_rectified, result.fits,
-        )):
-            # float() keeps numpy scalars out of the document
-            sections.append(
-                {
-                    "index": i,
-                    "azimuth_rad": float(phi),
-                    "azimuth_deg": math.degrees(phi),
-                    "centroid_radius_mm": float(radius),
-                    "theta_x_rad": float(theta_x),
-                    "theta_x_deg": math.degrees(theta_x),
-                    "theta_y_raw_rad": fit.params.orientation,
-                    "theta_y_raw_deg": math.degrees(fit.params.orientation),
-                    "theta_y_rect_rad": float(theta_y),
-                    "theta_y_rect_deg": math.degrees(theta_y),
-                    "circle_degenerate": not fit.params.orientation_defined,
-                    "line_rms_mm": float(line_rms),
-                    "algebraic_rms": fit.rms_algebraic_residual,
-                    "geometric_rms_mm": fit.rms_geometric_residual,
-                    "fit_iterations": fit.iterations,
-                    "fit_converged": fit.converged,
-                }
-            )
+        phi, theta_x, theta_y = (
+            cols.azimuth_phi.tolist(), cols.theta_x.tolist(), cols.theta_y_rectified.tolist())
+        params = [fit.params for fit in result.fits]
+        raw = [p.orientation for p in params]
+        # One list per column, in document order; tolist() keeps numpy
+        # scalars out of the document.
+        columns = {
+            "index": range(len(params)),
+            "azimuth_rad": phi,
+            "azimuth_deg": map(math.degrees, phi),
+            "centroid_radius_mm": cols.centroid_radius.tolist(),
+            "theta_x_rad": theta_x,
+            "theta_x_deg": map(math.degrees, theta_x),
+            "theta_y_raw_rad": raw,
+            "theta_y_raw_deg": map(math.degrees, raw),
+            "theta_y_rect_rad": theta_y,
+            "theta_y_rect_deg": map(math.degrees, theta_y),
+            "circle_degenerate": [not p.orientation_defined for p in params],
+            "line_rms_mm": cols.line_rms.tolist(),
+            "algebraic_rms": [fit.rms_algebraic_residual for fit in result.fits],
+            "geometric_rms_mm": [fit.rms_geometric_residual for fit in result.fits],
+            "fit_iterations": [fit.iterations for fit in result.fits],
+            "fit_converged": [fit.converged for fit in result.fits],
+        }
+        sections = [dict(zip(columns, row)) for row in zip(*columns.values())]
         document = {
             "schema_version": SCHEMA_VERSION,
             "tool": "helibend",
@@ -289,7 +292,24 @@ class EvaluationReport:
         return cls(document)
 
     def to_text(self) -> str:
-        return json.dumps(self.document, indent=2, allow_nan=False) + "\n"
+        """``json.dumps(document, indent=2, allow_nan=False)`` and a newline.
+
+        A top-level list of flat records that share their keys (the
+        ``sections`` and ``arcs`` tables) is written column by column (see
+        _json_table); anything else, and any table holding a NaN or an
+        infinity, goes through json, which raises ValueError on those as
+        allow_nan=False does.
+        """
+        doc = self.document
+        if not (isinstance(doc, dict) and doc and all(isinstance(k, str) for k in doc)):
+            return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        items = []
+        for key, value in doc.items():
+            text = _json_table(value, self._cell_cache, key)
+            if text is None:
+                text = json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+            items.append(f"  {json.dumps(key)}: {text}")
+        return "{\n" + ",\n".join(items) + "\n}\n"
 
     @classmethod
     def from_text(cls, text: str) -> "EvaluationReport":
@@ -298,6 +318,66 @@ class EvaluationReport:
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.to_text())
+
+
+def _column_cells(values) -> tuple[list[str], bool] | None:
+    """The text of each cell of a column whose cells are all bool, all int or
+    all float ("true"/"false", the int, the float's repr), as JSON and CSV
+    both write them, and whether every value is finite; None for any other
+    column."""
+    kinds = set(map(type, values))
+    if kinds == {bool}:
+        return ["true" if v else "false" for v in values], True
+    if kinds == {int}:
+        return list(map(int.__repr__, values)), True
+    if all(issubclass(kind, float) for kind in kinds):
+        return list(map(float.__repr__, values)), all(map(math.isfinite, values))
+    return None
+
+
+def _cached_cells(values: tuple, cache: dict | None, key) -> tuple[list[str], bool] | None:
+    """_column_cells of ``values``, kept in ``cache`` under ``key``. A column
+    whose cells are the very objects it was kept with is not written again:
+    the objects are immutable, so their text is unchanged."""
+    if cache is None:
+        return _column_cells(values)
+    kept = cache.get(key)
+    if kept is not None and len(kept[0]) == len(values) and all(
+            map(operator.is_, kept[0], values)):
+        return kept[1]
+    encoded = _column_cells(values)
+    cache[key] = (values, encoded)
+    return encoded
+
+
+def _json_table(rows, cache: dict | None = None, name=None) -> str | None:
+    """``json.dumps(rows, indent=2)`` as the value of a top-level key, for a
+    non-empty list of flat records that share their keys in order and whose
+    cells are finite numbers, booleans, strings or None, written column by
+    column (the columns kept in ``cache`` under (``name``, key)); None for
+    any other value."""
+    if not (isinstance(rows, list) and rows and all(type(row) is dict for row in rows)):
+        return None
+    keys = tuple(rows[0])
+    if not keys or not all(isinstance(k, str) for k in keys) or any(
+            tuple(row) != keys for row in rows):
+        return None
+    columns = []
+    for key, values in zip(keys, zip(*(row.values() for row in rows))):
+        encoded = _cached_cells(values, cache, (name, key))
+        if encoded is not None:
+            cells, finite = encoded
+            if not finite:
+                return None
+        elif all(v is None or isinstance(v, (str, int, float)) for v in values):
+            cells = [json.dumps(v, allow_nan=False) for v in values]
+        else:
+            return None
+        columns.append(cells)
+    # One %-format per record; a % in a key is doubled to stay literal.
+    record = "    {\n" + ",\n".join(
+        "      " + json.dumps(k).replace("%", "%%") + ": %s" for k in keys) + "\n    }"
+    return "[\n" + ",\n".join([record % cells for cells in zip(*columns)]) + "\n  ]"
 
 
 def _csv_cell(value) -> str:
@@ -312,19 +392,23 @@ def _csv_cell(value) -> str:
     return _fmt(value)
 
 
-def _csv_text(rows) -> str:
-    """One CSV row per record; the header and cell order are the records' keys."""
-    lines = [",".join(rows[0])]
-    lines += [",".join(_csv_cell(value) for value in row.values()) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv_text(rows, cache: dict | None = None, name=None) -> str:
+    """One CSV row per record, written column by column (the columns kept in
+    ``cache`` under (``name``, key)); the header and cell order are the keys
+    that the records share."""
+    columns = []
+    for key, values in zip(rows[0], zip(*(row.values() for row in rows), strict=True)):
+        encoded = _cached_cells(values, cache, (name, key))
+        columns.append(encoded[0] if encoded else [_csv_cell(v) for v in values])
+    return "\n".join([",".join(rows[0]), *map(",".join, zip(*columns))]) + "\n"
 
 
 def sections_csv_text(report: EvaluationReport) -> str:
-    return _csv_text(report.document["sections"])
+    return _csv_text(report.document["sections"], report._cell_cache, "sections")
 
 
 def arc_csv_text(report: EvaluationReport) -> str:
-    return _csv_text(report.document["arcs"])
+    return _csv_text(report.document["arcs"], report._cell_cache, "arcs")
 
 
 # ---------------------------------------------------------------------------

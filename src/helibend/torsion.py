@@ -8,10 +8,11 @@ circular section can swap major and minor axes), so series of adjacent
 sections pass through a discrete rectification filter that picks, per
 sample, the branch nearest the previous rectified value.
 
-Trace and Gauss-Newton sections are fitted in blocks of equal point count
-(fit_sections), one stacked fit_trace or fit_gauss_newton call per block,
-whose results equal fitting each section alone; Bookstein fits one section
-per call.
+Trace and Gauss-Newton sections are projected and fitted in blocks of
+equal point count (fit_sections), one stacked projection and one stacked
+fit_trace or fit_gauss_newton call per block, whose results equal fitting
+each section alone; Bookstein fits one section per call. in_blocks runs
+any stage over the same blocks.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .geometry import (
     CanonicalSection,
     EllipseParams,
     direction_rotation,
-    fold_half_open,
 )
 
 GAUSS_NEWTON = "gauss-newton"
@@ -88,66 +88,94 @@ def observe_torsion(
     if len(sections) != len(theta_x):
         raise LengthMismatch(f"{len(sections)} sections but {len(theta_x)} tilts")
     if fitter == BOOKSTEIN:
-        return FitBatch(fit_bookstein(_projected(s, t)) for s, t in zip(sections, theta_x))
+        return FitBatch(fit_bookstein(_projected([s], [t])[0]) for s, t in zip(sections, theta_x))
     return fit_sections(
         fitter,
         [len(s.points_canonical) for s in sections],
-        lambda i: _projected(sections[i], theta_x[i]),
+        lambda block: _projected([sections[i] for i in block], [theta_x[i] for i in block]),
         max_iterations=gn_max_iterations,
     )
 
 
-def _projected(section: CanonicalSection, theta_x: float) -> np.ndarray:
-    """The section's (z, x) coordinates with its tilt removed."""
-    # Row vectors times the tilt R apply R^T, which removes the tilt.
-    flat = section.points_canonical @ direction_rotation(theta_x)
-    return flat[:, [2, 0]]
+def _projected(sections: Sequence[CanonicalSection], theta_x: Sequence[float]) -> np.ndarray:
+    """The (z, x) coordinates of equal-size sections with their tilts
+    removed, as an (S, n, 2) stack.
+
+    Each section's (n, 2) block is laid out column by column, as a column
+    pick of its own (n, 3) product is, and its sums round by that layout.
+    """
+    pts = np.stack([s.points_canonical for s in sections])
+    # Row vectors times the tilt R apply R^T, which removes the tilt; the
+    # stacked matmul makes each section's BLAS call, so each gets its bits.
+    flat = pts @ np.stack([direction_rotation(t) for t in theta_x])
+    out = np.empty((len(flat), 2, flat.shape[1])).transpose(0, 2, 1)
+    out[..., 0] = flat[..., 2]
+    out[..., 1] = flat[..., 0]
+    return out
 
 
 def fit_sections(
     fitter: str,
     sizes: Sequence[int],
-    section_points: Callable[[int], np.ndarray],
+    block_points: Callable[[list[int]], np.ndarray],
     inits: Sequence[EllipseParams | None] | None = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> FitBatch:
     """Trace or Gauss-Newton fits of sections with point counts ``sizes``,
     one FitResult per section in order.
 
-    The sections are grouped into blocks of equal point count, each in
-    section order and holding at most ``_BLOCK_POINTS`` points, and each
-    block is one stacked fit_trace or fit_gauss_newton call whose results
-    equal the sections' own fits. ``section_points(i)`` gives section i's
-    (n, 2) points when its block is fitted, so only one block's points are
-    held at a time. ``inits`` (Gauss-Newton only) is None or one
-    EllipseParams (or None) per section. The error of the earliest failing
-    section is raised, as a loop over the sections would, with that
-    section's index in ``.section``.
+    The sections are grouped into blocks by in_blocks, and each block is one
+    stacked fit_trace or fit_gauss_newton call whose results equal the
+    sections' own fits. ``block_points(block)`` gives the (S, n, 2) stack of
+    the sections at the positions ``block`` when that block is fitted, so
+    only one block's points are held at a time. ``inits`` (Gauss-Newton
+    only) is None or one EllipseParams (or None) per section. The error of
+    the earliest failing section is raised, as a loop over the sections
+    would, with that section's index in ``.section``.
     """
     if fitter not in (TRACE, GAUSS_NEWTON):
         raise ValueError(f"unknown fitter {fitter!r}; fit_sections takes {TRACE!r} or "
                          f"{GAUSS_NEWTON!r}")
-    fits = [None] * len(sizes)
+
+    def fit(block):
+        if fitter == TRACE:
+            return fit_trace(block_points(block))
+        block_inits = None if inits is None else [inits[i] for i in block]
+        return fit_gauss_newton(block_points(block), init=block_inits,
+                                max_iterations=max_iterations)
+
+    return FitBatch(in_blocks(sizes, fit))
+
+
+def in_blocks(sizes: Sequence[int], run: Callable[[list[int]], Sequence]) -> list:
+    """``run`` over the sections with point counts ``sizes`` in blocks: one
+    result per section, in section order.
+
+    A block holds sections of equal point count, in section order, and at
+    most ``_BLOCK_POINTS`` points (and at least one section). ``run(block)``
+    takes the positions of a block's sections and returns one result per
+    section, or raises the error of its earliest failing section with that
+    section's position in the block in ``.section``. The error of the
+    earliest failing section of all is raised, as a loop over the sections
+    would, with that section's index in ``.section``.
+    """
+    results = [None] * len(sizes)
     failure = None
     for block in _blocks(sizes):
-        # np.stack keeps each section's memory layout, by which its sums round.
-        stack = np.stack([section_points(i) for i in block])
         try:
-            if fitter == TRACE:
-                batch = fit_trace(stack)
-            else:
-                block_inits = None if inits is None else [inits[i] for i in block]
-                batch = fit_gauss_newton(stack, init=block_inits, max_iterations=max_iterations)
-        except HelibendError as exc:
+            batch = run(block)
+        except (HelibendError, ValueError) as exc:
+            if getattr(exc, "section", None) is None:
+                raise
             exc.section = block[exc.section]
             if failure is None or exc.section < failure.section:
                 failure = exc
             continue
-        for i, fit in zip(block, batch):
-            fits[i] = fit
+        for i, result in zip(block, batch):
+            results[i] = result
     if failure is not None:
         raise failure
-    return FitBatch(fits)
+    return results
 
 
 def _blocks(sizes: Sequence[int]):
@@ -226,19 +254,3 @@ def rectify_against(raw: float, reference: float) -> float:
     are unrelated measurements.
     """
     return _nearest_branch(raw, reference)[0]
-
-
-def torsion_deviation(raw_series, expected) -> np.ndarray:
-    """Per-section deviation of rectified torsion from its design value.
-
-    ``raw_series`` holds the raw readings in section order; they are
-    rectified here and the element-wise difference is folded into
-    (-pi/2, pi/2].
-    """
-    expected = np.asarray(expected, dtype=float)
-    rectified = rectify_torsion(raw_series)
-    if expected.shape != rectified.shape:
-        raise LengthMismatch(
-            f"series has {rectified.size} sections, expected values {expected.size}"
-        )
-    return np.array([fold_half_open(d) for d in rectified - expected])

@@ -161,6 +161,87 @@ class TestCanonicalize:
             canonicalize_section(self._section_at((0.0, 0.0, 30.0)))
 
 
+def canonical_bits(section):
+    """Every bit of a CanonicalSection, -0.0 and layout-free."""
+    return (section.points_canonical.tobytes(order="C"), section.centroid.tobytes(),
+            section.azimuth_phi.hex(), section.centroid_radius.hex())
+
+
+def reference_bits(points):
+    """canonical_bits of one section, computed as the section-by-section
+    code did; the mean sums each column in the order of the points' layout."""
+    ctr = points.mean(axis=0)
+    phi = math.atan2(ctr[1], ctr[0])
+    rot = rotation_z(-phi)
+    return ((points @ rot.T + (-rot @ ctr)).tobytes(order="C"), ctr.tobytes(), phi.hex(),
+            math.hypot(ctr[0], ctr[1]).hex())
+
+
+class TestCanonicalizeStack:
+    @staticmethod
+    def stack(count=7, n=40):
+        spec = HelixSpec(sections=count, points_per_section=n, noise_sigma=0.05, rng_seed=17)
+        part = generate(spec)
+        return part.points.reshape(count, n, 3)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "list", "list-F"])
+    def test_each_section_is_its_own_canonicalization(self, layout):
+        stack = self.stack()
+        if layout == "F":
+            stack = np.asfortranarray(stack)
+        elif layout == "list":
+            stack = list(stack)
+        elif layout == "list-F":
+            stack = [np.asfortranarray(section) for section in stack]
+        got = canonicalize_section(stack)
+        assert isinstance(got, list) and len(got) == len(stack)
+        expected = [reference_bits(section) for section in stack]
+        assert [canonical_bits(c) for c in got] == expected
+        assert [canonical_bits(canonicalize_section(section)) for section in stack] == expected
+
+    def test_single_section_is_not_a_stack(self):
+        section = self.stack()[2]
+        assert canonical_bits(canonicalize_section(section)) == canonical_bits(
+            canonicalize_section(section[None])[0])
+
+    def test_empty_stack(self):
+        assert canonicalize_section(np.empty((0, 10, 3))) == []
+
+    @pytest.mark.parametrize("kinds", [("on-axis", "non-finite"), ("non-finite", "on-axis")])
+    def test_raises_the_earliest_failing_section(self, kinds):
+        stack = self.stack().copy()
+        first, later = 2, 5
+        for i, kind in zip((first, later), kinds):
+            if kind == "on-axis":
+                stack[i] -= stack[i].mean(axis=0) * [1.0, 1.0, 0.0]
+            else:
+                stack[i, 3, 2] = math.nan
+        failures = []
+        for i, section in enumerate(stack):
+            try:
+                canonicalize_section(section)
+            except (DegenerateSection, ValueError) as exc:
+                failures.append((i, exc))
+        assert [i for i, _ in failures] == [first, later]
+        expected = failures[0][1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(type(expected)) as caught:
+                canonicalize_section(stack)
+        assert type(caught.value) is type(expected)
+        assert str(caught.value) == str(expected)
+        assert caught.value.section == first
+
+    def test_too_small_stack_raises_for_its_first_section(self):
+        with pytest.raises(TooFewPoints, match="got 5") as caught:
+            canonicalize_section(self.stack()[:, :5])
+        assert caught.value.section == 0
+
+    def test_rejects_a_stack_of_planar_points(self):
+        with pytest.raises(ValueError, match=r"\(S, n, 3\)"):
+            canonicalize_section(np.zeros((4, 10, 2)))
+
+
 class TestConicConversion:
     def test_unit_circle_trace(self):
         params = conic_to_params(Conic2D(0.5, 0.0, 0.5, 0.0, 0.0, -0.5))

@@ -188,6 +188,37 @@ class TestRectifyDirection:
         assert np.all(np.diff(outputs) > 0)
 
 
+def shifted_sections(sections, points_per_section=48):
+    """Canonical sections with section-specific shifts, which make the
+    parallel-axis term of a pooled scatter matter."""
+    spec = HelixSpec(sections=sections, points_per_section=points_per_section,
+                     noise_sigma=0.05, rng_seed=6)
+    part = generate(spec)
+    groups = segment_sections(part.points, labels=part.labels)
+    return [
+        dataclasses.replace(c, points_canonical=c.points_canonical + [0.0, 0.3 * i, -0.2 * i])
+        for i, c in enumerate(map(canonicalize_section, groups))
+    ]
+
+
+def assert_window_lines_fit_every_window_point(sections, window):
+    # the reference fits the stacked points of each window directly
+    canon = shifted_sections(sections)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LineOffsetWarning)
+        res = detect_direction(canon, window=window)
+    half = window // 2
+    assert len(res) == sections
+    for i, r in enumerate(res):
+        points = np.vstack([c.points_canonical for c in canon[max(0, i - half) : i + half + 1]])
+        ref = direction_from_points(points[:, 1:])
+        assert (r.line.a, r.line.b, r.line.c) == pytest.approx(
+            (ref.line.a, ref.line.b, ref.line.c), abs=1e-12
+        )
+        assert r.theta_x == pytest.approx(ref.theta_x, abs=1e-12)
+        assert r.rms_orthogonal_residual == pytest.approx(ref.rms_orthogonal_residual, rel=1e-9)
+
+
 class TestDetectDirection:
     def test_window_clamps_at_ends(self):
         spec = HelixSpec(sections=3, rng_seed=2)
@@ -238,26 +269,42 @@ class TestDetectDirection:
             detect_direction(shifted)
 
     def test_window_line_is_the_fit_to_every_window_point(self):
-        # section-specific shifts make the parallel-axis term of the pooled
-        # scatter matter; the reference fits the stacked points directly
-        spec = HelixSpec(sections=7, noise_sigma=0.05, rng_seed=6)
-        part = generate(spec)
-        groups = segment_sections(part.points, labels=part.labels)
-        canon = [
-            dataclasses.replace(c, points_canonical=c.points_canonical + [0.0, 0.3 * i, -0.2 * i])
-            for i, c in enumerate(map(canonicalize_section, groups))
+        assert_window_lines_fit_every_window_point(sections=7, window=3)
+
+    @pytest.mark.parametrize("sections, window", [(7, 1), (7, 4), (7, 7), (3, 5)],
+                             ids=["window-1", "window-4", "window-7", "part-shorter-than-window"])
+    def test_every_window_line_is_the_fit_to_its_points(self, sections, window):
+        assert_window_lines_fit_every_window_point(sections, window)
+
+    def test_pinned_window_bits(self):
+        # float.hex of (theta_x, rms_orthogonal_residual, line.c) per window,
+        # as pooling each window on its own computed them. 400-point sections
+        # make a scatter taken as one array times its own transpose (syrk)
+        # round differently from the general matmul (gemm); window 4 pools 5
+        # sections, so this covers the interior and the clamped windows.
+        pinned = [
+            ("0x1.9861f9042e280p-3", "0x1.1ba29ab57f2d0p-2", "-0x1.55ae4bce8d1bbp-2"),
+            ("0x1.968df5b388e20p-3", "0x1.81674b9a602b4p-2", "-0x1.002ab8577b031p-1"),
+            ("0x1.9490ca7953d60p-3", "0x1.e5d631dcff7d2p-2", "-0x1.556b65bc1fb33p-1"),
+            ("0x1.94069a90dbf10p-3", "0x1.e5dad50eb7b0dp-2", "-0x1.00096f323509dp+0"),
+            ("0x1.946f61dbf8c50p-3", "0x1.e5efd2b47cbcfp-2", "-0x1.55691ad746440p+0"),
+            ("0x1.94846a40d4060p-3", "0x1.e5eb25896fd9ep-2", "-0x1.aac52f6be2701p+0"),
+            ("0x1.949076c7f5b60p-3", "0x1.e5eef169bd62ap-2", "-0x1.001087fe7edf3p+1"),
+            ("0x1.968d7e7c8ceb0p-3", "0x1.818e4e66ae960p-2", "-0x1.15839667fee9ep+1"),
+            ("0x1.98adc13632680p-3", "0x1.1bd48262bda5dp-2", "-0x1.2afd099f6baa3p+1"),
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LineOffsetWarning)
-            res = detect_direction(canon, window=3)
-        for i, r in enumerate(res):
-            window = np.vstack([c.points_canonical for c in canon[max(0, i - 1) : i + 2]])
-            ref = direction_from_points(window[:, 1:])
-            assert (r.line.a, r.line.b, r.line.c) == pytest.approx(
-                (ref.line.a, ref.line.b, ref.line.c), abs=1e-12
-            )
-            assert r.theta_x == pytest.approx(ref.theta_x, abs=1e-12)
-            assert r.rms_orthogonal_residual == pytest.approx(ref.rms_orthogonal_residual, rel=1e-9)
+            res = detect_direction(shifted_sections(9, 400), window=4)
+        assert [(r.theta_x.hex(), float(r.rms_orthogonal_residual).hex(), float(r.line.c).hex())
+                for r in res] == pinned
+
+    def test_even_window_pools_the_next_odd_width(self):
+        spec = HelixSpec(sections=9, noise_sigma=0.05, rng_seed=8)
+        part = generate(spec)
+        canon = canonicalize_section(segment_sections(part.points, labels=part.labels))
+        assert detect_direction(canon, window=4) == detect_direction(canon, window=5)
+        assert detect_direction(canon, window=4) != detect_direction(canon, window=3)
 
     def test_line_passes_near_origin_after_canonicalization(self):
         spec = HelixSpec(sections=8, helix_angle=0.35, rng_seed=4)

@@ -20,6 +20,7 @@ from helibend import (
 from helibend.errors import (
     AmbiguousBranch,
     DegenerateConfiguration,
+    DegenerateSection,
     HelibendError,
     NotAnEllipse,
     TooFewSections,
@@ -261,3 +262,67 @@ class TestGaussNewtonBlocks:
     @pytest.mark.parametrize("kinds, error", EARLIEST_FAILURES)
     def test_earliest_failing_section_raises(self, kinds, error):
         assert_earliest_failing_section_raises("gauss-newton", kinds, error)
+
+
+class TestCanonicalizeBlocks:
+    @pytest.mark.parametrize("kinds, error, message", [
+        (("on-axis", "non-finite"), DegenerateSection, "on the product axis"),
+        (("non-finite", "on-axis"), ValueError, "non-finite"),
+    ])
+    def test_earliest_failing_section_raises(self, kinds, error, message):
+        # The later failing section has the part's common size, so its block
+        # is canonicalized before the earlier section's.
+        groups = ragged_groups(12, 20, 24)
+        first, later = 7, 8
+        assert len(groups[first]) != len(groups[later]) == 20
+        for i, kind in zip((first, later), kinds):
+            if kind == "on-axis":
+                groups[i] = groups[i] - groups[i].mean(axis=0) * [1.0, 1.0, 0.0]
+            else:
+                groups[i] = groups[i].copy()
+                groups[i][5, 1] = math.inf
+        with pytest.raises(error, match=message) as caught:
+            evaluate_sections(groups)
+        assert caught.value.section == first
+
+
+# float.hex of (azimuth_phi, centroid_radius, theta_x, line_rms, raw theta_y)
+# per section of PINNED_PART, as section-by-section code computed them.
+_PINNED_FRONT = [
+    ("0x1.2a7952c46781dp-12", "0x1.dfc1bfc6e3a81p+6", "0x1.9ac41f2141d80p-3", "0x1.27002e8de83a3p-6"),
+    ("0x1.91c715cf260d1p-2", "0x1.e037e273473c3p+6", "0x1.9a731fa3ce0c0p-3", "0x1.2b56baf8337f9p-6"),
+    ("0x1.924a75273d2bcp-1", "0x1.dfeb23d755c36p+6", "0x1.9a9b45bd9aea0p-3", "0x1.370a8998b525ep-6"),
+    ("0x1.2d79afb4f6fc7p+0", "0x1.e00b6810f0b15p+6", "0x1.9a0ee4f0d12c0p-3", "0x1.464499a080b48p-6"),
+    ("0x1.9233f2c2635d8p+0", "0x1.e012b6b2db61cp+6", "0x1.9a4ac751886a0p-3", "0x1.56cc69f72a5b1p-6"),
+    ("0x1.f68c1ea95e332p+0", "0x1.dfcdda29ff805p+6", "0x1.99e4fb56621c0p-3", "0x1.5d2886b0f0df4p-6"),
+    ("0x1.2d9ec1d2a5512p+1", "0x1.e030959b9635dp+6", "0x1.9a1131ee840a0p-3", "0x1.59a4a8253849fp-6"),
+    ("0x1.5fe4b4e901da0p+1", "0x1.dfd867db4ee9fp+6", "0x1.99c36fb5a8ba0p-3", "0x1.56cba2a3f71bdp-6"),
+    ("0x1.9213c449afc7bp+1", "0x1.e01d5576d3cf6p+6", "0x1.99b208160ddb0p-3", "0x1.53c83a7d621a9p-6"),
+]
+PINNED = {
+    "trace": [*zip(_PINNED_FRONT, [
+        "0x1.2e86208f62000p-10", "0x1.61efcd5013180p-6", "0x1.554e89b852900p-5",
+        "0x1.02fea04634980p-4", "0x1.40a7375c7eca0p-4", "0x1.acfe99508f640p-4",
+        "0x1.e7b8afc0d6c60p-4", "0x1.1a38c52013840p-3", "0x1.4b98b72ce7670p-3"])],
+    "gauss-newton": [*zip(_PINNED_FRONT, [
+        "0x1.f6b2d5bdbfa70p-10", "0x1.6a4a110b60c47p-6", "0x1.5886d174e5d98p-5",
+        "0x1.058f9fac30070p-4", "0x1.3f2b986ad6df9p-4", "0x1.a93b5a3675977p-4",
+        "0x1.e6f014506e9d3p-4", "0x1.1a57a039370ebp-3", "0x1.49f326aa442ccp-3"])],
+}
+
+
+@pytest.mark.parametrize("fitter", sorted(PINNED))
+def test_pinned_part_keeps_its_bits(fitter):
+    # A labeled part with every 7th point dropped, so its sections hold 20
+    # or 21 points: a change of summation order or memory layout in any
+    # stage before the fit moves some of these bits.
+    part = generate(HelixSpec(sections=9, points_per_section=24, noise_sigma=0.02,
+                              rng_seed=31, twist_profile=lambda i: 0.02 * i))
+    keep = np.arange(len(part.points)) % 7 != 3
+    result = evaluate_cloud(part.points[keep], labels=part.labels[keep], fitter=fitter)
+    arc = result.arc
+    got = [((float(phi).hex(), float(radius).hex(), float(theta).hex(), float(rms).hex()),
+            fit.params.orientation.hex())
+           for phi, radius, theta, rms, fit in zip(arc.azimuth_phi, arc.centroid_radius,
+                                                  arc.theta_x, arc.line_rms, result.fits)]
+    assert got == PINNED[fitter]

@@ -1,3 +1,5 @@
+import json
+import math
 import warnings
 
 import numpy as np
@@ -219,3 +221,61 @@ class TestEvaluationCsv:
         parsed = EvaluationReport.from_text(rep.to_text())
         assert sections_csv_text(parsed) == sections_csv_text(rep)
         assert arc_csv_text(parsed) == arc_csv_text(rep)
+
+
+class TestReportText:
+    """to_text writes its tables column by column; json is the reference."""
+
+    @staticmethod
+    def reference(document):
+        return json.dumps(document, indent=2, allow_nan=False) + "\n"
+
+    def test_equals_json_on_an_evaluated_part(self):
+        part = generate(HelixSpec(sections=6, noise_sigma=0.02, rng_seed=4))
+        result = evaluate_cloud(part.points, labels=part.labels)
+        rep = EvaluationReport.from_result(result, fitter="trace", input_digest="sha256:1")
+        assert rep.to_text() == self.reference(rep.document)
+        # the cells kept for the tables give the same text again
+        assert rep.to_text() == self.reference(rep.document)
+
+    @pytest.mark.parametrize("document", [
+        {},
+        {"sections": []},
+        {"sections": [{}]},
+        {"a": 1, "sections": [{"x": 1.5, "y": None}, {"x": None, "y": "s\u00e9"}], "z": [1, 2]},
+        {"t%s": [{"%d": 1, "k\"q": True}, {"%d": 2, "k\"q": False}]},
+        {"rows": [{"a": 1.0, "b": 2}, {"b": 2, "a": 1.0}]},
+        {"rows": [{"a": [1.0, 2.0]}, {"a": {"b": -0.0}}]},
+        {"rows": [{"a": 1}, {"a": 2.5}, {"a": True}]},
+        {"rows": [{"a": np.float64(0.1), "b": 1e300}]},
+        [{"a": 1.0}],
+    ], ids=lambda d: json.dumps(d, default=float)[:40])
+    def test_equals_json_on_any_document(self, document):
+        assert EvaluationReport(document).to_text() == self.reference(document)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cell_raises_as_json_does(self, bad):
+        rep = self._evaluated()
+        rep.to_text()
+        rep.document["sections"][2]["line_rms_mm"] = bad
+        with pytest.raises(ValueError) as want:
+            self.reference(rep.document)
+        with pytest.raises(ValueError) as got:
+            rep.to_text()
+        assert str(got.value) == str(want.value)
+
+    def test_edited_cell_is_written_again(self):
+        rep = self._evaluated()
+        before = sections_csv_text(rep)
+        rep.to_text()
+        rep.document["sections"][1]["theta_x_rad"] = -0.0
+        after = sections_csv_text(rep)
+        assert after != before
+        assert after.splitlines()[2].split(",")[4] == "-0.0"
+        assert rep.to_text() == self.reference(rep.document)
+
+    @staticmethod
+    def _evaluated():
+        part = generate(HelixSpec(sections=4, rng_seed=5))
+        return EvaluationReport.from_result(evaluate_cloud(part.points, labels=part.labels),
+                                            fitter="trace", input_digest="sha256:2")

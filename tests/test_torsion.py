@@ -14,14 +14,12 @@ from helibend import (
     rectify_against,
     rectify_torsion,
     segment_sections,
-    torsion_deviation,
 )
 from helibend.conicfit import fit_gauss_newton, fit_trace
 from helibend.errors import (
     AmbiguousBranch,
     DegenerateConfiguration,
     HelibendError,
-    LengthMismatch,
     TooFewPoints,
 )
 from helibend.torsion import fit_section_ellipse, fit_sections
@@ -102,7 +100,8 @@ class TestFitSections:
             [(short, TooFewPoints), (collinear, DegenerateConfiguration)])
         first, expected = failures[0]
         with pytest.raises(type(expected)) as caught:
-            fit_sections(fitter, [len(p) for p in sections], sections.__getitem__)
+            fit_sections(fitter, [len(p) for p in sections],
+                         lambda block: np.stack([sections[i] for i in block]))
         assert str(caught.value) == str(expected)
         assert caught.value.section == first
 
@@ -110,7 +109,7 @@ class TestFitSections:
     def test_rejects_other_fitters(self, fitter):
         pts = EllipseParams(np.zeros(2), 2.0, 1.0, 0.3).boundary_points(12)
         with pytest.raises(ValueError, match=f"unknown fitter '{fitter}'"):
-            fit_sections(fitter, [12], lambda i: pts)
+            fit_sections(fitter, [12], lambda block: pts[None])
 
 
 class TestRectifyTorsion:
@@ -210,22 +209,6 @@ class TestTorsionSeries:
             warnings.simplefilter("error")
             rectify_torsion([0.0, 0.7, 0.0])
 
-    def test_deviation_zero(self):
-        dev = torsion_deviation([0.1, 0.12, 0.14], [0.1, 0.12, 0.14])
-        assert np.allclose(dev, 0.0, atol=1e-15)
-
-    def test_deviation_constant_offset(self):
-        dev = torsion_deviation(np.array([0.15, 0.17, 0.19]), [0.10, 0.12, 0.14])
-        assert np.allclose(dev, 0.05)
-
-    def test_deviation_rectifies_axis_swap(self):
-        dev = torsion_deviation([0.1, 0.12 - math.pi / 2, 0.14], [0.1, 0.12, 0.14])
-        assert np.allclose(dev, 0.0, atol=1e-15)
-
-    def test_deviation_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            torsion_deviation([0.1], [0.1, 0.2])
-
 
 class TestDefectLocalization:
     def test_twist_defect_window_found(self):
@@ -240,8 +223,7 @@ class TestDefectLocalization:
         directions = detect_direction(canon)
         raw = [observe_torsion([c], [d.theta_x])[0].params.orientation
                for c, d in zip(canon, directions)]
-        expected = np.full(30, 0.05)
-        dev = torsion_deviation(raw, expected)
+        dev = np.array([_fold(d) for d in rectify_torsion(raw) - 0.05])
         flagged = np.flatnonzero(np.abs(dev) > defect / 2)
         assert flagged.min() in (9, 10, 11)
         assert flagged.max() in (19, 20, 21)
