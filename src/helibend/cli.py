@@ -31,7 +31,7 @@ from .errors import (
     InvalidSweep,
     SectionCountMismatch,
 )
-from .geometry import BOOKSTEIN, TRACE, EllipseParams, fold_half_open
+from .geometry import TRACE, EllipseParams, fold_half_open
 from .helix import HelixSpec, generate
 from .linefit import DEFAULT_WINDOW
 from .pipeline import evaluate_cloud
@@ -48,7 +48,6 @@ from .report import (
 from .torsion import (
     FITTERS,
     GAUSS_NEWTON,
-    fit_section_ellipse,
     fit_sections,
     rectify_against,
 )
@@ -248,14 +247,11 @@ def _cmd_compare_fits(args) -> int:
     for fitter in FITTERS:
         rng = np.random.default_rng(args.seed)
         trial_points = [_trial_points(args, float(true), rng) for true in true_angles]
-        if fitter == BOOKSTEIN:
-            fits = [fit_section_ellipse(pts, fitter) for pts in trial_points]
-        else:
-            # Gauss-Newton is deliberately not warm-started from the trace fit: the
-            # sweep compares the methods, so it starts from plain moment estimates.
-            inits = [moment_init(pts) for pts in trial_points] if fitter == GAUSS_NEWTON else None
-            fits = fit_sections(fitter, [len(pts) for pts in trial_points],
-                                lambda block: np.stack([trial_points[i] for i in block]), inits)
+        # Gauss-Newton is deliberately not warm-started from the trace fit: the
+        # sweep compares the methods, so it starts from plain moment estimates.
+        inits = [moment_init(pts) for pts in trial_points] if fitter == GAUSS_NEWTON else None
+        fits = fit_sections(fitter, [len(pts) for pts in trial_points],
+                            lambda block: np.stack([trial_points[i] for i in block]), inits)
         detected_list = []
         for trial, (true, fit) in enumerate(zip(true_angles, fits)):
             raw = fit.params.orientation

@@ -11,13 +11,13 @@ All three minimize a residual of the implicit conic F(x) = x^T A x + b^T x + c:
   the ellipse boundary over (center, semi-axes, orientation), with Levenberg
   damping so the geometric RMS never increases across accepted steps.
 
-The trace and Gauss-Newton fits and the foot-point solve behind them take
-one section or a stack of equal-size sections. A stack is solved with one set
-of array calls for all its sections: one stacked least-squares solve, conic
-conversion and foot-point pass for the trace fit, and lockstep rounds for
-Gauss-Newton, in which every decision (step acceptance, damping,
-convergence, when a foot-point solve settles) is taken per section. Each
-section's result is bit for bit the one it gets alone.
+All three fits and the foot-point solve behind them take one section or a
+stack of equal-size sections. A stack is solved with one set of array calls
+for all its sections: the two linear fits share one core (normalisation,
+checks, conic conversion and foot-point pass) around their own stacked
+solve, and Gauss-Newton runs lockstep rounds, in which every decision (step
+acceptance, damping, convergence, when a foot-point solve settles) is taken
+per section. Each section's result is bit for bit the one it gets alone.
 
 Input points are centered and scaled to unit RMS radius before the design
 matrices are formed, purely for conditioning. Both constraints depend only
@@ -236,38 +236,19 @@ def _stacked_lstsq(design: np.ndarray, rhs: np.ndarray):
     return x, rank
 
 
-def fit_bookstein(points) -> FitResult:
-    """Least-squares conic fit under the eigenvalue-norm constraint.
+def fit_bookstein(points) -> FitResult | FitBatch:
+    """Least-squares conic fit under the eigenvalue-norm constraint of one
+    section or of a stack of equal-size sections.
 
     The constraint lambda1^2 + lambda2^2 = 1 equals a11^2 + 2 a12^2 + a22^2,
     so with the quadratic block written in the scaled basis
     (u^2, sqrt(2) u v, v^2) it becomes a unit-norm condition. Eliminating the
     linear coefficients via QR leaves a smallest-singular-vector problem on
-    the 3x3 trailing block. One section per call.
+    the 3x3 trailing block.
+
+    ``points`` and the results are as for fit_trace.
     """
-    pts = as_points(points, 2)
-    if len(pts) < 6:
-        raise TooFewPoints(f"need at least 6 points, got {len(pts)}")
-    stack = pts[None]
-    norm, mean, scale = _normalize_points(stack)
-    if scale[0] <= 0.0:
-        raise DegenerateConfiguration("all points coincide")
-    u, v = norm[0, :, 0], norm[0, :, 1]
-    design = np.column_stack(
-        (u, v, np.ones_like(u), u * u, math.sqrt(2.0) * u * v, v * v)
-    )
-    sv = np.linalg.svd(design, compute_uv=False)
-    if np.sum(sv > _RANK_TOL * sv[0]) < 5:
-        raise DegenerateConfiguration("points do not determine a conic")
-    r = np.linalg.qr(design, mode="r")
-    r11, r12, r22 = r[:3, :3], r[:3, 3:], r[3:, 3:]
-    _, _, vt = np.linalg.svd(r22)
-    p = vt[-1]
-    q = np.linalg.lstsq(r11, -r12 @ p, rcond=None)[0]
-    scaled = np.array([[p[0], p[1] / math.sqrt(2.0), p[2], q[0], q[1], q[2]]])
-    coef, params, failures = _ellipses(_pull_back(scaled, mean, scale), BOOKSTEIN)
-    _raise_earliest(failures, True)
-    return _linear_fits(stack, coef, params)[0]
+    return _linear_fit(points, BOOKSTEIN)
 
 
 def fit_trace(points) -> FitResult | FitBatch:
@@ -284,17 +265,23 @@ def fit_trace(points) -> FitResult | FitBatch:
     sections one by one would, with that section's position in
     ``.section``.
     """
+    return _linear_fit(points, TRACE)
+
+
+def _linear_fit(points, constraint: str) -> FitResult | FitBatch:
+    """The fit_trace or fit_bookstein results of ``points``, by ``constraint``."""
     stack, single = _as_section_stack(points)
-    coef, params, failures = _trace_conics(stack)
+    coef, params, failures = _linear_conics(stack, constraint)
     _raise_earliest(failures, single)
     fits = _linear_fits(stack, coef, params)
     return fits[0] if single else fits
 
 
-def _trace_conics(stack: np.ndarray):
-    """The trace-constrained conics (S, 6) of a stack of sections and their
-    ellipses, without the residuals, and the error of each section that has
-    none, by position (its conic left unset and its ellipse None).
+def _linear_conics(stack: np.ndarray, constraint: str):
+    """The least-squares conics (S, 6) of a stack of sections under
+    ``constraint`` and their ellipses, without the residuals, and the error
+    of each section that has none, by position (its conic left unset and its
+    ellipse None).
     """
     count, n = stack.shape[:2]
     if n < 6:
@@ -305,7 +292,18 @@ def _trace_conics(stack: np.ndarray):
     rows, (norm, mean, scale) = drop_failed(
         scale <= 0.0, np.arange(count), (norm, mean, scale), failures,
         lambda j: DegenerateConfiguration("all points coincide"))
-    u, v = norm[..., 0], norm[..., 1]
+    solve = _trace_solve if constraint == TRACE else _bookstein_solve
+    scaled, rank = solve(norm[..., 0], norm[..., 1])
+    rows, (scaled, mean, scale) = drop_failed(
+        rank < 5, rows, (scaled, mean, scale), failures,
+        lambda j: DegenerateConfiguration("points do not determine a conic"))
+    coef, params, more = _ellipses(_pull_back(scaled, mean, scale), constraint)
+    return _scatter(count, rows, coef, params, more, failures)
+
+
+def _trace_solve(u: np.ndarray, v: np.ndarray):
+    """The trace-constrained conics (S, 6) of the scaled points (S, n) and
+    the rank of each section's design matrix."""
     design = np.empty(u.shape + (5,))
     design[..., 0] = v * v - u * u
     design[..., 1] = 2.0 * u * v
@@ -313,13 +311,27 @@ def _trace_conics(stack: np.ndarray):
     design[..., 3] = v
     design[..., 4] = 1.0
     sol, rank = _stacked_lstsq(design, (-u * u)[..., None])
-    rows, (sol, mean, scale) = drop_failed(
-        rank < 5, rows, (sol[..., 0], mean, scale), failures,
-        lambda j: DegenerateConfiguration("points do not determine a conic"))
-    a22, a12, b1, b2, c = sol.T
-    scaled = np.column_stack((1.0 - a22, a12, a22, b1, b2, c))
-    coef, params, more = _ellipses(_pull_back(scaled, mean, scale), TRACE)
-    return _scatter(count, rows, coef, params, more, failures)
+    a22, a12, b1, b2, c = sol[..., 0].T
+    return np.column_stack((1.0 - a22, a12, a22, b1, b2, c)), rank
+
+
+def _bookstein_solve(u: np.ndarray, v: np.ndarray):
+    """The eigenvalue-norm conics (S, 6) of the scaled points (S, n) and the
+    numerical rank of each section's design matrix.
+
+    The singular values for the rank, the R of a QR, the smallest right
+    singular vector of R's trailing 3x3 block and the lstsq of the linear
+    coefficients are each one stacked LAPACK gufunc call, which gives every
+    matrix the bits of its own 2-D call (checked on numpy 2.4).
+    """
+    root2 = math.sqrt(2.0)
+    design = np.stack((u, v, np.ones_like(u), u * u, root2 * u * v, v * v), axis=-1)
+    sv = np.linalg.svd(design, compute_uv=False)
+    rank = (sv > _RANK_TOL * sv[:, :1]).sum(axis=1)
+    r = np.linalg.qr(design, mode="r")
+    p = np.linalg.svd(r[:, 3:, 3:])[2][:, -1]
+    q = _stacked_lstsq(r[:, :3, :3], -r[:, :3, 3:] @ p[:, :, None])[0][..., 0]
+    return np.column_stack((p[:, 0], p[:, 1] / root2, p[:, 2], q)), rank
 
 
 def moment_init(points) -> EllipseParams:
@@ -387,7 +399,7 @@ def fit_gauss_newton(
     elif any(cold):
         # The trace fit of the whole stack: a subset would be a copy, whose
         # sections lose the memory layout that their sums round by.
-        _, trace_params, trace_failures = _trace_conics(stack)
+        _, trace_params, trace_failures = _linear_conics(stack, TRACE)
         failures = {k: exc for k, exc in trace_failures.items() if cold[k]}
         inits = [p if c else start for p, c, start in zip(trace_params, cold, inits)]
     theta = np.empty((count, 5))

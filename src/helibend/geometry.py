@@ -325,9 +325,18 @@ def section_stack(points, dim: int) -> tuple[np.ndarray, bool]:
     np.asarray copies a sequence of sections in C order, and the stacked sums
     of a stack whose sections do not lie one after another (a transposed or
     broadcast array) take another order, so both are stacked again section
-    by section, each keeping its own layout.
+    by section, each keeping its own layout. Sections of unequal point
+    count raise a ValueError naming the first that differs from section 0.
     """
-    pts = np.asarray(points, dtype=float)
+    try:
+        pts = np.asarray(points, dtype=float)
+    except ValueError:
+        shapes = [np.shape(section) for section in points]
+        first = next((k for k, shape in enumerate(shapes) if shape[:1] != shapes[0][:1]), None)
+        if first is None or any(len(shape) != 2 for shape in shapes):
+            raise
+        raise ValueError(f"section {first} has {shapes[first][0]} points but section 0 has "
+                         f"{shapes[0][0]}; a stack needs sections of equal point count") from None
     if pts.ndim != 3:
         return as_points(pts, dim)[None], True
     if pts.shape[2] != dim:

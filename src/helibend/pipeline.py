@@ -2,9 +2,9 @@
 torsion, rectify and summarize arc geometry.
 
 Each stage takes all sections at once. Canonicalization, direction moments
-and the trace or Gauss-Newton torsion fit run in blocks of equal-size
-sections (torsion.in_blocks), one set of array calls per block, with results
-equal to treating each section alone; Bookstein fits one section per call.
+and the torsion fit run in blocks of equal-size sections (torsion.in_blocks),
+one set of array calls per block, with results equal to treating each
+section alone.
 All on the calling thread: the ``workers`` argument has no effect.
 """
 

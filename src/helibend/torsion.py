@@ -8,11 +8,10 @@ circular section can swap major and minor axes), so series of adjacent
 sections pass through a discrete rectification filter that picks, per
 sample, the branch nearest the previous rectified value.
 
-Trace and Gauss-Newton sections are projected and fitted in blocks of
-equal point count (fit_sections), one stacked projection and one stacked
-fit_trace or fit_gauss_newton call per block, whose results equal fitting
-each section alone; Bookstein fits one section per call. in_blocks runs
-any stage over the same blocks.
+Sections are projected and fitted in blocks of equal point count
+(fit_sections), one stacked projection and one stacked fit_trace,
+fit_bookstein or fit_gauss_newton call per block, whose results equal
+fitting each section alone. in_blocks runs any stage over the same blocks.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import numpy as np
 from .conicfit import (
     DEFAULT_MAX_ITERATIONS,
     FitBatch,
-    FitResult,
     fit_bookstein,
     fit_gauss_newton,
     fit_trace,
@@ -45,25 +43,10 @@ FITTERS = (TRACE, BOOKSTEIN, GAUSS_NEWTON)
 
 _HALF_PI = math.pi / 2.0
 _TIE_TOL = 1e-12
-# Points per block of a trace or Gauss-Newton fit: enough sections to share
-# each numpy call's overhead, few enough that a block's arrays (about 200
-# bytes a point) add little to the evaluation's peak memory, which they set.
+# Points per block of a fit: enough sections to share each numpy call's
+# overhead, few enough that a block's arrays (about 200 bytes a point) add
+# little to the evaluation's peak memory, which they set.
 _BLOCK_POINTS = 3072
-
-
-def fit_section_ellipse(
-    points2d, fitter: str = TRACE, gn_max_iterations: int = DEFAULT_MAX_ITERATIONS
-) -> FitResult:
-    """Dispatch to one of the three fitting methods by name."""
-    # The fitters are looked up in this module at call time, so a wrapper
-    # installed on helibend.torsion.fit_trace (or its siblings) sees the call.
-    if fitter == TRACE:
-        return fit_trace(points2d)
-    if fitter == BOOKSTEIN:
-        return fit_bookstein(points2d)
-    if fitter == GAUSS_NEWTON:
-        return fit_gauss_newton(points2d, max_iterations=gn_max_iterations)
-    raise ValueError(f"unknown fitter {fitter!r}; expected one of {FITTERS}")
 
 
 def observe_torsion(
@@ -81,14 +64,11 @@ def observe_torsion(
     ``params.orientation_defined`` cleared instead of an arbitrary
     orientation.
 
-    Trace and Gauss-Newton sections are fitted in blocks by fit_sections;
-    Bookstein fits one section per call. Either way the error of the
+    The sections are fitted in blocks by fit_sections, and the error of the
     earliest failing section is raised, as a loop over the sections would.
     """
     if len(sections) != len(theta_x):
         raise LengthMismatch(f"{len(sections)} sections but {len(theta_x)} tilts")
-    if fitter == BOOKSTEIN:
-        return FitBatch(fit_bookstein(_projected([s], [t])[0]) for s, t in zip(sections, theta_x))
     return fit_sections(
         fitter,
         [len(s.points_canonical) for s in sections],
@@ -121,25 +101,28 @@ def fit_sections(
     inits: Sequence[EllipseParams | None] | None = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> FitBatch:
-    """Trace or Gauss-Newton fits of sections with point counts ``sizes``,
-    one FitResult per section in order.
+    """Fits by ``fitter``, one of FITTERS, of sections with point counts
+    ``sizes``, one FitResult per section in order.
 
     The sections are grouped into blocks by in_blocks, and each block is one
-    stacked fit_trace or fit_gauss_newton call whose results equal the
-    sections' own fits. ``block_points(block)`` gives the (S, n, 2) stack of
-    the sections at the positions ``block`` when that block is fitted, so
-    only one block's points are held at a time. ``inits`` (Gauss-Newton
-    only) is None or one EllipseParams (or None) per section. The error of
-    the earliest failing section is raised, as a loop over the sections
-    would, with that section's index in ``.section``.
+    stacked fit_trace, fit_bookstein or fit_gauss_newton call whose results
+    equal the sections' own fits. ``block_points(block)`` gives the
+    (S, n, 2) stack of the sections at the positions ``block`` when that
+    block is fitted, so only one block's points are held at a time.
+    ``inits`` (Gauss-Newton only) is None or one EllipseParams (or None) per
+    section. The error of the earliest failing section is raised, as a loop
+    over the sections would, with that section's index in ``.section``.
     """
-    if fitter not in (TRACE, GAUSS_NEWTON):
-        raise ValueError(f"unknown fitter {fitter!r}; fit_sections takes {TRACE!r} or "
-                         f"{GAUSS_NEWTON!r}")
+    if fitter not in FITTERS:
+        raise ValueError(f"unknown fitter {fitter!r}; expected one of {FITTERS}")
 
+    # The fitters are looked up in this module at call time, so a wrapper
+    # installed on helibend.torsion.fit_trace (or its siblings) sees the call.
     def fit(block):
         if fitter == TRACE:
             return fit_trace(block_points(block))
+        if fitter == BOOKSTEIN:
+            return fit_bookstein(block_points(block))
         block_inits = None if inits is None else [inits[i] for i in block]
         return fit_gauss_newton(block_points(block), init=block_inits,
                                 max_iterations=max_iterations)

@@ -56,17 +56,17 @@ def noisy_arcs(count, n, seed):
             + rng.normal(0.0, 0.05, (n, 2)) for _ in range(count)]
 
 
-def trace_error(pts):
-    """The error fit_trace raises on one section, or None."""
+def fit_error(fit, pts):
+    """The error ``fit`` raises on one section, or None."""
     try:
-        fit_trace(pts)
+        fit(pts)
     except HelibendError as exc:
         return exc
     return None
 
 
 def failing_section(kind, n):
-    """n points that a trace fit rejects: on a line, on both branches of a
+    """n points that a linear fit rejects: on a line, on both branches of a
     hyperbola, or all at one point."""
     s = np.linspace(-1.2, 1.2, n // 2 if kind == "hyperbola" else n)
     if kind == "line":
@@ -654,63 +654,80 @@ class TestPullBack:
             assert hexes(row) == hexes([a[0, 0], a[0, 1], a[1, 1], b[0], b[1], c])
 
 
+LINEAR_FITS = [fit_trace, fit_bookstein]
+KINDS = [("line", "hyperbola"), ("hyperbola", "line"), ("point", "hyperbola")]
+
+
+def linear_fit_cases(values, ids):
+    """Parametrize cases (fit, value) for both linear fits: fit_trace's
+    under the plain ``ids``, which keeps their test names stable, and
+    fit_bookstein's under ``fit_bookstein-`` and the id."""
+    return [pytest.param(fit, value, id=case if fit is fit_trace else f"fit_bookstein-{case}")
+            for fit in LINEAR_FITS for value, case in zip(values, ids)]
+
+
 class TestTraceStacks:
-    @pytest.mark.parametrize("layout", ["C", "F"])
-    def test_stack_fits_each_section_as_alone(self, layout):
+    """Stacks of sections through both linear fits, fit_trace and fit_bookstein."""
+
+    @pytest.mark.parametrize("fit, layout", linear_fit_cases(["C", "F"], ["C", "F"]))
+    def test_stack_fits_each_section_as_alone(self, fit, layout):
         sections = noisy_arcs(9, 24, 31)
         if layout == "F":
             sections = [np.asfortranarray(pts) for pts in sections]
-        batch = fit_trace(np.stack(sections))
+        batch = fit(np.stack(sections))
         assert isinstance(batch, FitBatch)
-        assert [fit_bits(f) for f in batch] == [fit_bits(fit_trace(pts)) for pts in sections]
+        assert [fit_bits(f) for f in batch] == [fit_bits(fit(pts)) for pts in sections]
         assert (batch.iterations, batch.converged) == (0, True)
 
-    @pytest.mark.parametrize("fit", [fit_trace, fit_gauss_newton])
+    @pytest.mark.parametrize("fit", [fit_trace, fit_bookstein, fit_gauss_newton])
     def test_sequence_of_sections_fits_each_as_alone(self, fit):
         sections = [np.asfortranarray(pts) for pts in noisy_arcs(9, 24, 31)]
         assert [fit_bits(f) for f in fit(sections)] == [fit_bits(fit(pts)) for pts in sections]
 
-    def test_each_section_keeps_its_memory_layout(self):
+    @pytest.mark.parametrize("fit", LINEAR_FITS)
+    def test_each_section_keeps_its_memory_layout(self, fit):
         # The column sums of an F-ordered section round differently from a
         # C-ordered copy's; a stack whose sections interleave in memory is
         # fitted as its sections are alone.
         sections = noisy_arcs(9, 24, 31)
-        by_c = fit_trace(np.stack(sections))
-        by_f = fit_trace(np.stack([np.asfortranarray(pts) for pts in sections]))
+        by_c = fit(np.stack(sections))
+        by_f = fit(np.stack([np.asfortranarray(pts) for pts in sections]))
         assert [fit_bits(f) for f in by_c] != [fit_bits(f) for f in by_f]
         interleaved = np.asfortranarray(np.stack(sections))
-        assert [fit_bits(f) for f in fit_trace(interleaved)] == [
-            fit_bits(fit_trace(pts)) for pts in interleaved]
+        assert [fit_bits(f) for f in fit(interleaved)] == [
+            fit_bits(fit(pts)) for pts in interleaved]
 
-    @pytest.mark.parametrize("kinds", [
-        ("line", "hyperbola"), ("hyperbola", "line"), ("point", "hyperbola")])
-    def test_stack_raises_the_earliest_failing_section(self, kinds):
+    @pytest.mark.parametrize("fit, kinds", linear_fit_cases(
+        KINDS, [f"kinds{k}" for k in range(len(KINDS))]))
+    def test_stack_raises_the_earliest_failing_section(self, fit, kinds):
         sections = noisy_arcs(6, 20, 32)
         sections[1] = failing_section(kinds[0], 20)
         sections[4] = failing_section(kinds[1], 20)
-        alone = [trace_error(pts) for pts in sections]
+        alone = [fit_error(fit, pts) for pts in sections]
         assert [k for k, exc in enumerate(alone) if exc is not None] == [1, 4]
         with pytest.raises(HelibendError) as caught:
-            fit_trace(np.stack(sections))
+            fit(np.stack(sections))
         assert type(caught.value) is type(alone[1])
         assert str(caught.value) == str(alone[1])
         assert caught.value.section == 1
         if isinstance(alone[1], NotAnEllipse):
             assert caught.value.conic == alone[1].conic
 
-    def test_too_few_points_in_a_stack(self):
+    @pytest.mark.parametrize("fit", LINEAR_FITS)
+    def test_too_few_points_in_a_stack(self, fit):
         sections = noisy_arcs(3, 5, 33)
         with pytest.raises(TooFewPoints) as alone:
-            fit_trace(sections[0])
+            fit(sections[0])
         with pytest.raises(TooFewPoints) as caught:
-            fit_trace(np.stack(sections))
+            fit(np.stack(sections))
         assert str(caught.value) == str(alone.value) == "need at least 6 points, got 5"
         assert (caught.value.section, alone.value.section) == (0, None)
 
-    def test_stack_input_validated(self):
+    @pytest.mark.parametrize("fit", LINEAR_FITS)
+    def test_stack_input_validated(self, fit):
         stack = np.stack(noisy_arcs(2, 20, 34))
         stack[1, 4, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            fit_trace(stack)
+            fit(stack)
         with pytest.raises(ValueError, match=r"\(S, n, 2\) stack"):
-            fit_trace(np.zeros((2, 20, 3)))
+            fit(np.zeros((2, 20, 3)))

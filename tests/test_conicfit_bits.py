@@ -13,7 +13,14 @@ import math
 import numpy as np
 import pytest
 
-from helibend import conicfit, fit_gauss_newton, fit_trace, geometric_residuals, moment_init
+from helibend import (
+    conicfit,
+    fit_bookstein,
+    fit_gauss_newton,
+    fit_trace,
+    geometric_residuals,
+    moment_init,
+)
 from helibend.conicfit import _foot_points
 
 from helpers import random_ellipse
@@ -88,6 +95,27 @@ def test_gauss_newton_bits(case):
 ], ids=["ring", "arc"])
 def test_trace_bits(pts, expected, conic):
     fit = fit_trace(pts)
+    c = fit.conic
+    assert fit_row(fit) == (expected, 0, True)
+    assert hexes([c.a11, c.a12, c.a22, c.b1, c.b2, c.c]) == conic
+
+
+@pytest.mark.parametrize("pts, expected, conic", [
+    (SECTION_A,
+     ["0x1.a18ef6ad754fbp+5", "0x1.af4e4bc4a6878p+4", "0x1.0b2da67119124p+4",
+      "0x1.99d08b534c06ep+2", "-0x1.a7361b3326030p-1", "0x1.372906e6a70b6p-2",
+      "0x1.3fdc5f88c80afp-5"],
+     ["0x1.344b79b02d986p-1", "0x1.ae99f2dea97ecp-2", "0x1.10be942725d3cp-1",
+      "-0x1.561caa5b4a856p+6", "-0x1.227760c9606c3p+6", "0x1.8c47b1a437cdep+11"]),
+    (SECTION_B,
+     ["-0x1.a6a8ea07b2ef2p+5", "-0x1.36910d3f5eb0ap+6", "0x1.98bb7326a8892p+5",
+      "0x1.8127353bc30dcp+5", "0x1.066b404685a74p-1", "0x1.60ba8d4cd9852p+2",
+      "0x1.3fea59da6fb5ep-4"],
+     ["0x1.5e451a8818b0ap-1", "-0x1.25566ed979810p-5", "0x1.74891945b9e87p-1",
+      "0x1.0ae8b5afd8520p+6", "0x1.b4cea94c04e91p+6", "0x1.0accac62c9445p+12"]),
+], ids=["ring", "arc"])
+def test_bookstein_bits(pts, expected, conic):
+    fit = fit_bookstein(pts)
     c = fit.conic
     assert fit_row(fit) == (expected, 0, True)
     assert hexes([c.a11, c.a12, c.a22, c.b1, c.b2, c.c]) == conic

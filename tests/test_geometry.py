@@ -13,6 +13,9 @@ from helibend import (
     HelixSpec,
     canonicalize_section,
     conic_to_params,
+    fit_bookstein,
+    fit_gauss_newton,
+    fit_trace,
     fold_half_open,
     generate,
     params_to_conic,
@@ -240,6 +243,17 @@ class TestCanonicalizeStack:
     def test_rejects_a_stack_of_planar_points(self):
         with pytest.raises(ValueError, match=r"\(S, n, 3\)"):
             canonicalize_section(np.zeros((4, 10, 2)))
+
+
+@pytest.mark.parametrize("stage, dim", [(fit_trace, 2), (fit_bookstein, 2),
+                                         (fit_gauss_newton, 2), (canonicalize_section, 3)])
+def test_unequal_sections_name_the_first_that_differs(stage, dim):
+    rng = np.random.default_rng(40)
+    sections = [rng.normal(size=(n, dim)) for n in (10, 10, 12, 9)]
+    with pytest.raises(ValueError) as caught:
+        stage(sections)
+    assert str(caught.value) == ("section 2 has 12 points but section 0 has 10; "
+                                 "a stack needs sections of equal point count")
 
 
 class TestConicConversion:

@@ -15,14 +15,14 @@ from helibend import (
     rectify_torsion,
     segment_sections,
 )
-from helibend.conicfit import fit_gauss_newton, fit_trace
+from helibend.conicfit import fit_bookstein, fit_gauss_newton, fit_trace
 from helibend.errors import (
     AmbiguousBranch,
     DegenerateConfiguration,
     HelibendError,
     TooFewPoints,
 )
-from helibend.torsion import fit_section_ellipse, fit_sections
+from helibend.torsion import fit_sections
 
 
 def canonical_sections(spec):
@@ -65,13 +65,6 @@ class TestObserveTorsion:
         assert got.params.orientation == 0.0
 
 
-class TestFitSectionEllipse:
-    def test_rejects_unknown_fitter(self):
-        pts = EllipseParams(np.zeros(2), 2.0, 1.0, 0.3).boundary_points(12)
-        with pytest.raises(ValueError, match="unknown fitter 'taubin'"):
-            fit_section_ellipse(pts, "taubin")
-
-
 class TestFitSections:
     @staticmethod
     def sections(short, collinear):
@@ -85,6 +78,7 @@ class TestFitSections:
         return sections
 
     @pytest.mark.parametrize("fitter, fit", [("trace", fit_trace),
+                                             ("bookstein", fit_bookstein),
                                              ("gauss-newton", fit_gauss_newton)])
     @pytest.mark.parametrize("short, collinear", [(2, 5), (5, 2)])
     def test_raises_the_earliest_failing_section(self, fitter, fit, short, collinear):
@@ -105,7 +99,7 @@ class TestFitSections:
         assert str(caught.value) == str(expected)
         assert caught.value.section == first
 
-    @pytest.mark.parametrize("fitter", ["bookstein", "taubin"])
+    @pytest.mark.parametrize("fitter", ["taubin"])
     def test_rejects_other_fitters(self, fitter):
         pts = EllipseParams(np.zeros(2), 2.0, 1.0, 0.3).boundary_points(12)
         with pytest.raises(ValueError, match=f"unknown fitter '{fitter}'"):

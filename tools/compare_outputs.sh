@@ -15,9 +15,9 @@
 #
 # The set: criterion 8's part (synth --seed 42 --noise-sigma 0.05
 # --twist-sine-amp-deg 3) evaluated with each fitter, with gauss-newton at
-# --gn-max-iterations 2, with trace and with gauss-newton after every 7th
-# data row of its cloud is dropped (34 sections of 41 points and 6 of 42, so
-# blocks of two sizes), unlabeled with --sections 40, and with --window 1
+# --gn-max-iterations 2, with each fitter after every 7th data row of its
+# cloud is dropped (34 sections of 41 points and 6 of 42, so blocks of two
+# sizes), unlabeled with --sections 40, and with --window 1
 # and --window 4 (an even window pools window + 1 sections, so it takes the
 # interior path at width 5); a 3-section part at the default window 5, whose
 # every direction window is clamped at the ends of the part; a 1000 x 400
@@ -93,6 +93,8 @@ run_set() {
         --fitter trace
     hb c8-ragged-gn evaluate --input "$work/ragged.csv" --output-dir "$out/c8-ragged-gn" \
         --fitter gauss-newton
+    hb c8-ragged-bookstein evaluate --input "$work/ragged.csv" \
+        --output-dir "$out/c8-ragged-bookstein" --fitter bookstein
     cut -d, -f1-3 "$out/c8/cloud.csv" > "$work/unlabeled.csv"
     hb c8-unlabeled evaluate --input "$work/unlabeled.csv" \
         --output-dir "$out/c8-unlabeled" --sections 40
