@@ -244,9 +244,9 @@ def _cmd_compare_fits(args) -> int:
     rows = []
     band = math.radians(10.0)
     summary = []
+    rng = np.random.default_rng(args.seed)
+    trial_points = [_trial_points(args, float(true), rng) for true in true_angles]
     for fitter in FITTERS:
-        rng = np.random.default_rng(args.seed)
-        trial_points = [_trial_points(args, float(true), rng) for true in true_angles]
         # Gauss-Newton is deliberately not warm-started from the trace fit: the
         # sweep compares the methods, so it starts from plain moment estimates.
         inits = [moment_init(pts) for pts in trial_points] if fitter == GAUSS_NEWTON else None

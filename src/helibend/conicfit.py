@@ -11,13 +11,14 @@ All three minimize a residual of the implicit conic F(x) = x^T A x + b^T x + c:
   the ellipse boundary over (center, semi-axes, orientation), with Levenberg
   damping so the geometric RMS never increases across accepted steps.
 
-All three fits and the foot-point solve behind them take one section or a
-stack of equal-size sections. A stack is solved with one set of array calls
-for all its sections: the two linear fits share one core (normalisation,
-checks, conic conversion and foot-point pass) around their own stacked
-solve, and Gauss-Newton runs lockstep rounds, in which every decision (step
-acceptance, damping, convergence, when a foot-point solve settles) is taken
-per section. Each section's result is bit for bit the one it gets alone.
+All three fits take one section or a stack of equal-size sections. A stack
+is solved with one set of array calls for all its sections: the two linear
+fits share one core (normalisation, checks, conic conversion and foot-point
+pass) around their own stacked solve, and Gauss-Newton runs lockstep rounds,
+in which every decision (step acceptance, damping, convergence, when a
+foot-point solve settles) is taken per section. Each section's result is bit
+for bit the one it gets alone. The foot-point solve takes stacks only; one
+section, or the points of a distance function, is a stack of one.
 
 Input points are centered and scaled to unit RMS radius before the design
 matrices are formed, purely for conditioning. Both constraints depend only
@@ -58,6 +59,7 @@ from .geometry import (
     drop_failed,
     normalize_conics,
     params_to_conics,
+    raise_earliest,
     section_stack,
 )
 
@@ -101,6 +103,12 @@ class FitBatch(tuple):
 def geometric_residuals(points, params: EllipseParams) -> np.ndarray:
     """Signed orthogonal distance to the ellipse boundary for each point."""
     return _ellipse_foot_points(points, params)[1]
+
+
+def _param_rows(params: Sequence[EllipseParams]) -> np.ndarray:
+    """The (cx, cy, a, b, phi) row (S, 5) of each ellipse."""
+    return np.array([(*p.center, p.semi_major, p.semi_minor, p.orientation)
+                     for p in params]).reshape(-1, 5)
 
 
 def _row_rms(values: np.ndarray) -> np.ndarray:
@@ -181,9 +189,8 @@ def _linear_fits(stack: np.ndarray, coef: np.ndarray, params) -> FitBatch:
     """The FitResults of a stack's sections from their normalized conics (S,
     6) and ellipses: one stacked algebraic RMS and one foot-point pass for
     the geometric RMS."""
-    theta = np.array([(*p.center, p.semi_major, p.semi_minor, p.orientation)
-                      for p in params]).reshape(-1, 5)
-    return _fit_batch(stack, coef, params, _row_rms(_gn_residual(stack, theta, None)[1]))
+    geometric = _row_rms(_gn_residual(stack, _param_rows(params), None)[1])
+    return _fit_batch(stack, coef, params, geometric)
 
 
 def _fit_batch(stack, coef, params, geometric, iterations=None, converged=None) -> FitBatch:
@@ -199,16 +206,6 @@ def _fit_batch(stack, coef, params, geometric, iterations=None, converged=None) 
         FitResult(Conic2D(*c), p, alg, geo, it, conv)
         for c, p, alg, geo, it, conv in zip(
             coef.tolist(), params, algebraic.tolist(), geometric.tolist(), iterations, converged))
-
-
-def _raise_earliest(failures: dict, single: bool) -> None:
-    """Raise the error of the earliest failing section, if any, with its
-    position in ``.section`` when the fit was of a stack."""
-    if failures:
-        first = min(failures)
-        if not single:
-            failures[first].section = first
-        raise failures[first]
 
 
 def _lstsq_failed(err, flag):
@@ -272,7 +269,7 @@ def _linear_fit(points, constraint: str) -> FitResult | FitBatch:
     """The fit_trace or fit_bookstein results of ``points``, by ``constraint``."""
     stack, single = _as_section_stack(points)
     coef, params, failures = _linear_conics(stack, constraint)
-    _raise_earliest(failures, single)
+    raise_earliest(failures, single)
     fits = _linear_fits(stack, coef, params)
     return fits[0] if single else fits
 
@@ -403,22 +400,18 @@ def fit_gauss_newton(
         failures = {k: exc for k, exc in trace_failures.items() if cold[k]}
         inits = [p if c else start for p, c, start in zip(trace_params, cold, inits)]
     theta = np.empty((count, 5))
-    for k, start in enumerate(inits):
-        if k not in failures:
-            theta[k] = (start.center[0], start.center[1], start.semi_major, start.semi_minor,
-                        start.orientation)
-
     rms = np.empty(count)
     iterations = np.empty(count, dtype=int)
     converged = np.empty(count, dtype=bool)
-    fitted = np.array([k for k in range(count) if k not in failures], dtype=int)
-    if fitted.size:
-        part = stack if fitted.size == count else stack[fitted]
+    fitted = [k for k in range(count) if k not in failures]
+    if fitted:
+        part = stack if len(fitted) == count else stack[fitted]
+        start = _param_rows([inits[k] for k in fitted])
         theta[fitted], rms[fitted], iterations[fitted], converged[fitted], collapsed = (
-            _levenberg_marquardt(part, theta[fitted], max_iterations))
+            _levenberg_marquardt(part, start, max_iterations))
         for j in collapsed:
-            failures[int(fitted[j])] = CollapsedAxis("a semi-axis collapsed during iteration")
-    _raise_earliest(failures, single)
+            failures[fitted[j]] = CollapsedAxis("a semi-axis collapsed during iteration")
+    raise_earliest(failures, single)
 
     params = [EllipseParams.from_axes(t[:2], *t[2:]) for t in theta]
     fits = _fit_batch(stack, params_to_conics(params), params, rms, iterations, converged)
@@ -434,7 +427,8 @@ def _as_section_stack(points) -> tuple[np.ndarray, bool]:
 
 
 def _levenberg_marquardt(pts: np.ndarray, theta: np.ndarray, max_iterations: int):
-    """Damped Gauss-Newton over a stack of sections in lockstep.
+    """Damped Gauss-Newton over a stack of sections in lockstep, from the
+    rows ``theta``, which it updates in place.
 
     Each round solves, evaluates and tests one damped trial step for every
     section still running, then forms the Jacobian and normal equations of
@@ -446,7 +440,6 @@ def _levenberg_marquardt(pts: np.ndarray, theta: np.ndarray, max_iterations: int
     sections whose semi-axis collapsed (which stop there).
     """
     count = len(pts)
-    theta = theta.copy()
     foot, residual, angles = _gn_residual(pts, theta, None)
     rms = _row_rms(residual)
     grad, hess = _normal_equations(_gn_jacobian(theta, foot), residual)
@@ -553,41 +546,40 @@ def ellipse_foot_point(point, params: EllipseParams) -> np.ndarray:
 
 
 def _ellipse_foot_points(points, params: EllipseParams):
-    """Validated ``points`` in the ellipse frame, passed to _foot_points."""
-    local = _to_local(as_points(points, 2), params.center, params.orientation)
-    return _foot_points(local, params.semi_major, params.semi_minor)
+    """Foot points in the ellipse frame and signed distances of the
+    validated ``points``, solved as a stack of one."""
+    foot, dist, _ = _gn_residual(as_points(points, 2)[None], _param_rows([params]), None)
+    return foot[0], dist[0]
 
 
-def _to_local(pts: np.ndarray, center, orientation) -> np.ndarray:
-    """Rotate/translate points into the ellipse-aligned frame: one section
-    (n, 2) with a scalar orientation, or a stack (S, n, 2) with one centre
-    (S, 1, 2) and one orientation (S,) per section.
+def _to_local(pts: np.ndarray, center: np.ndarray, orientation: np.ndarray) -> np.ndarray:
+    """Rotate/translate a stack of sections (S, n, 2) into their
+    ellipse-aligned frames, from one centre (S, 1, 2) and one orientation
+    (S,) per section; stacks only.
 
     Not EllipseParams: Gauss-Newton iterates may have a < b, which it rejects.
     """
     ca, sa = np.cos(orientation), np.sin(orientation)
-    rot = np.empty(np.shape(orientation) + (2, 2))
-    rot[..., 0, 0] = ca
-    rot[..., 0, 1] = sa
-    rot[..., 1, 0] = -sa
-    rot[..., 1, 1] = ca
-    return (pts - center) @ np.swapaxes(rot, -1, -2)
+    rot = np.empty((len(orientation), 2, 2))
+    rot[:, 0, 0] = ca
+    rot[:, 0, 1] = sa
+    rot[:, 1, 0] = -sa
+    rot[:, 1, 1] = ca
+    return (pts - center) @ rot.transpose(0, 2, 1)
 
 
 def _foot_points(local: np.ndarray, a, b, start: np.ndarray | None = None):
-    """Vectorized foot points of ``local`` points on an axis-aligned ellipse.
+    """Vectorized foot points of ``local`` points on axis-aligned ellipses.
 
-    ``local`` is one section (n, 2) with scalar semi-axes ``a`` and ``b``,
-    or a stack (S, n, 2) with one ``a`` and ``b`` per section. Returns (foot
-    points in the local frame, signed distances, foot-point angles in
-    [0, pi/2]) shaped like the input. Newton starts from ``start`` (angles
-    in [0, pi/2], such as an earlier solve's) or by default from
-    arctan2(aQ, bP). Points on a symmetry axis are resolved in closed form
-    whatever the start (the bracket endpoints can be spurious roots there).
+    ``local`` is a stack (S, n, 2) of sections, one section being a stack of
+    one, with the semi-axes ``a`` and ``b`` as (S, 1) columns; stacks only.
+    Returns (foot points in the local frame, signed distances, foot-point
+    angles in [0, pi/2]) shaped like the stack. Newton starts from ``start``
+    (angles (S, n) in [0, pi/2], such as an earlier solve's) or by default
+    from arctan2(aQ, bP). Points on a symmetry axis are resolved in closed
+    form whatever the start (the bracket endpoints can be spurious roots
+    there).
     """
-    if local.ndim == 3:
-        a = np.reshape(a, (-1, 1))
-        b = np.reshape(b, (-1, 1))
     pq = np.abs(local)
     p, q = pq[..., 0], pq[..., 1]
     t = np.arctan2(a * q, b * p) if start is None else np.array(start, dtype=float)
@@ -617,8 +609,9 @@ def _newton_angles(t: np.ndarray, ap: np.ndarray, bq: np.ndarray, diff, on_axis)
     with g(0) = bQ >= 0 and g(pi/2) = -aP <= 0, so the root is bracketed;
     Newton steps that leave the bracket fall back to bisection. ``diff`` is
     a^2 - b^2, and points in the ``on_axis`` mask keep their angle. Each
-    section (row of a stack) stops once its own largest step is below
-    1e-15, so a section in a stack takes the steps it takes alone.
+    section (row of the stack) stops once its own largest step is below
+    1e-15, so a section in a stack takes the steps it takes alone; a section
+    without points has settled at once.
     """
     # a^2 - b^2 and 0.0 as arrays: an array operand is a cheaper dispatch
     # than a Python float, and the values are the same.
@@ -632,12 +625,8 @@ def _newton_angles(t: np.ndarray, ap: np.ndarray, bq: np.ndarray, diff, on_axis)
         for _ in range(90):
             t_next = _newton_step(tg, lo, hi, ap, bq, diff, zero, on_axis)
             # One ulp at t ~ 1 is 2.2e-16, so a tighter bound never settles.
-            settled = np.abs(t_next - tg).max(axis=-1) < 1e-15
+            settled = np.abs(t_next - tg).max(axis=1, initial=0.0) < 1e-15
             tg = t_next
-            if settled.ndim == 0:  # one section
-                if settled:
-                    break
-                continue
             done = np.count_nonzero(settled)
             if done == len(settled):
                 break
@@ -689,8 +678,8 @@ def _newton_step(t, lo, hi, ap, bq, diff, zero, on_axis) -> np.ndarray:
 
 def _axis_angles(t: np.ndarray, p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Write the closed-form foot-point angle of every point on a symmetry
-    axis into ``t``; ``a`` and ``b`` are scalars or one row per section.
-    Returns the mask of those points.
+    axis into the angles ``t`` (S, n) of a stack, with ``a`` and ``b`` as
+    (S, 1) columns; stacks only. Returns the mask of those points.
     """
     a = np.broadcast_to(a, t.shape)
     b = np.broadcast_to(b, t.shape)
@@ -720,7 +709,7 @@ def _gn_residual(pts: np.ndarray, theta: np.ndarray, start: np.ndarray | None):
     _foot_points).
     """
     local = _to_local(pts, theta[:, None, :2], theta[:, 4])
-    return _foot_points(local, theta[:, 2], theta[:, 3], start)
+    return _foot_points(local, theta[:, 2:3], theta[:, 3:4], start)
 
 
 def _gn_jacobian(theta: np.ndarray, foot: np.ndarray) -> np.ndarray:

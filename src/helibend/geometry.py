@@ -208,6 +208,16 @@ def drop_failed(failed, rows, arrays, failures, error):
     return rows[keep], tuple(x[keep] for x in arrays)
 
 
+def raise_earliest(failures: dict, single: bool) -> None:
+    """Raise the error of the earliest failing section in ``failures``, if
+    any, with its position in ``.section`` when the input was a stack."""
+    if failures:
+        first = min(failures)
+        if not single:
+            failures[first].section = first
+        raise failures[first]
+
+
 def conics_to_params(coef: np.ndarray) -> tuple[list, dict]:
     """conic_to_params of each row: the EllipseParams of each row (None
     where it failed) and the NotAnEllipse of each failed row."""
@@ -325,18 +335,22 @@ def section_stack(points, dim: int) -> tuple[np.ndarray, bool]:
     np.asarray copies a sequence of sections in C order, and the stacked sums
     of a stack whose sections do not lie one after another (a transposed or
     broadcast array) take another order, so both are stacked again section
-    by section, each keeping its own layout. Sections of unequal point
-    count raise a ValueError naming the first that differs from section 0.
+    by section, each keeping its own layout. Sections of unequal shape raise
+    a ValueError naming the first that differs from section 0.
     """
     try:
         pts = np.asarray(points, dtype=float)
     except ValueError:
         shapes = [np.shape(section) for section in points]
-        first = next((k for k, shape in enumerate(shapes) if shape[:1] != shapes[0][:1]), None)
-        if first is None or any(len(shape) != 2 for shape in shapes):
+        first = next((k for k, shape in enumerate(shapes) if shape != shapes[0]), None)
+        if first is None or len(shapes[0]) != 2:  # not a list of (n, dim) sections
             raise
-        raise ValueError(f"section {first} has {shapes[first][0]} points but section 0 has "
-                         f"{shapes[0][0]}; a stack needs sections of equal point count") from None
+        got, want = shapes[first], shapes[0]
+        if len(got) == 2 and got[1] == want[1]:
+            raise ValueError(f"section {first} has {got[0]} points but section 0 has "
+                             f"{want[0]}; a stack needs sections of equal point count") from None
+        raise ValueError(f"section {first} has shape {got} but section 0 has {want}; "
+                         "a stack needs sections of equal shape") from None
     if pts.ndim != 3:
         return as_points(pts, dim)[None], True
     if pts.shape[2] != dim:
@@ -381,11 +395,7 @@ def canonicalize_section(points) -> CanonicalSection | list[CanonicalSection]:
             poses.append((math.atan2(y, x), radius))
     for k in np.flatnonzero(~finite).tolist():
         failures[k] = ValueError("points contain non-finite coordinates")
-    if failures:
-        first = min(failures)
-        if not single:
-            failures[first].section = first
-        raise failures[first]
+    raise_earliest(failures, single)
     if not poses:
         return []
     rot = np.stack([rotation_z(-phi) for phi, _ in poses])

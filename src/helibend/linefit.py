@@ -142,7 +142,8 @@ def detect_direction(
     at the ends of the part; an even window thus pools window + 1 sections.
     Each section's point count, ZY mean and centered scatter are computed
     once, in blocks of equal-size sections, and pooled per window by the
-    parallel-axis rule, every interior window in one set of array calls, and
+    parallel-axis rule (``_pool``: every interior window in one call, each
+    window clamped at an end of the part as a stack of one), and
     ``rms_orthogonal_residual`` is the RMS orthogonal distance of the
     window's points from the line. Each window's result is bit for bit the
     one that pooling that window alone gives.
@@ -159,26 +160,14 @@ def detect_direction(
     pooled_means = np.empty((n, 2))
     pooled = np.empty((n, 2, 2))
     if n >= width:
-        # The interior windows, stacked: each sum keeps the order, and each
-        # matmul the BLAS call, of a window's own pooling below.
         inner = slice(half, n - half)
-        w = sliding_window_view(counts, width)
-        m = sliding_window_view(means, width, axis=0).transpose(0, 2, 1)
-        totals[inner] = w.sum(axis=1)
-        pooled_means[inner] = (w[:, None, :] @ m)[:, 0, :] / totals[inner, None]
-        d = m - pooled_means[inner, None, :]
-        summed = scatters[:len(w)]
-        for shift in range(1, width):
-            summed = summed + scatters[shift:shift + len(w)]
-        pooled[inner] = summed + (w[:, :, None] * d).transpose(0, 2, 1) @ d
+        totals[inner], pooled_means[inner], pooled[inner] = _pool(counts, means, scatters, width)
     # The windows clamped at the ends of the part.
     for i in [*range(min(half, n)), *range(max(half, n - half), n)]:
         lo, hi = max(0, i - half), min(n, i + half + 1)
-        w = counts[lo:hi]
-        totals[i] = w.sum()
-        pooled_means[i] = w @ means[lo:hi] / totals[i]
-        d = means[lo:hi] - pooled_means[i]
-        pooled[i] = scatters[lo:hi].sum(axis=0) + (w * d.T) @ d
+        at = slice(i, i + 1)
+        totals[at], pooled_means[at], pooled[at] = _pool(
+            counts[lo:hi], means[lo:hi], scatters[lo:hi], hi - lo)
     results = []
     for i, ((line, sse), total) in enumerate(zip(_lines(pooled_means, pooled), totals.tolist())):
         # sse can round below 0 on noise-free parts
@@ -194,6 +183,22 @@ def detect_direction(
                 stacklevel=2,
             )
     return results
+
+
+def _pool(counts: np.ndarray, means: np.ndarray, scatters: np.ndarray, width: int):
+    """Point totals, means (W, 2) and scatters (W, 2, 2) of every run of
+    ``width`` consecutive sections, pooled by the parallel-axis rule; each
+    run's sums keep their order, and its matmuls their BLAS calls, alone.
+    """
+    w = sliding_window_view(counts, width)
+    m = sliding_window_view(means, width, axis=0).transpose(0, 2, 1)
+    totals = w.sum(axis=1)
+    pooled_means = (w[:, None, :] @ m)[:, 0, :] / totals[:, None]
+    d = m - pooled_means[:, None, :]
+    summed = scatters[:len(w)]
+    for shift in range(1, width):
+        summed = summed + scatters[shift:shift + len(w)]
+    return totals, pooled_means, summed + (w[:, :, None] * d).transpose(0, 2, 1) @ d
 
 
 def _zy_moments(sections: list[CanonicalSection]):

@@ -36,6 +36,7 @@ from .geometry import (
     CanonicalSection,
     EllipseParams,
     direction_rotation,
+    raise_earliest,
 )
 
 GAUSS_NEWTON = "gauss-newton"
@@ -143,21 +144,18 @@ def in_blocks(sizes: Sequence[int], run: Callable[[list[int]], Sequence]) -> lis
     would, with that section's index in ``.section``.
     """
     results = [None] * len(sizes)
-    failure = None
+    failures = {}
     for block in _blocks(sizes):
         try:
             batch = run(block)
         except (HelibendError, ValueError) as exc:
             if getattr(exc, "section", None) is None:
                 raise
-            exc.section = block[exc.section]
-            if failure is None or exc.section < failure.section:
-                failure = exc
+            failures[block[exc.section]] = exc
             continue
         for i, result in zip(block, batch):
             results[i] = result
-    if failure is not None:
-        raise failure
+    raise_earliest(failures, single=False)
     return results
 
 

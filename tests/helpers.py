@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from helibend import EllipseParams, HelixSpec
+from helibend.conicfit import _foot_points
 
 
 def ellipse_points(center, semi_major, semi_minor, orientation, n, t0=0.0):
@@ -15,6 +16,14 @@ def ellipse_points(center, semi_major, semi_minor, orientation, n, t0=0.0):
 def arc_points(params: EllipseParams, n: int, arc_frac: float, t_center: float) -> np.ndarray:
     """n boundary points spanning a fraction ``arc_frac`` of the parameter circle."""
     return params.arc_points(n, arc_frac, t_center)
+
+
+def foot_points_alone(pts, a, b, start=None):
+    """_foot_points of one section (n, 2) with scalar semi-axes, solved as a
+    stack of one: (foot points, signed distances, angles) of the section."""
+    start = None if start is None else np.asarray(start, dtype=float)[None]
+    foot, dist, angles = _foot_points(pts[None], np.array([[a]]), np.array([[b]]), start)
+    return foot[0], dist[0], angles[0]
 
 
 def random_ellipse(rng, min_ratio=1.05):

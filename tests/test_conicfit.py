@@ -18,7 +18,7 @@ from helibend import (
     point_to_ellipse_distance,
 )
 from helibend import conicfit
-from helibend.conicfit import _foot_points, ellipse_foot_point
+from helibend.conicfit import ellipse_foot_point
 from helibend.errors import (
     CollapsedAxis,
     DegenerateConfiguration,
@@ -31,7 +31,7 @@ from helibend.helix import HelixSpec, generate, segment_sections
 from helibend.linefit import detect_direction
 from helibend.torsion import GAUSS_NEWTON, observe_torsion, rectify_against
 
-from helpers import arc_points, random_ellipse
+from helpers import arc_points, foot_points_alone, random_ellipse
 
 
 def angle_error(got, true):
@@ -490,6 +490,11 @@ class TestPointToEllipseDistance:
         base = point_to_ellipse_distance(local, EllipseParams(np.zeros(2), 4.0, 2.0, 0.0))
         assert point_to_ellipse_distance(world, params) == pytest.approx(base, abs=1e-12)
 
+    def test_empty_point_set_has_no_residuals(self):
+        params = EllipseParams(np.array([1.0, -2.0]), 4.0, 2.0, 0.6)
+        residuals = geometric_residuals(np.empty((0, 2)), params)
+        assert residuals.shape == (0,) and residuals.dtype == float
+
     @pytest.mark.parametrize("function", [point_to_ellipse_distance, ellipse_foot_point])
     @pytest.mark.parametrize("point", [(math.nan, 0.5), (0.0, math.inf)])
     def test_non_finite_point_rejected(self, function, point):
@@ -529,17 +534,17 @@ class TestFootPointWarmStart:
     def test_matches_cold_start(self, a, b):
         rng = np.random.default_rng(41)
         pts = self._probe_points(rng, a, b)
-        cold_foot, cold_dist, cold_angles = _foot_points(pts, a, b)
+        cold_foot, cold_dist, cold_angles = foot_points_alone(pts, a, b)
         # Poor starts, far from most roots, so Newton leaves the bracket and
         # the bisection fallback runs.
         for start in (np.zeros(len(pts)), np.full(len(pts), math.pi / 2.0),
                       rng.uniform(0.0, math.pi / 2.0, len(pts))):
-            foot, dist, angles = _foot_points(pts, a, b, start)
+            foot, dist, angles = foot_points_alone(pts, a, b, start)
             assert np.max(np.abs(foot - cold_foot)) < 1e-12
             assert np.max(np.abs(dist - cold_dist)) < 1e-12
             assert np.all((angles >= 0.0) & (angles <= math.pi / 2.0))
         on_axis = (pts[:, 0] == 0.0) | (pts[:, 1] == 0.0)
-        _, _, angles = _foot_points(pts, a, b, np.full(len(pts), 0.7))
+        _, _, angles = foot_points_alone(pts, a, b, np.full(len(pts), 0.7))
         assert np.array_equal(angles[on_axis], cold_angles[on_axis])
 
 

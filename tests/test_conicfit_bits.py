@@ -14,16 +14,18 @@ import numpy as np
 import pytest
 
 from helibend import (
+    EllipseParams,
     conicfit,
+    ellipse_foot_point,
     fit_bookstein,
     fit_gauss_newton,
     fit_trace,
     geometric_residuals,
     moment_init,
+    point_to_ellipse_distance,
 )
-from helibend.conicfit import _foot_points
 
-from helpers import random_ellipse
+from helpers import foot_points_alone, random_ellipse
 
 
 def hexes(values):
@@ -143,6 +145,30 @@ def test_geometric_residual_bits():
     ]
 
 
+ROTATED = EllipseParams(np.array([1.5, -2.0]), 5.0, 2.0, 0.7)
+ALIGNED = EllipseParams(np.array([1.0, -2.0]), 5.0, 2.0, 0.0)
+
+
+# One point off the axes of a rotated ellipse, and points exactly on each
+# symmetry axis of an axis-aligned one (inside and outside the evolute cusp
+# on the major axis) and at its centre, which take the closed-form angles.
+@pytest.mark.parametrize("params, point, dist, foot", [
+    (ROTATED, (4.0, 1.0), "-0x1.0da5bdc2dfe5bp-1",
+     ["0x1.f41f502d1b271p+1", "0x1.84b6e3fc6dc16p+0"]),
+    (ALIGNED, (4.0, -2.0), "-0x1.83091e6a7f7e7p+0",
+     ["0x1.2492492492492p+2", "-0x1.33596ada1fd4cp-1"]),
+    (ALIGNED, (-7.0, -2.0), "0x1.8000000000000p+1",
+     ["-0x1.0000000000000p+2", "-0x1.0000000000000p+1"]),
+    (ALIGNED, (1.0, -0.5), "-0x1.0000000000000p-1",
+     ["0x1.0000000000001p+0", "0x0.0p+0"]),
+    (ALIGNED, (1.0, -2.0), "-0x1.0000000000000p+1",
+     ["0x1.0000000000001p+0", "0x0.0p+0"]),
+], ids=["off-axis", "major-axis-inside-cusp", "major-axis-outside-cusp", "minor-axis", "centre"])
+def test_point_distance_and_foot_point_bits(params, point, dist, foot):
+    assert point_to_ellipse_distance(point, params).hex() == dist
+    assert hexes(ellipse_foot_point(point, params)) == foot
+
+
 # Both starts are far enough from some of these roots that a Newton step
 # leaves [0, pi/2] and the bisection fallback runs (three rounds from 0.0,
 # one from 1.0). The two starts end an ulp apart on the second and fourth
@@ -161,7 +187,7 @@ def test_geometric_residual_bits():
 ], ids=["start-0", "start-1"])
 def test_bisection_fallback_bits(start, dist, angles):
     pts = np.array([[1.0, 3.0], [4.0, 0.5], [-0.3, -2.5], [6.0, -4.0], [0.2, 0.1]])
-    _, got_dist, got_angles = _foot_points(pts, 5.0, 2.0, np.full(len(pts), start))
+    _, got_dist, got_angles = foot_points_alone(pts, 5.0, 2.0, np.full(len(pts), start))
     assert hexes(got_dist) == dist
     assert hexes(got_angles) == angles
 
@@ -176,7 +202,7 @@ def test_exact_root_start_bits():
     st, ct = np.sin(start), np.cos(start)
     g = (a * a - b * b) * st * ct - a * np.abs(pts[:, 0]) * st + b * np.abs(pts[:, 1]) * ct
     assert np.all(g == 0.0)
-    foot, dist, angles = _foot_points(pts, a, b, start)
+    foot, dist, angles = foot_points_alone(pts, a, b, start)
     assert np.array_equal(angles, start)
     assert hexes(dist) == ["0x1.29e90f5e402cap+1", "0x1.b243c9f82bd87p+2",
                            "0x1.050e64ba83351p+2", "0x1.54e724c80140bp+2"]

@@ -256,6 +256,18 @@ def test_unequal_sections_name_the_first_that_differs(stage, dim):
                                  "a stack needs sections of equal point count")
 
 
+@pytest.mark.parametrize("stage, dim", [(fit_trace, 2), (fit_bookstein, 2),
+                                         (fit_gauss_newton, 2), (canonicalize_section, 3)])
+def test_sections_of_unequal_shape_name_the_first_that_differs(stage, dim):
+    rng = np.random.default_rng(41)
+    for odd in ((10, dim + 1), (10,)):
+        sections = [rng.normal(size=shape) for shape in ((10, dim), (10, dim), odd, (10, dim - 1))]
+        with pytest.raises(ValueError) as caught:
+            stage(sections)
+        assert str(caught.value) == (f"section 2 has shape {odd} but section 0 has {(10, dim)}; "
+                                     "a stack needs sections of equal shape")
+
+
 class TestConicConversion:
     def test_unit_circle_trace(self):
         params = conic_to_params(Conic2D(0.5, 0.0, 0.5, 0.0, 0.0, -0.5))

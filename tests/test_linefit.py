@@ -299,6 +299,60 @@ class TestDetectDirection:
         assert [(r.theta_x.hex(), float(r.rms_orthogonal_residual).hex(), float(r.line.c).hex())
                 for r in res] == pinned
 
+    # float.hex of (a, b, c, theta_x, rms_orthogonal_residual) per window.
+    # Both parts have windows clamped at each end and interior windows.
+    @pytest.mark.parametrize("sections, window, pinned", [
+        (7, 5, [
+            ("0x1.f5cc4b8047a26p-1", "-0x1.96cc0b88a5432p-3", "-0x1.55c22e743b881p-2",
+             "0x1.99854b54f7a00p-3", "0x1.1b33323ce50f6p-2"),
+            ("0x1.f5edaa951f5a7p-1", "-0x1.943739fd07acdp-3", "-0x1.002f1782e1e4dp-1",
+             "0x1.96e320de93460p-3", "0x1.818d71b8564b9p-2"),
+            ("0x1.f60ac30bf8d80p-1", "-0x1.91f3794d4b636p-3", "-0x1.556b9ac21cd9dp-1",
+             "0x1.9493cf3b591b0p-3", "0x1.e5aeea90abc48p-2"),
+            ("0x1.f612705cacb37p-1", "-0x1.9159ef8aa459bp-3", "-0x1.0008a4874d3f8p+0",
+             "0x1.93f73b0ae1a20p-3", "0x1.e5af4c4ffa0f0p-2"),
+            ("0x1.f61dafffdd6d2p-1", "-0x1.90788905d0638p-3", "-0x1.555110e6e67f0p+0",
+             "0x1.93116216f59e0p-3", "0x1.e5bb3f50ad37fp-2"),
+            ("0x1.f60198e1bd9c3p-1", "-0x1.92aa74391ea9ep-3", "-0x1.8027744533709p+0",
+             "0x1.954e6cfb311a0p-3", "0x1.813db561d0f85p-2"),
+            ("0x1.f5e6f67558debp-1", "-0x1.94bc52b30736ep-3", "-0x1.ab04c32e638f1p+0",
+             "0x1.976ae62f39e50p-3", "0x1.1ac6783f9555fp-2"),
+        ]),
+        (12, 9, [
+            ("0x1.f6083d3f6c772p-1", "-0x1.9225dfcba2d6cp-3", "-0x1.556f218737be4p-1",
+             "0x1.94c735c63b700p-3", "0x1.e59590c10bfdcp-2"),
+            ("0x1.f62c5f8714073p-1", "-0x1.8f517c0923511p-3", "-0x1.aa8b7726736b6p-1",
+             "0x1.91e48aa7c5c40p-3", "0x1.24a4f161e4610p-1"),
+            ("0x1.f6585c2b75ac4p-1", "-0x1.8bd86593925ecp-3", "-0x1.ff7cc896d971ep-1",
+             "0x1.8e5a3614e0e40p-3", "0x1.5646eecebb830p-1"),
+            ("0x1.f68d1b9746d9ep-1", "-0x1.87a36d4cc7a2ep-3", "-0x1.2a1b94d956a8cp+0",
+             "0x1.8a10c49d80280p-3", "0x1.87bba3faf6188p-1"),
+            ("0x1.f6c1238533affp-1", "-0x1.837132275e7eap-3", "-0x1.54659a53dba8cp+0",
+             "0x1.85ca8fb2c1d20p-3", "0x1.b9074bd335aebp-1"),
+            ("0x1.f6c2c0b8fea73p-1", "-0x1.834fadbf45237p-3", "-0x1.a97c0642a7a0ep+0",
+             "0x1.85a86d8df3ba0p-3", "0x1.b8ffdb527001ep-1"),
+            ("0x1.f6c1af2af817ap-1", "-0x1.8365de9f0ad63p-3", "-0x1.fe97323e874e0p+0",
+             "0x1.85bf06d9a6040p-3", "0x1.b907dbe731bd8p-1"),
+            ("0x1.f6be9ae386ccap-1", "-0x1.83a5c955b1bc2p-3", "-0x1.29dc2c888cb83p+1",
+             "0x1.86001e996d600p-3", "0x1.b9017a8ca6884p-1"),
+            ("0x1.f688e41d152a8p-1", "-0x1.87f9f660a5041p-3", "-0x1.3f6c6f696b602p+1",
+             "0x1.8a68ee93cbbd0p-3", "0x1.87b01f6becb8ep-1"),
+            ("0x1.f65b1928a29dbp-1", "-0x1.8ba0c8249f5e9p-3", "-0x1.54f9efe8d7e84p+1",
+             "0x1.8e21872a6ca70p-3", "0x1.5634e4d90788ap-1"),
+            ("0x1.f6326aca53fccp-1", "-0x1.8ed7cbf10b4d3p-3", "-0x1.6a8711bf6524ap+1",
+             "0x1.916879b715210p-3", "0x1.24918a4d54e2ep-1"),
+            ("0x1.f60c20755090ap-1", "-0x1.91d831a0ce20cp-3", "-0x1.8016e84ae0c5bp+1",
+             "0x1.9477fd1345ca0p-3", "0x1.e5569ea070f92p-2"),
+        ]),
+    ], ids=["7-sections-window-5", "12-sections-window-9"])
+    def test_pinned_clamped_and_interior_window_bits(self, sections, window, pinned):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LineOffsetWarning)
+            res = detect_direction(shifted_sections(sections), window=window)
+        assert [tuple(float(v).hex() for v in (r.line.a, r.line.b, r.line.c, r.theta_x,
+                                               r.rms_orthogonal_residual))
+                for r in res] == pinned
+
     def test_even_window_pools_the_next_odd_width(self):
         spec = HelixSpec(sections=9, noise_sigma=0.05, rng_seed=8)
         part = generate(spec)

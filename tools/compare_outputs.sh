@@ -17,9 +17,10 @@
 # --twist-sine-amp-deg 3) evaluated with each fitter, with gauss-newton at
 # --gn-max-iterations 2, with each fitter after every 7th data row of its
 # cloud is dropped (34 sections of 41 points and 6 of 42, so blocks of two
-# sizes), unlabeled with --sections 40, and with --window 1
-# and --window 4 (an even window pools window + 1 sections, so it takes the
-# interior path at width 5); a 3-section part at the default window 5, whose
+# sizes), unlabeled with --sections 40, and with --window 1, --window 4 (an
+# even window pools window + 1 sections, so it takes the interior path at
+# width 5) and --window 9 (four windows of widths 5 to 8 clamped at each end
+# of the part); a 3-section part at the default window 5, whose
 # every direction window is clamped at the ends of the part; a 1000 x 400
 # labeled part with trace and gauss-newton; a --twist-constant-deg 45 part;
 # a --twist-constant-deg 90 part, whose major axes the ZY projection drops;
@@ -98,7 +99,7 @@ run_set() {
     cut -d, -f1-3 "$out/c8/cloud.csv" > "$work/unlabeled.csv"
     hb c8-unlabeled evaluate --input "$work/unlabeled.csv" \
         --output-dir "$out/c8-unlabeled" --sections 40
-    for window in 1 4; do
+    for window in 1 4 9; do
         hb "c8-window$window" evaluate --input "$out/c8/cloud.csv" \
             --output-dir "$out/c8-window$window" --window "$window"
     done
