@@ -154,7 +154,13 @@ def _cmd_evaluate(args) -> int:
         raise InputFormatError(
             "input has no section column; pass --sections", line_number=None
         )
-    digest = "sha256:" + hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
+    sha = hashlib.sha256()
+    with open(args.input, "rb") as fh:
+        # Hashed in pieces: the whole file at once is a second copy of the
+        # input beside its parsed arrays, and it set the peak memory.
+        for piece in iter(lambda: fh.read(1 << 20), b""):
+            sha.update(piece)
+    digest = "sha256:" + sha.hexdigest()
     result = evaluate_cloud(
         points,
         labels=labels,

@@ -20,6 +20,11 @@ foot-point solve settles) is taken per section. Each section's result is bit
 for bit the one it gets alone. The foot-point solve takes stacks only; one
 section, or the points of a distance function, is a stack of one.
 
+A stacked kernel raises at the first check that any of its sections fails.
+A stack that raises is fitted again one section at a time
+(geometry.stacked_or_alone), so it raises its earliest failing section's
+error, as a loop would, with that section's position in ``.section``.
+
 Input points are centered and scaled to unit RMS radius before the design
 matrices are formed, purely for conditioning. Both constraints depend only
 on A, which is unchanged by translation and scales uniformly under isotropic
@@ -41,26 +46,21 @@ try:
 except ImportError:  # a numpy without the private gufunc module
     _umath_linalg = None
 
-from .errors import (
-    CollapsedAxis,
-    DegenerateConfiguration,
-    NotAnEllipse,
-    TooFewPoints,
-)
+from .errors import CollapsedAxis, DegenerateConfiguration, TooFewPoints
 from .geometry import (
     BOOKSTEIN,
     TRACE,
     Conic2D,
     EllipseParams,
     as_points,
+    check_conics,
     conic_matrices,
     conic_values,
     conics_to_params,
-    drop_failed,
     normalize_conics,
     params_to_conics,
-    raise_earliest,
     section_stack,
+    stacked_or_alone,
 )
 
 _RANK_TOL = 1e-10
@@ -102,7 +102,7 @@ class FitBatch(tuple):
 
 def geometric_residuals(points, params: EllipseParams) -> np.ndarray:
     """Signed orthogonal distance to the ellipse boundary for each point."""
-    return _ellipse_foot_points(points, params)[1]
+    return _ellipse_foot_points(as_points(points, 2), params)[1]
 
 
 def _param_rows(params: Sequence[EllipseParams]) -> np.ndarray:
@@ -154,43 +154,15 @@ def _pull_back(coef: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndar
 
 
 def _ellipses(coef: np.ndarray, constraint: str):
-    """The best-fit conics (S, 6) normalized to ``constraint``, their
-    ellipses, and the NotAnEllipse of each conic that is not one, by
-    position (its row left unset and its ellipse None).
+    """The best-fit conics (S, 6) normalized to ``constraint`` and their
+    ellipses; raises the NotAnEllipse of the first conic that is not one.
     """
-    failures: dict = {}
-    rows = np.arange(len(coef))
     det = coef[:, 0] * coef[:, 2] - coef[:, 1] * coef[:, 1]
-    rows, (kept,) = drop_failed(det <= 0.0, rows, (coef,), failures, lambda j: NotAnEllipse(
-        "best-fit conic is not an ellipse", conic=Conic2D(*coef[j].tolist())))
-    # det(A) > 0 puts a11 and a22 on one side of zero, so every kept conic
-    # can be normalized.
-    normalized, _ = normalize_conics(kept, constraint)
-    found, more = conics_to_params(normalized)
-    return _scatter(len(coef), rows, normalized, found, more, failures)
-
-
-def _scatter(count: int, rows: np.ndarray, coef: np.ndarray, params, more: dict, failures: dict):
-    """Conics (count, 6), ellipses and failures of ``count`` sections, from
-    those of the sections at positions ``rows``; ``failures`` already holds
-    the others'."""
-    failures.update((int(rows[j]), exc) for j, exc in more.items())
-    if len(rows) == count:
-        return coef, params, failures
-    out = np.empty((count, 6))
-    out[rows] = coef
-    full = [None] * count
-    for r, p in zip(rows.tolist(), params):
-        full[r] = p
-    return out, full, failures
-
-
-def _linear_fits(stack: np.ndarray, coef: np.ndarray, params) -> FitBatch:
-    """The FitResults of a stack's sections from their normalized conics (S,
-    6) and ellipses: one stacked algebraic RMS and one foot-point pass for
-    the geometric RMS."""
-    geometric = _row_rms(_gn_residual(stack, _param_rows(params), None)[1])
-    return _fit_batch(stack, coef, params, geometric)
+    check_conics(det <= 0.0, coef, "best-fit conic is not an ellipse")
+    # det(A) > 0 puts a11 and a22 on one side of zero, so every conic can be
+    # normalized.
+    normalized = normalize_conics(coef, constraint)
+    return normalized, conics_to_params(normalized)
 
 
 def _fit_batch(stack, coef, params, geometric, iterations=None, converged=None) -> FitBatch:
@@ -268,34 +240,33 @@ def fit_trace(points) -> FitResult | FitBatch:
 def _linear_fit(points, constraint: str) -> FitResult | FitBatch:
     """The fit_trace or fit_bookstein results of ``points``, by ``constraint``."""
     stack, single = _as_section_stack(points)
-    coef, params, failures = _linear_conics(stack, constraint)
-    raise_earliest(failures, single)
-    fits = _linear_fits(stack, coef, params)
-    return fits[0] if single else fits
+
+    def run(rows):
+        part = stack[rows]
+        coef, params = _linear_conics(part, constraint)
+        geometric = _row_rms(_gn_residual(part, _param_rows(params), None)[1])
+        return _fit_batch(part, coef, params, geometric)
+
+    fits = stacked_or_alone(run, len(stack), single)
+    return fits[0] if single else FitBatch(fits)
 
 
 def _linear_conics(stack: np.ndarray, constraint: str):
     """The least-squares conics (S, 6) of a stack of sections under
-    ``constraint`` and their ellipses, without the residuals, and the error
-    of each section that has none, by position (its conic left unset and its
-    ellipse None).
+    ``constraint`` and their ellipses, without the residuals; raises at the
+    first check that a section fails.
     """
-    count, n = stack.shape[:2]
+    n = stack.shape[1]
     if n < 6:
-        return None, [None] * count, {
-            k: TooFewPoints(f"need at least 6 points, got {n}") for k in range(count)}
-    failures: dict = {}
+        raise TooFewPoints(f"need at least 6 points, got {n}")
     norm, mean, scale = _normalize_points(stack)
-    rows, (norm, mean, scale) = drop_failed(
-        scale <= 0.0, np.arange(count), (norm, mean, scale), failures,
-        lambda j: DegenerateConfiguration("all points coincide"))
+    if (scale <= 0.0).any():
+        raise DegenerateConfiguration("all points coincide")
     solve = _trace_solve if constraint == TRACE else _bookstein_solve
     scaled, rank = solve(norm[..., 0], norm[..., 1])
-    rows, (scaled, mean, scale) = drop_failed(
-        rank < 5, rows, (scaled, mean, scale), failures,
-        lambda j: DegenerateConfiguration("points do not determine a conic"))
-    coef, params, more = _ellipses(_pull_back(scaled, mean, scale), constraint)
-    return _scatter(count, rows, coef, params, more, failures)
+    if (rank < 5).any():
+        raise DegenerateConfiguration("points do not determine a conic")
+    return _ellipses(_pull_back(scaled, mean, scale), constraint)
 
 
 def _trace_solve(u: np.ndarray, v: np.ndarray):
@@ -388,34 +359,24 @@ def fit_gauss_newton(
         inits = [None] * count if init is None else list(init)
         if len(inits) != count:
             raise ValueError(f"got {len(inits)} inits for {count} sections")
-    n = stack.shape[1]
-    cold = [start is None for start in inits]
-    failures = {}
-    if n < 5:
-        failures = {k: TooFewPoints(f"need at least 5 points, got {n}") for k in range(count)}
-    elif any(cold):
-        # The trace fit of the whole stack: a subset would be a copy, whose
-        # sections lose the memory layout that their sums round by.
-        _, trace_params, trace_failures = _linear_conics(stack, TRACE)
-        failures = {k: exc for k, exc in trace_failures.items() if cold[k]}
-        inits = [p if c else start for p, c, start in zip(trace_params, cold, inits)]
-    theta = np.empty((count, 5))
-    rms = np.empty(count)
-    iterations = np.empty(count, dtype=int)
-    converged = np.empty(count, dtype=bool)
-    fitted = [k for k in range(count) if k not in failures]
-    if fitted:
-        part = stack if len(fitted) == count else stack[fitted]
-        start = _param_rows([inits[k] for k in fitted])
-        theta[fitted], rms[fitted], iterations[fitted], converged[fitted], collapsed = (
-            _levenberg_marquardt(part, start, max_iterations))
-        for j in collapsed:
-            failures[fitted[j]] = CollapsedAxis("a semi-axis collapsed during iteration")
-    raise_earliest(failures, single)
 
-    params = [EllipseParams.from_axes(t[:2], *t[2:]) for t in theta]
-    fits = _fit_batch(stack, params_to_conics(params), params, rms, iterations, converged)
-    return fits[0] if single else fits
+    def run(rows):
+        part, starts = stack[rows], inits[rows]
+        n = part.shape[1]
+        if n < 5:
+            raise TooFewPoints(f"need at least 5 points, got {n}")
+        if any(start is None for start in starts):
+            # The trace fit of every section of the part: a subset would be a
+            # copy, whose sections lose the memory layout their sums round by.
+            trace = _linear_conics(part, TRACE)[1]
+            starts = [t if start is None else start for start, t in zip(starts, trace)]
+        theta, rms, iterations, converged = _levenberg_marquardt(
+            part, _param_rows(starts), max_iterations)
+        params = [EllipseParams.from_axes(t[:2], *t[2:]) for t in theta]
+        return _fit_batch(part, params_to_conics(params), params, rms, iterations, converged)
+
+    fits = stacked_or_alone(run, count, single)
+    return fits[0] if single else FitBatch(fits)
 
 
 def _as_section_stack(points) -> tuple[np.ndarray, bool]:
@@ -436,8 +397,8 @@ def _levenberg_marquardt(pts: np.ndarray, theta: np.ndarray, max_iterations: int
     call, one _gn_jacobian call and one stacked solve per round. Every
     decision reads only its own section's values, so each section takes the
     steps it takes alone. Returns theta, the geometric RMS, the iteration
-    count and the convergence flag per section, and the positions of the
-    sections whose semi-axis collapsed (which stop there).
+    count and the convergence flag per section; raises CollapsedAxis when a
+    semi-axis of any section collapses.
     """
     count = len(pts)
     foot, residual, angles = _gn_residual(pts, theta, None)
@@ -448,7 +409,6 @@ def _levenberg_marquardt(pts: np.ndarray, theta: np.ndarray, max_iterations: int
     iterations = np.ones(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     running = np.ones(count, dtype=bool)
-    collapsed = []
 
     while True:
         running &= mu < 1e18  # damping exhausted without an acceptable step
@@ -463,11 +423,8 @@ def _levenberg_marquardt(pts: np.ndarray, theta: np.ndarray, max_iterations: int
         np.abs(trial[:, 2:4], out=trial[:, 2:4])
         a, b = trial[:, 2], trial[:, 3]
         # min(a, b) as Python's min picks it, NaN included.
-        small = np.where(b < a, b, a) < _AXIS_FLOOR
-        if small.any():
-            collapsed.extend(live[small].tolist())
-            running[live[small]] = False
-            live, delta, trial = live[~small], delta[~small], trial[~small]
+        if (np.where(b < a, b, a) < _AXIS_FLOOR).any():
+            raise CollapsedAxis("a semi-axis collapsed during iteration")
         if not live.size:
             continue
 
@@ -500,7 +457,7 @@ def _levenberg_marquardt(pts: np.ndarray, theta: np.ndarray, max_iterations: int
             grad[fresh], hess[fresh] = _normal_equations(
                 _gn_jacobian(trial[more], foot[more]), residual[more])
         del foot, residual, trial_angles
-    return theta, rms, iterations, converged, collapsed
+    return theta, rms, iterations, converged
 
 
 def _normal_equations(jac: np.ndarray, residual: np.ndarray):
@@ -534,21 +491,29 @@ def point_to_ellipse_distance(point, params: EllipseParams) -> float:
     parametric foot-point angle with a bisection fallback, so it converges
     for every input.
     """
-    return float(_ellipse_foot_points(np.reshape(point, (1, 2)), params)[1][0])
+    return float(_ellipse_foot_points(_one_point(point), params)[1][0])
 
 
 def ellipse_foot_point(point, params: EllipseParams) -> np.ndarray:
     """Closest boundary point to ``point``."""
-    foot = _ellipse_foot_points(np.reshape(point, (1, 2)), params)[0]
+    foot = _ellipse_foot_points(_one_point(point), params)[0]
     ca, sa = math.cos(params.orientation), math.sin(params.orientation)
     rot = np.array([[ca, -sa], [sa, ca]])
     return foot[0] @ rot.T + params.center
 
 
-def _ellipse_foot_points(points, params: EllipseParams):
-    """Foot points in the ellipse frame and signed distances of the
-    validated ``points``, solved as a stack of one."""
-    foot, dist, _ = _gn_residual(as_points(points, 2)[None], _param_rows([params]), None)
+def _one_point(point) -> np.ndarray:
+    """One 2-D point as a validated (1, 2) array."""
+    pts = as_points(point, 2)
+    if len(pts) != 1:
+        raise ValueError(f"expected one 2-D point, got shape {pts.shape}")
+    return pts
+
+
+def _ellipse_foot_points(pts: np.ndarray, params: EllipseParams):
+    """Foot points in the ellipse frame and signed distances of validated
+    (N, 2) points, solved as a stack of one."""
+    foot, dist, _ = _gn_residual(pts[None], _param_rows([params]), None)
     return foot[0], dist[0]
 
 

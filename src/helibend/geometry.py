@@ -16,11 +16,12 @@ Plane conventions used by the rest of the package:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSection, NotAnEllipse, TooFewPoints
+from .errors import DegenerateSection, HelibendError, NotAnEllipse, TooFewPoints
 
 # Conic normalizations for normalize_conic; each also names the linear
 # fitter that imposes it.
@@ -29,6 +30,11 @@ TRACE = "trace"
 
 # Relative axis-ratio window treated as a circle (orientation undefined).
 CIRCLE_DEGENERACY_TOL = 1e-6
+
+# Points per block of a stacked stage: enough sections to share each numpy
+# call's overhead, few enough that a block's arrays (about 200 bytes a point)
+# add little to the evaluation's peak memory, which they set.
+_BLOCK_POINTS = 3072
 
 
 def fold_half_open(angle: float) -> float:
@@ -176,8 +182,8 @@ class EllipseParams:
 # The stacked conic functions take conics as (S, 6) rows (a11, a12, a22, b1,
 # b2, c) and run one set of array calls for all of them. Each row gets the
 # bits it gets in a stack of one, which is what the per-conic function
-# computes. A row that fails does not stop the others: its error is returned
-# in a dict keyed by row position, and its output is left unset.
+# computes. A stack raises at the first check that any row fails, with the
+# NotAnEllipse of the first row that fails it.
 
 
 def conic_values(coef: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -195,53 +201,29 @@ def conic_matrices(coef: np.ndarray) -> np.ndarray:
     return np.take(coef, [0, 1, 1, 2], axis=1).reshape(-1, 2, 2)
 
 
-def drop_failed(failed, rows, arrays, failures, error):
-    """``rows`` and the row-aligned ``arrays`` without the rows in the mask
-    ``failed``; each dropped row gets ``error(j)``, j its position in
-    ``arrays``, in ``failures`` under its entry in ``rows``.
-    """
-    if not failed.any():
-        return rows, arrays
-    for j in np.flatnonzero(failed).tolist():
-        failures[int(rows[j])] = error(j)
-    keep = ~failed
-    return rows[keep], tuple(x[keep] for x in arrays)
+def check_conics(failed: np.ndarray, coef: np.ndarray, message: str) -> None:
+    """Raise NotAnEllipse(``message``) for the first row of ``coef`` in the
+    mask ``failed``, if any, with that row's conic."""
+    if failed.any():
+        raise NotAnEllipse(message, conic=Conic2D(*coef[failed.argmax()].tolist()))
 
 
-def raise_earliest(failures: dict, single: bool) -> None:
-    """Raise the error of the earliest failing section in ``failures``, if
-    any, with its position in ``.section`` when the input was a stack."""
-    if failures:
-        first = min(failures)
-        if not single:
-            failures[first].section = first
-        raise failures[first]
-
-
-def conics_to_params(coef: np.ndarray) -> tuple[list, dict]:
-    """conic_to_params of each row: the EllipseParams of each row (None
-    where it failed) and the NotAnEllipse of each failed row."""
-    params = [None] * len(coef)
-    failures: dict = {}
-    rows = np.arange(len(coef))
+def conics_to_params(coef: np.ndarray) -> list[EllipseParams]:
+    """conic_to_params of each row."""
     det = coef[:, 0] * coef[:, 2] - coef[:, 1] * coef[:, 1]
-    rows, (coef,) = drop_failed(det <= 0.0, rows, (coef,), failures, lambda j: NotAnEllipse(
-        "quadratic form is not definite", conic=Conic2D(*coef[j].tolist())))
+    check_conics(det <= 0.0, coef, "quadratic form is not definite")
     # Flip sign so A is positive definite; the zero set is unchanged.
     coef = np.where(coef[:, :1] + coef[:, 2:3] < 0.0, -coef, coef)
     a = conic_matrices(coef)
     center = np.linalg.solve(a, -0.5 * coef[:, 3:5, None])[..., 0]
     k = conic_values(coef, center[:, None, :])[:, 0]
-    rows, (coef, a, center, k) = drop_failed(
-        k >= 0.0, rows, (coef, a, center, k), failures, lambda j: NotAnEllipse(
-            "imaginary ellipse (no real points)", conic=Conic2D(*coef[j].tolist())))
+    check_conics(k >= 0.0, coef, "imaginary ellipse (no real points)")
     evals, evecs = np.linalg.eigh(a)
     axes = np.sqrt(-k[:, None] / evals)
     # eigh sorts eigenvalues ascending, so the first axis is the major one.
-    for r, ctr, (major, minor), (ex, ey) in zip(
-            rows.tolist(), center, axes.tolist(), evecs[:, :, 0].tolist()):
-        params[r] = EllipseParams.from_axes(ctr, major, minor, math.atan2(ey, ex))
-    return params, failures
+    return [EllipseParams.from_axes(ctr, major, minor, math.atan2(ey, ex))
+            for ctr, (major, minor), (ex, ey) in zip(
+                center, axes.tolist(), evecs[:, :, 0].tolist())]
 
 
 def conic_to_params(conic: Conic2D) -> EllipseParams:
@@ -249,10 +231,7 @@ def conic_to_params(conic: Conic2D) -> EllipseParams:
 
     Raises NotAnEllipse when det(A) <= 0 or the conic has no real points.
     """
-    (params,), failures = conics_to_params(conic._row())
-    if failures:
-        raise failures[0]
-    return params
+    return conics_to_params(conic._row())[0]
 
 
 def params_to_conics(params) -> np.ndarray:
@@ -279,34 +258,26 @@ def params_to_conic(params: EllipseParams) -> Conic2D:
     return Conic2D(*params_to_conics([params])[0].tolist())
 
 
-def normalize_conics(coef: np.ndarray, constraint: str) -> tuple[np.ndarray, dict]:
-    """normalize_conic of each row: the rescaled rows and the NotAnEllipse of
-    each row that cannot be rescaled."""
+def normalize_conics(coef: np.ndarray, constraint: str) -> np.ndarray:
+    """normalize_conic of each row."""
     tr = coef[:, 0] + coef[:, 2]
     if constraint == TRACE:
-        sign, norm = 1.0, tr
-        failed, message = tr == 0.0, "trace-normalization impossible (Trace(A) = 0)"
+        sign, norm, message = 1.0, tr, "trace-normalization impossible (Trace(A) = 0)"
     elif constraint == BOOKSTEIN:
         # lambda1^2 + lambda2^2 = Trace(A^2) = a11^2 + 2 a12^2 + a22^2
         sign = np.where(tr >= 0.0, 1.0, -1.0)
         norm = np.array([math.sqrt(a11**2 + 2.0 * a12**2 + a22**2)
                          for a11, a12, a22 in coef[:, :3]])
-        failed, message = norm == 0.0, "quadratic part vanishes"
+        message = "quadratic part vanishes"
     else:
         raise ValueError(f"unknown constraint: {constraint!r}")
-    failures = {j: NotAnEllipse(message, conic=Conic2D(*coef[j].tolist()))
-                for j in np.flatnonzero(failed).tolist()}
-    # A failed row's factor is infinite, and its output is not used.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return coef * (sign / norm)[:, None], failures
+    check_conics(norm == 0.0, coef, message)
+    return coef * (sign / norm)[:, None]
 
 
 def normalize_conic(conic: Conic2D, constraint: str) -> Conic2D:
     """Rescale conic coefficients to satisfy the named constraint exactly."""
-    coef, failures = normalize_conics(conic._row(), constraint)
-    if failures:
-        raise failures[0]
-    return Conic2D(*coef[0].tolist())
+    return Conic2D(*normalize_conics(conic._row(), constraint)[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -361,6 +332,78 @@ def section_stack(points, dim: int) -> tuple[np.ndarray, bool]:
     return pts, False
 
 
+def stacked_or_alone(run: Callable[[slice], Sequence], count: int, single: bool) -> Sequence:
+    """``run(slice(None))``: the results of a stack of ``count`` sections,
+    ``run(rows)`` being those of the sections ``rows``.
+
+    A stacked kernel raises at the first check that any section fails, and
+    a section's result in a stack is bit for bit its result alone. So when
+    the stack raises, each section is run alone, in order, and the first
+    error one gives alone is raised with its position in ``.section``, as a
+    loop would raise it; if none fails, their results are returned. One
+    section (``single``) raises as it is. A slice is a view, so each section
+    keeps its memory layout, by which its sums round.
+    """
+    try:
+        return run(slice(None))
+    except (HelibendError, ValueError):
+        if single:
+            raise
+    results = []
+    for k in range(count):
+        try:
+            results.extend(run(slice(k, k + 1)))
+        except (HelibendError, ValueError) as exc:
+            exc.section = k
+            raise
+    return results
+
+
+def in_blocks(sizes: Sequence[int], run: Callable[[list[int]], Sequence]) -> list:
+    """``run`` over the sections with point counts ``sizes`` in blocks: one
+    result per section, in section order.
+
+    A block holds sections of equal point count, in section order, and at
+    most ``_BLOCK_POINTS`` points (and at least one section). ``run(block)``
+    takes the positions of a block's sections and returns one result per
+    section, or raises the error of its earliest failing section with that
+    section's position in the block in ``.section``. Blocks go by size, not
+    by section order, so every block is run, and the error of the earliest
+    failing section of all is raised, as a loop over the sections would,
+    with that section's index in ``.section``.
+    """
+    results = [None] * len(sizes)
+    first = None
+    for block in _blocks(sizes):
+        try:
+            batch = run(block)
+        except (HelibendError, ValueError) as exc:
+            if getattr(exc, "section", None) is None:
+                raise
+            exc.section = block[exc.section]
+            if first is None or exc.section < first.section:
+                first = exc
+            continue
+        for i, result in zip(block, batch):
+            results[i] = result
+    if first is not None:
+        raise first
+    return results
+
+
+def _blocks(sizes: Sequence[int]):
+    """Positions of the sections, grouped by size into blocks in section
+    order of at most _BLOCK_POINTS points (and at least one section).
+    """
+    by_size: dict[int, list[int]] = {}
+    for i, size in enumerate(sizes):
+        by_size.setdefault(size, []).append(i)
+    for size, positions in by_size.items():
+        per_block = max(1, _BLOCK_POINTS // max(size, 1))
+        for start in range(0, len(positions), per_block):
+            yield positions[start:start + per_block]
+
+
 def canonicalize_section(points) -> CanonicalSection | list[CanonicalSection]:
     """Move one measured cross-section, or a stack of them, to the
     evaluation pose.
@@ -370,41 +413,36 @@ def canonicalize_section(points) -> CanonicalSection | list[CanonicalSection]:
     whose CanonicalSection is returned, or a stack (S, n, 3) of equal-size
     sections (an array or a sequence), whose CanonicalSections are returned
     in a list in stack order. Each is bit for bit the section's own, and a
-    stack raises the error of its earliest failing section, as canonicalizing
-    the sections one by one would, with that section's position in
-    ``.section``. The canonical points of a stack are views of one array.
+    stack raises the error of its earliest failing section, as
+    canonicalizing the sections one by one would, with that section's
+    position in ``.section`` (see stacked_or_alone).
     """
     stack, single = section_stack(points, 3)
-    count, n = stack.shape[:2]
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    failures: dict = {}
-    poses = []
+    sections = stacked_or_alone(lambda rows: _canonicalized(stack[rows]), len(stack), single)
+    return sections[0] if single else sections
+
+
+def _canonicalized(stack: np.ndarray) -> list[CanonicalSection]:
+    """The CanonicalSections of a stack (S, n, 3), whose canonical points
+    are views of one array; raises at the first check a section fails."""
+    if not np.isfinite(stack).all():
+        raise ValueError("points contain non-finite coordinates")
+    n = stack.shape[1]
     if n < 6:
-        # Every section of the stack is too small; section 0 fails first.
-        failures = {k: TooFewPoints(f"need at least 6 points per section, got {n}")
-                    for k in range(count)}
-    else:
-        # A non-finite section's mean can warn; that section fails below.
-        with np.errstate(invalid="ignore", over="ignore"):
-            centroids = stack.mean(axis=1)
-        scales = np.abs(stack).max(axis=(1, 2)).tolist()
-        for k, ((x, y, _), scale) in enumerate(zip(centroids.tolist(), scales)):
-            radius = math.hypot(x, y)
-            if finite[k] and radius < 1e-12 * max(1.0, scale):
-                failures[k] = DegenerateSection("section centroid lies on the product axis")
-            poses.append((math.atan2(y, x), radius))
-    for k in np.flatnonzero(~finite).tolist():
-        failures[k] = ValueError("points contain non-finite coordinates")
-    raise_earliest(failures, single)
-    if not poses:
-        return []
-    rot = np.stack([rotation_z(-phi) for phi, _ in poses])
+        raise TooFewPoints(f"need at least 6 points per section, got {n}")
+    centroids = stack.mean(axis=1)
+    poses = []
+    for (x, y, _), scale in zip(centroids.tolist(), np.abs(stack).max(axis=(1, 2)).tolist()):
+        radius = math.hypot(x, y)
+        if radius < 1e-12 * max(1.0, scale):
+            raise DegenerateSection("section centroid lies on the product axis")
+        poses.append((math.atan2(y, x), radius))
+    rot = np.array([rotation_z(-phi) for phi, _ in poses]).reshape(-1, 3, 3)
     # A matmul per section, so each gets the BLAS call it gets alone.
     canonical = stack @ rot.transpose(0, 2, 1)
     canonical += (-rot @ centroids[:, :, None])[:, None, :, 0]
-    sections = [
+    return [
         CanonicalSection(points_canonical=pts, centroid=ctr, azimuth_phi=phi,
                          centroid_radius=radius)
         for pts, ctr, (phi, radius) in zip(canonical, centroids, poses)
     ]
-    return sections[0] if single else sections

@@ -17,8 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IsotropicScatter, TooFewPoints
-from .geometry import CanonicalSection, as_points, fold_half_open
-from .torsion import _blocks
+from .geometry import CanonicalSection, _blocks, as_points, fold_half_open
 
 _ISOTROPY_TOL = 1e-12
 

@@ -2,7 +2,7 @@
 torsion, rectify and summarize arc geometry.
 
 Each stage takes all sections at once. Canonicalization, direction moments
-and the torsion fit run in blocks of equal-size sections (torsion.in_blocks),
+and the torsion fit run in blocks of equal-size sections (geometry.in_blocks),
 one set of array calls per block, with results equal to treating each
 section alone.
 All on the calling thread: the ``workers`` argument has no effect.
@@ -16,10 +16,10 @@ import numpy as np
 
 from . import torsion as _torsion
 from .conicfit import DEFAULT_MAX_ITERATIONS, FitBatch
-from .geometry import TRACE, canonicalize_section
+from .geometry import TRACE, canonicalize_section, in_blocks
 from .helix import ArcGeometry, arc_parameters, segment_sections
 from .linefit import DEFAULT_WINDOW, detect_direction
-from .torsion import in_blocks, observe_torsion
+from .torsion import observe_torsion
 
 
 @dataclass(frozen=True)

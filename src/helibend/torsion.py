@@ -11,7 +11,7 @@ sample, the branch nearest the previous rectified value.
 Sections are projected and fitted in blocks of equal point count
 (fit_sections), one stacked projection and one stacked fit_trace,
 fit_bookstein or fit_gauss_newton call per block, whose results equal
-fitting each section alone. in_blocks runs any stage over the same blocks.
+fitting each section alone; geometry.in_blocks makes the blocks.
 """
 
 from __future__ import annotations
@@ -29,14 +29,14 @@ from .conicfit import (
     fit_gauss_newton,
     fit_trace,
 )
-from .errors import AmbiguousBranch, HelibendError, LengthMismatch
+from .errors import AmbiguousBranch, LengthMismatch
 from .geometry import (
     BOOKSTEIN,
     TRACE,
     CanonicalSection,
     EllipseParams,
     direction_rotation,
-    raise_earliest,
+    in_blocks,
 )
 
 GAUSS_NEWTON = "gauss-newton"
@@ -44,10 +44,6 @@ FITTERS = (TRACE, BOOKSTEIN, GAUSS_NEWTON)
 
 _HALF_PI = math.pi / 2.0
 _TIE_TOL = 1e-12
-# Points per block of a fit: enough sections to share each numpy call's
-# overhead, few enough that a block's arrays (about 200 bytes a point) add
-# little to the evaluation's peak memory, which they set.
-_BLOCK_POINTS = 3072
 
 
 def observe_torsion(
@@ -105,11 +101,11 @@ def fit_sections(
     """Fits by ``fitter``, one of FITTERS, of sections with point counts
     ``sizes``, one FitResult per section in order.
 
-    The sections are grouped into blocks by in_blocks, and each block is one
-    stacked fit_trace, fit_bookstein or fit_gauss_newton call whose results
-    equal the sections' own fits. ``block_points(block)`` gives the
-    (S, n, 2) stack of the sections at the positions ``block`` when that
-    block is fitted, so only one block's points are held at a time.
+    The sections are grouped into blocks by geometry.in_blocks, and each
+    block is one stacked fit_trace, fit_bookstein or fit_gauss_newton call
+    whose results equal the sections' own fits. ``block_points(block)``
+    gives the (S, n, 2) stack of the sections at the positions ``block``
+    when that block is fitted, so only one block's points are held at a time.
     ``inits`` (Gauss-Newton only) is None or one EllipseParams (or None) per
     section. The error of the earliest failing section is raised, as a loop
     over the sections would, with that section's index in ``.section``.
@@ -129,47 +125,6 @@ def fit_sections(
                                 max_iterations=max_iterations)
 
     return FitBatch(in_blocks(sizes, fit))
-
-
-def in_blocks(sizes: Sequence[int], run: Callable[[list[int]], Sequence]) -> list:
-    """``run`` over the sections with point counts ``sizes`` in blocks: one
-    result per section, in section order.
-
-    A block holds sections of equal point count, in section order, and at
-    most ``_BLOCK_POINTS`` points (and at least one section). ``run(block)``
-    takes the positions of a block's sections and returns one result per
-    section, or raises the error of its earliest failing section with that
-    section's position in the block in ``.section``. The error of the
-    earliest failing section of all is raised, as a loop over the sections
-    would, with that section's index in ``.section``.
-    """
-    results = [None] * len(sizes)
-    failures = {}
-    for block in _blocks(sizes):
-        try:
-            batch = run(block)
-        except (HelibendError, ValueError) as exc:
-            if getattr(exc, "section", None) is None:
-                raise
-            failures[block[exc.section]] = exc
-            continue
-        for i, result in zip(block, batch):
-            results[i] = result
-    raise_earliest(failures, single=False)
-    return results
-
-
-def _blocks(sizes: Sequence[int]):
-    """Positions of the sections, grouped by size into blocks in section
-    order of at most _BLOCK_POINTS points (and at least one section).
-    """
-    by_size: dict[int, list[int]] = {}
-    for i, size in enumerate(sizes):
-        by_size.setdefault(size, []).append(i)
-    for size, positions in by_size.items():
-        per_block = max(1, _BLOCK_POINTS // max(size, 1))
-        for start in range(0, len(positions), per_block):
-            yield positions[start:start + per_block]
 
 
 def _nearest_branch(raw: float, anchor: float):

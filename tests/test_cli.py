@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helibend import torsion
+from helibend import geometry, torsion
 from helibend.cli import main
 from helibend.errors import InputFormatError
 from helibend.report import EvaluationReport, read_cloud_csv, read_truth_csv
@@ -408,7 +408,7 @@ class TestCompareFits:
         for shapes in stacks.values():
             assert len(shapes) > 1
             assert sum(shape[0] for shape in shapes) == 181
-            assert all(shape[0] * shape[1] <= torsion._BLOCK_POINTS for shape in shapes)
+            assert all(shape[0] * shape[1] <= geometry._BLOCK_POINTS for shape in shapes)
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

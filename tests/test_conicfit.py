@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -415,6 +416,19 @@ class TestGaussNewton:
             fit_gauss_newton(flat, init=flat_init, max_iterations=200)
         assert caught.value.section is None
 
+    def test_warm_section_without_a_trace_fit_in_a_stack(self):
+        # The stack's trace init fails on the warm section, which needs none;
+        # each section is then fitted alone.
+        true = EllipseParams(np.zeros(2), 30.0, 10.0, 0.3)
+        rng = np.random.default_rng(2)
+        warm = true.arc_points(20, 0.2, rng.uniform(0, 2 * math.pi)) + rng.normal(0, 0.5, (20, 2))
+        cold = noisy_arcs(1, 20, 35)[0]
+        with pytest.raises(NotAnEllipse):
+            fit_trace(warm)
+        fits = fit_gauss_newton(np.stack([cold, warm]), init=[None, true])
+        assert [fit_bits(f) for f in fits] == [
+            fit_bits(fit_gauss_newton(cold)), fit_bits(fit_gauss_newton(warm, init=true))]
+
     def test_stack_input_validated(self):
         stack = np.stack([EllipseParams(np.zeros(2), 5.0, 2.0, 0.3).boundary_points(20)] * 2)
         stack[1, 4, 0] = np.nan
@@ -502,6 +516,14 @@ class TestPointToEllipseDistance:
         with pytest.raises(ValueError, match="non-finite"):
             geometric_residuals(np.array([point]), params)
         with pytest.raises(ValueError, match="non-finite"):
+            function(point, params)
+
+    @pytest.mark.parametrize("function", [point_to_ellipse_distance, ellipse_foot_point])
+    @pytest.mark.parametrize("point, shape", [((1.0, 2.0, 3.0), "(3,)"),
+                                              (np.ones((2, 2)), "(2, 2)")])
+    def test_point_of_the_wrong_shape_rejected(self, function, point, shape):
+        params = EllipseParams(np.zeros(2), 4.0, 2.0, 0.0)
+        with pytest.raises(ValueError, match=f"got shape {re.escape(shape)}"):
             function(point, params)
 
 

@@ -349,6 +349,10 @@ def hexes(values):
     return [float(v).hex() for v in np.ravel(values)]
 
 
+def ellipse_bits(p):
+    return hexes([*p.center, p.semi_major, p.semi_minor, p.orientation])
+
+
 class TestStackedConversions:
     """The stacked conversions against the per-conic arithmetic they
     replace, written out here as the reference."""
@@ -378,16 +382,11 @@ class TestStackedConversions:
         coef[::3] *= -1.0  # the sign flip
         coef[7, 5] += 2.0  # F(centre) = +1: no real points
         coef[11, 1] = 10.0  # not definite
-        got, failures = conics_to_params(coef)
-        assert sorted(failures) == [7, 11]
-        for k, row in enumerate(coef):
-            if k in failures:
-                assert got[k] is None
-                with pytest.raises(NotAnEllipse) as caught:
-                    conic_to_params(Conic2D(*row.tolist()))
-                assert str(failures[k]) == str(caught.value)
-                assert failures[k].conic == caught.value.conic
-                continue
+        good = [k for k in range(len(coef)) if k not in (7, 11)]
+        got = conics_to_params(coef[good])
+        for k, p in zip(good, got, strict=True):
+            row = coef[k]
+            alone = conic_to_params(Conic2D(*row.tolist()))
             a11, a12, a22, b1, b2, c = (-row if row[0] + row[2] < 0.0 else row).tolist()
             a = np.array([[a11, a12], [a12, a22]])
             center = np.linalg.solve(a, -0.5 * np.array([b1, b2]))
@@ -397,21 +396,31 @@ class TestStackedConversions:
             axes = np.sqrt(-k_value / evals)
             expected = EllipseParams.from_axes(center, float(axes[0]), float(axes[1]),
                                                math.atan2(evecs[1, 0], evecs[0, 0]))
-            p = got[k]
-            assert hexes([*p.center, p.semi_major, p.semi_minor, p.orientation]) == hexes(
-                [*expected.center, expected.semi_major, expected.semi_minor,
-                 expected.orientation])
+            assert ellipse_bits(p) == ellipse_bits(expected) == ellipse_bits(alone)
+        # A stack that holds one failing row raises that row's own error.
+        for k in (7, 11):
+            stack = coef[good[:9] + [k] + good[9:]]
+            with pytest.raises(NotAnEllipse) as alone:
+                conic_to_params(Conic2D(*coef[k].tolist()))
+            with pytest.raises(NotAnEllipse) as caught:
+                conics_to_params(stack)
+            assert str(caught.value) == str(alone.value)
+            assert caught.value.conic == alone.value.conic
 
     @pytest.mark.parametrize("constraint, message", [
         (TRACE, "trace-normalization impossible"), (BOOKSTEIN, "quadratic part vanishes")])
     def test_normalize_failure_spares_the_other_rows_and_warns_nothing(self, constraint, message):
+        # A stack raises its failing row's own error; a stack without it
+        # normalizes each row as alone.
         flat = Conic2D(0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
         ring = params_to_conic(EllipseParams(np.array([1.0, 2.0]), 3.0, 2.0, 0.5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NotAnEllipse, match=message) as caught:
+            with pytest.raises(NotAnEllipse, match=message) as alone:
                 normalize_conic(flat, constraint)
-            rows, failures = normalize_conics(np.array([astuple(flat), astuple(ring)]), constraint)
-        assert caught.value.conic == flat
-        assert list(failures) == [0] and str(failures[0]) == str(caught.value)
+            with pytest.raises(NotAnEllipse) as caught:
+                normalize_conics(np.array([astuple(ring), astuple(flat)]), constraint)
+            rows = normalize_conics(np.array([astuple(ring), astuple(ring)]), constraint)
+        assert alone.value.conic == caught.value.conic == flat
+        assert str(caught.value) == str(alone.value)
         assert Conic2D(*rows[1].tolist()) == normalize_conic(ring, constraint)

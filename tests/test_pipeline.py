@@ -13,6 +13,7 @@ from helibend import (
     fit_trace,
     fold_half_open,
     generate,
+    geometry,
     observe_torsion,
     segment_sections,
     torsion,
@@ -217,11 +218,11 @@ def assert_earliest_failing_section_raises(fitter, kinds, error):
 
 def assert_ragged_part_fits_each_section_as_alone(fitter):
     n = 20
-    groups = ragged_groups(torsion._BLOCK_POINTS // n * 6 // 5, n, 21)
+    groups = ragged_groups(geometry._BLOCK_POINTS // n * 6 // 5, n, 21)
     sizes = [len(g) for g in groups]
     assert len(set(sizes)) >= 3
     # More sections of the common size than one block holds.
-    assert sizes.count(n) > torsion._BLOCK_POINTS // n
+    assert sizes.count(n) > geometry._BLOCK_POINTS // n
     result = evaluate_sections(groups, fitter=fitter)
     canonical = [canonicalize_section(g) for g in groups]
     alone = [observe_torsion([c], [d.theta_x], fitter)[0]
@@ -250,7 +251,7 @@ class TestTraceBlocks:
         groups = ragged_groups(300, 20, 23)
         evaluate_sections(groups, fitter="trace")
         assert sum(shape[0] for shape in stacks) == 300
-        assert all(shape[0] * shape[1] <= torsion._BLOCK_POINTS for shape in stacks)
+        assert all(shape[0] * shape[1] <= geometry._BLOCK_POINTS for shape in stacks)
         # One block per size but the common one, whose sections fill two.
         assert len(stacks) == len({len(g) for g in groups}) + 1
 

@@ -17,7 +17,10 @@
 # --twist-sine-amp-deg 3) evaluated with each fitter, with gauss-newton at
 # --gn-max-iterations 2, with each fitter after every 7th data row of its
 # cloud is dropped (34 sections of 41 points and 6 of 42, so blocks of two
-# sizes), unlabeled with --sections 40, and with --window 1, --window 4 (an
+# sizes), with each fitter after section 30's rows are moved onto one point
+# and section 5's onto a line (both fail in one block, section 30 at an
+# earlier check; each run exits 3 with section 5's error), unlabeled with
+# --sections 40, and with --window 1, --window 4 (an
 # even window pools window + 1 sections, so it takes the interior path at
 # width 5) and --window 9 (four windows of widths 5 to 8 clamped at each end
 # of the part); a 3-section part at the default window 5, whose
@@ -96,6 +99,24 @@ run_set() {
         --fitter gauss-newton
     hb c8-ragged-bookstein evaluate --input "$work/ragged.csv" \
         --output-dir "$out/c8-ragged-bookstein" --fitter bookstein
+    # Two failing sections in one block: every row of section 30 moved onto
+    # one point at azimuth 0 (its first row turned about the product axis),
+    # whose canonical points are exactly zero, so it fails "all points
+    # coincide"; and section 5's rows spaced 0.01 mm along x from its first
+    # row, collinear, so it fails the later rank check. A loop over the
+    # sections raises section 5's error.
+    awk -F, -v OFS=, '
+        NR > 1 && $4 == 30 {
+            if (!n30++) { x30 = sprintf("%.17g", sqrt($1 * $1 + $2 * $2)); z30 = $3 }
+            $1 = x30; $2 = 0; $3 = z30 }
+        NR > 1 && $4 == 5 {
+            if (!k5) { x5 = $1; y5 = $2; z5 = $3 }
+            $1 = sprintf("%.17g", x5 + 0.01 * k5++); $2 = y5; $3 = z5 }
+        { print }' "$out/c8/cloud.csv" > "$work/failing.csv"
+    for fitter in trace bookstein gauss-newton; do
+        hb "c8-failing-$fitter" evaluate --input "$work/failing.csv" \
+            --output-dir "$out/c8-failing-$fitter" --fitter "$fitter"
+    done
     cut -d, -f1-3 "$out/c8/cloud.csv" > "$work/unlabeled.csv"
     hb c8-unlabeled evaluate --input "$work/unlabeled.csv" \
         --output-dir "$out/c8-unlabeled" --sections 40
