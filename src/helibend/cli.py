@@ -14,8 +14,11 @@ Exit codes: 0 success, 2 input error, 3 analysis error, 4 non-convergence
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import hashlib
 import math
+import platform
 import sys
 from pathlib import Path
 
@@ -56,6 +59,30 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_ANALYSIS = 3
 EXIT_NONCONVERGED = 4
+
+
+@contextlib.contextmanager
+def _command_heap():
+    """Fix glibc's malloc thresholds, and free the unused heap pages when the
+    command ends; no effect on another C library.
+
+    glibc raises its mmap threshold to the largest block freed so far, so the
+    peak memory of a process that runs several commands would depend on how
+    the earlier ones left the heap. Blocks of 1 MiB or more now go back to the
+    system when freed; smaller ones keep their pages until the command ends
+    (trimming them as they are freed slows evaluate).
+    """
+    libc = ctypes.CDLL(None) if platform.libc_ver()[0] == "glibc" else None
+    if libc is not None:
+        libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        libc.malloc_trim.argtypes, libc.malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
+        libc.mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    try:
+        yield
+    finally:
+        if libc is not None:
+            libc.malloc_trim(0)
 
 
 def _checked(convert, valid, rule: str):
@@ -298,23 +325,24 @@ def _trial_points(args, true: float, rng) -> np.ndarray:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "evaluate": _cmd_evaluate,
-        "synth": _cmd_synth,
-        "compare-fits": _cmd_compare_fits,
-    }
-    try:
-        return handlers[args.command](args)
-    except (
-        InputFormatError, EmptyCloud, InvalidSpec, InvalidSweep, SectionCountMismatch, OSError
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except HelibendError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
+    with _command_heap():
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        handlers = {
+            "evaluate": _cmd_evaluate,
+            "synth": _cmd_synth,
+            "compare-fits": _cmd_compare_fits,
+        }
+        try:
+            return handlers[args.command](args)
+        except (
+            InputFormatError, EmptyCloud, InvalidSpec, InvalidSweep, SectionCountMismatch, OSError
+        ) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except HelibendError as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_ANALYSIS
 
 
 if __name__ == "__main__":

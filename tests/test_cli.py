@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import helibend
 from helibend import geometry, torsion
 from helibend.cli import main
 from helibend.errors import InputFormatError
@@ -425,3 +431,38 @@ class TestMisc:
             main(["--version"])
         assert exc.value.code == 0
         assert "helibend" in capsys.readouterr().out
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/statm"),
+                        reason="glibc malloc, read through /proc")
+    def test_freed_memory_goes_back_to_the_system(self):
+        # glibc on its own cuts an 8 MiB array from the heap once a 16 MiB
+        # block has been freed, and keeps the pages of freed heap arrays that
+        # lie below a live one; main returns both to the system.
+        script = """
+import contextlib, io, os, numpy as np
+from helibend.cli import main
+def command():
+    with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):
+        main(["--version"])
+def rss():
+    return int(open("/proc/self/statm").read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+command()
+big = np.ones(2 << 20)
+del big
+array = np.ones(1 << 20)
+held = rss()
+del array
+print(held - rss())
+small = [np.ones(1 << 16) for _ in range(64)]
+above = np.ones(1 << 16)
+held = rss()
+del small
+command()
+print(held - rss())
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(helibend.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        freed_large, freed_small = map(int, out.split())
+        assert freed_large >= 7 << 20
+        assert freed_small >= 30 << 20
