@@ -128,8 +128,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW,
                     help="adjacent sections pooled per direction fit, centred on the "
                          "section; an even value pools one more")
-    ev.add_argument("--workers", type=_positive_int, default=None,
-                    help="accepted for interface uniformity; sections run sequentially")
+    ev.add_argument("--workers", type=_positive_int, default=1,
+                    help="processes that share the CSV parse and the torsion fits, at most "
+                         "one per CPU; the outputs do not depend on it (default: %(default)s)")
     ev.add_argument("--format", choices=("csv", "report", "both"), default="both")
     ev.add_argument("--gn-max-iterations", type=_positive_int,
                     default=DEFAULT_MAX_ITERATIONS,
@@ -174,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_evaluate(args) -> int:
-    points, labels = read_cloud_csv(args.input)
+    points, labels = read_cloud_csv(args.input, workers=args.workers)
     if points.size == 0:
         raise EmptyCloud("input file contains no points")
     if labels is None and args.sections is None:
@@ -195,6 +196,7 @@ def _cmd_evaluate(args) -> int:
         fitter=args.fitter,
         window=args.window,
         gn_max_iterations=args.gn_max_iterations,
+        workers=args.workers,
     )
     report = EvaluationReport.from_result(result, fitter=args.fitter, input_digest=digest)
     out = Path(args.output_dir)

@@ -131,7 +131,7 @@ def _normalize_points(stack: np.ndarray):
     """
     # sum / n is the arithmetic of ndarray.mean without its wrapper. Each
     # section's column sums round by its own memory layout, which
-    # _as_section_stack keeps.
+    # section_stack keeps.
     n = stack.shape[1]
     mean = stack.sum(axis=1) / n
     centered = stack - mean[:, None, :]
@@ -239,10 +239,10 @@ def fit_trace(points) -> FitResult | FitBatch:
 
 def _linear_fit(points, constraint: str) -> FitResult | FitBatch:
     """The fit_trace or fit_bookstein results of ``points``, by ``constraint``."""
-    stack, single = _as_section_stack(points)
+    stack, single = section_stack(points, 2)
 
     def run(rows):
-        part = stack[rows]
+        part = _finite(stack[rows])
         coef, params = _linear_conics(part, constraint)
         geometric = _row_rms(_gn_residual(part, _param_rows(params), None)[1])
         return _fit_batch(part, coef, params, geometric)
@@ -265,7 +265,11 @@ def _linear_conics(stack: np.ndarray, constraint: str):
     solve = _trace_solve if constraint == TRACE else _bookstein_solve
     scaled, rank = solve(norm[..., 0], norm[..., 1])
     if (rank < 5).any():
-        raise DegenerateConfiguration("points do not determine a conic")
+        # Copies of one point whose mean rounds are centred a rounding error off
+        # zero, so their scale is not 0 and only the rank test catches them.
+        first = stack[(rank < 5).argmax()]
+        raise DegenerateConfiguration("all points coincide" if (first == first[0]).all()
+                                      else "points do not determine a conic")
     return _ellipses(_pull_back(scaled, mean, scale), constraint)
 
 
@@ -351,7 +355,7 @@ def fit_gauss_newton(
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    stack, single = _as_section_stack(points)
+    stack, single = section_stack(points, 2)
     count = len(stack)
     if single:
         inits = [init]
@@ -361,7 +365,7 @@ def fit_gauss_newton(
             raise ValueError(f"got {len(inits)} inits for {count} sections")
 
     def run(rows):
-        part, starts = stack[rows], inits[rows]
+        part, starts = _finite(stack[rows]), inits[rows]
         n = part.shape[1]
         if n < 5:
             raise TooFewPoints(f"need at least 5 points, got {n}")
@@ -379,12 +383,11 @@ def fit_gauss_newton(
     return fits[0] if single else FitBatch(fits)
 
 
-def _as_section_stack(points) -> tuple[np.ndarray, bool]:
-    """``points`` as a validated (S, n, 2) stack, and whether it was one (n, 2) section."""
-    stack, single = section_stack(points, 2)
-    if not single:
-        as_points(stack.reshape(-1, 2), 2)
-    return stack, single
+def _finite(stack: np.ndarray) -> np.ndarray:
+    """``stack``, checked to hold finite coordinates only."""
+    if not np.isfinite(stack).all():
+        raise ValueError("points contain non-finite coordinates")
+    return stack
 
 
 def _levenberg_marquardt(pts: np.ndarray, theta: np.ndarray, max_iterations: int):

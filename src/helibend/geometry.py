@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSection, HelibendError, NotAnEllipse, TooFewPoints
+from .parallel import forked, share_out
 
 # Conic normalizations for normalize_conic; each also names the linear
 # fitter that imposes it.
@@ -144,6 +145,11 @@ class EllipseParams:
             raise ValueError("require semi_major >= semi_minor > 0")
         if not (-math.pi / 2 < self.orientation <= math.pi / 2):
             raise ValueError("orientation outside (-pi/2, pi/2]")
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so a copy's centre is read-only too.
+        return type(self), (self.center, self.semi_major, self.semi_minor, self.orientation,
+                            self.orientation_defined)
 
     @classmethod
     def from_axes(cls, center, a: float, b: float, angle: float) -> "EllipseParams":
@@ -359,7 +365,8 @@ def stacked_or_alone(run: Callable[[slice], Sequence], count: int, single: bool)
     return results
 
 
-def in_blocks(sizes: Sequence[int], run: Callable[[list[int]], Sequence]) -> list:
+def in_blocks(sizes: Sequence[int], run: Callable[[list[int]], Sequence],
+              workers: int = 1) -> list:
     """``run`` over the sections with point counts ``sizes`` in blocks: one
     result per section, in section order.
 
@@ -371,21 +378,43 @@ def in_blocks(sizes: Sequence[int], run: Callable[[list[int]], Sequence]) -> lis
     by section order, so every block is run, and the error of the earliest
     failing section of all is raised, as a loop over the sections would,
     with that section's index in ``.section``.
+
+    With ``workers`` above 1 the blocks are cut into consecutive shares of
+    about equal point count (parallel.share_out), and each share after the
+    first is run in a forked child (parallel.forked), whose results must
+    pickle. A share whose child fails is run here, so the errors and
+    warnings are those of ``workers=1``.
     """
+    blocks = list(_blocks(sizes))
+    shares = share_out([len(block) * sizes[block[0]] for block in blocks], workers)
     results = [None] * len(sizes)
     first = None
-    for block in _blocks(sizes):
-        try:
-            batch = run(block)
-        except (HelibendError, ValueError) as exc:
-            if getattr(exc, "section", None) is None:
-                raise
-            exc.section = block[exc.section]
-            if first is None or exc.section < first.section:
-                first = exc
-            continue
-        for i, result in zip(block, batch):
-            results[i] = result
+
+    def run_share(share):
+        nonlocal first
+        for k in share:
+            block = blocks[k]
+            try:
+                batch = run(block)
+            except (HelibendError, ValueError) as exc:
+                if getattr(exc, "section", None) is None:
+                    raise
+                exc.section = block[exc.section]
+                if first is None or exc.section < first.section:
+                    first = exc
+                continue
+            for i, result in zip(block, batch):
+                results[i] = result
+
+    with forked(lambda share: [run(blocks[k]) for k in share], shares[1:]) as collect:
+        run_share(shares[0])
+        for share, batches in zip(shares[1:], collect()):
+            if batches is None:
+                run_share(share)
+                continue
+            for k, batch in zip(share, batches):
+                for i, result in zip(blocks[k], batch):
+                    results[i] = result
     if first is not None:
         raise first
     return results

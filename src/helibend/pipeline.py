@@ -4,8 +4,7 @@ torsion, rectify and summarize arc geometry.
 Each stage takes all sections at once. Canonicalization, direction moments
 and the torsion fit run in blocks of equal-size sections (geometry.in_blocks),
 one set of array calls per block, with results equal to treating each
-section alone.
-All on the calling thread: the ``workers`` argument has no effect.
+section alone; the fit's blocks are shared out among ``workers`` processes.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ def evaluate_sections(
     section_points,
     fitter: str = TRACE,
     window: int = DEFAULT_WINDOW,
-    workers: int | None = None,
+    workers: int = 1,
     gn_max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> EvaluationResult:
     """Run the evaluation stages over pre-segmented section point sets."""
@@ -57,7 +56,8 @@ def evaluate_sections(
     canonical = in_blocks([len(points) for points in groups],
                           lambda block: canonicalize_section([groups[i] for i in block]))
     directions = detect_direction(canonical, window=window)
-    fits = observe_torsion(canonical, [d.theta_x for d in directions], fitter, gn_max_iterations)
+    fits = observe_torsion(canonical, [d.theta_x for d in directions], fitter, gn_max_iterations,
+                           workers)
     # looked up on the module at call time, so a wrapper installed on
     # helibend.torsion.rectify_torsion sees the call
     rectified = _torsion.rectify_torsion([f.params.orientation for f in fits])
@@ -79,7 +79,8 @@ def evaluate_cloud(
     fitter: str = TRACE,
     window: int = DEFAULT_WINDOW,
     gn_max_iterations: int = DEFAULT_MAX_ITERATIONS,
+    workers: int = 1,
 ) -> EvaluationResult:
     """Segment a raw cloud and evaluate it."""
     groups = segment_sections(points, expected_sections=expected_sections, labels=labels)
-    return evaluate_sections(groups, fitter, window, gn_max_iterations=gn_max_iterations)
+    return evaluate_sections(groups, fitter, window, workers, gn_max_iterations)

@@ -15,9 +15,11 @@ twins for reading; the CSV readers skip a leading byte-order mark):
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import operator
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,6 +27,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import InputFormatError
+from .parallel import forked, usable_workers
 from .pipeline import EvaluationResult
 
 SCHEMA_VERSION = 1
@@ -55,24 +58,26 @@ _CLOUD_HEADERS = {("x", "y", "z"): False, ("x", "y", "z", "section"): True}
 _LABELED_ROW = np.dtype([("p", "f8", 3), ("s", "i8")])
 
 
-def read_cloud_csv(path):
+def read_cloud_csv(path, workers: int = 1):
     """Parse a cloud CSV into (points, labels or None).
 
     Raises InputFormatError naming the offending line on any malformed row.
     A well-formed file is read in bulk by numpy's C reader; anything that
     reader does not accept is re-read by the line parser, which is the
     reference and the only one that reports errors. A leading UTF-8
-    byte-order mark is skipped.
+    byte-order mark is skipped. With ``workers`` above 1 the bulk read is
+    cut into byte ranges at line starts, read by up to that many forked
+    processes (see parallel.forked), with the same result.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
-        parsed = _read_cloud_bulk(fh)
+        parsed = _read_cloud_bulk(fh, path, workers)
         if parsed is None:
             fh.seek(0)
             parsed = _read_cloud_lines(fh)
     return parsed
 
 
-def _read_cloud_bulk(fh):
+def _read_cloud_bulk(fh, path, workers: int):
     """Bulk read of a file whose first line is the header; None when any row
     would need the line parser's judgement.
 
@@ -85,25 +90,116 @@ def _read_cloud_bulk(fh):
     has_labels = _CLOUD_HEADERS.get(tuple(f.strip() for f in header.strip().split(",")))
     if has_labels is None:
         return None
+    ranges = _data_ranges(path, workers)
+    if len(ranges) > 1:
+        return _read_ranges(path, ranges, has_labels)
+    rows = _parsed_rows(fh, has_labels)
+    if rows is None:
+        return None
+    if has_labels:
+        return np.ascontiguousarray(rows["p"]), np.ascontiguousarray(rows["s"])
+    return rows, None
+
+
+def _parsed_rows(lines, has_labels: bool):
+    """The ``loadtxt`` rows of the data lines ``lines``: a structured array
+    of points and labels, or an (n, 3) array; None when it rejects a row,
+    when a row is not of the header's width or when a point is not finite."""
     try:
         with warnings.catch_warnings():
             # "input contained no data", or an older numpy's deprecated
             # float-to-int parse of a label, sends the file to the line parser.
             warnings.simplefilter("error")
-            rows = np.loadtxt(fh, delimiter=",", comments=None,
+            rows = np.loadtxt(lines, delimiter=",", comments=None,
                               dtype=_LABELED_ROW if has_labels else float,
                               ndmin=1 if has_labels else 2)
     except (ValueError, Warning):
         return None
-    if has_labels:
-        pts, labels = np.ascontiguousarray(rows["p"]), np.ascontiguousarray(rows["s"])
-    elif rows.shape[1] == 3:
-        pts, labels = rows, None
-    else:
+    if not has_labels and rows.shape[1] != 3:
         return None
-    if not np.isfinite(pts).all():
+    if not np.isfinite(rows["p"] if has_labels else rows).all():
         return None
-    return pts, labels
+    return rows
+
+
+def _data_ranges(path, workers: int) -> list[tuple[int, int]]:
+    """Byte ranges [start, stop) that cut the data lines of a cloud CSV
+    into at most parallel.usable_workers(workers) parts of about equal size,
+    each starting after a ``\\n``; none when the file is not cut.
+
+    A text read ends a line at ``\\r`` too, so a file whose first ``\\n``
+    does not end its first text line is not cut.
+    """
+    count = usable_workers(workers)
+    if count == 1:
+        return []
+    with open(path, "rb") as raw:
+        header = raw.readline()
+        if not header.endswith(b"\n") or b"\r" in header[:-2]:
+            return []
+        bounds = [len(header)]
+        size = os.fstat(raw.fileno()).st_size
+        for k in range(1, count):
+            raw.seek(max(bounds[-1], bounds[0] + (size - bounds[0]) * k // count))
+            raw.readline()  # to the end of the line the cut falls in
+            if raw.tell() >= size:
+                break
+            bounds.append(raw.tell())
+    return list(itertools.pairwise([*bounds, size]))
+
+
+def _read_ranges(path, ranges, has_labels: bool):
+    """The points and labels of a cloud CSV read as byte ranges, the first
+    here and each other in a forked child; None when any range needs the
+    line parser."""
+    with forked(lambda span: _range_rows(path, span, has_labels), ranges[1:]) as collect:
+        parts = [_range_rows(path, ranges[0], has_labels)]
+        if parts[0] is None:
+            return None
+        parts += collect()
+    if any(rows is None for rows in parts):
+        return None
+    count = sum(len(rows) for rows in parts)
+    points = np.empty((count, 3))
+    labels = np.empty(count, dtype=np.int64) if has_labels else None
+    start = 0
+    for rows in parts:
+        stop = start + len(rows)
+        if has_labels:
+            points[start:stop] = rows["p"]
+            labels[start:stop] = rows["s"]
+        else:
+            points[start:stop] = rows
+        start = stop
+    return points, labels
+
+
+class _ByteRange(io.RawIOBase):
+    """The next ``size`` bytes of a binary file, as a file of their own."""
+
+    def __init__(self, raw, size: int):
+        super().__init__()
+        self._raw, self._left = raw, size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        with memoryview(buffer) as view:
+            got = self._raw.readinto(view[:self._left])
+        self._left -= got
+        return got
+
+
+def _range_rows(path, span: tuple[int, int], has_labels: bool):
+    """_parsed_rows of the bytes ``span`` of a cloud CSV, decoded as the
+    whole file is."""
+    start, stop = span
+    with open(path, "rb", buffering=0) as raw:
+        raw.seek(start)
+        with io.TextIOWrapper(io.BufferedReader(_ByteRange(raw, stop - start)),
+                              encoding="utf-8") as lines:
+            return _parsed_rows(lines, has_labels)
 
 
 def _read_cloud_lines(fh):

@@ -51,6 +51,7 @@ def observe_torsion(
     theta_x: Sequence[float],
     fitter: str = TRACE,
     gn_max_iterations: int = DEFAULT_MAX_ITERATIONS,
+    workers: int = 1,
 ) -> FitBatch:
     """Torsion readings of canonical sections, one FitResult per section.
 
@@ -61,8 +62,9 @@ def observe_torsion(
     ``params.orientation_defined`` cleared instead of an arbitrary
     orientation.
 
-    The sections are fitted in blocks by fit_sections, and the error of the
-    earliest failing section is raised, as a loop over the sections would.
+    The sections are fitted in blocks by fit_sections, on up to ``workers``
+    processes, and the error of the earliest failing section is raised, as a
+    loop over the sections would.
     """
     if len(sections) != len(theta_x):
         raise LengthMismatch(f"{len(sections)} sections but {len(theta_x)} tilts")
@@ -71,6 +73,7 @@ def observe_torsion(
         [len(s.points_canonical) for s in sections],
         lambda block: _projected([sections[i] for i in block], [theta_x[i] for i in block]),
         max_iterations=gn_max_iterations,
+        workers=workers,
     )
 
 
@@ -97,6 +100,7 @@ def fit_sections(
     block_points: Callable[[list[int]], np.ndarray],
     inits: Sequence[EllipseParams | None] | None = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
+    workers: int = 1,
 ) -> FitBatch:
     """Fits by ``fitter``, one of FITTERS, of sections with point counts
     ``sizes``, one FitResult per section in order.
@@ -109,6 +113,8 @@ def fit_sections(
     ``inits`` (Gauss-Newton only) is None or one EllipseParams (or None) per
     section. The error of the earliest failing section is raised, as a loop
     over the sections would, with that section's index in ``.section``.
+    With ``workers`` above 1 the blocks are shared out among forked
+    processes (see geometry.in_blocks), with the same results.
     """
     if fitter not in FITTERS:
         raise ValueError(f"unknown fitter {fitter!r}; expected one of {FITTERS}")
@@ -124,7 +130,7 @@ def fit_sections(
         return fit_gauss_newton(block_points(block), init=block_inits,
                                 max_iterations=max_iterations)
 
-    return FitBatch(in_blocks(sizes, fit))
+    return FitBatch(in_blocks(sizes, fit, workers))
 
 
 def _nearest_branch(raw: float, anchor: float):

@@ -1,6 +1,7 @@
 """Shared generators for the test suite."""
 
 import math
+import os
 
 import numpy as np
 
@@ -60,3 +61,26 @@ def random_helix_spec(rng, noise_sigma=0.0):
         noise_sigma=noise_sigma,
         rng_seed=int(rng.integers(0, 2**31)),
     )
+
+
+def count_forks(monkeypatch, cpus=2):
+    """Let helibend fork as on a machine of ``cpus`` CPUs, whatever this one
+    has, and count its forks: the returned list gets one entry per fork."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def forbid_forks(monkeypatch):
+    """Make any fork fail the test."""
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)

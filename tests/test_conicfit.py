@@ -758,3 +758,32 @@ class TestTraceStacks:
             fit(stack)
         with pytest.raises(ValueError, match=r"\(S, n, 2\) stack"):
             fit(np.zeros((2, 20, 3)))
+
+
+ALL_FITS = [fit_trace, fit_bookstein, fit_gauss_newton]
+
+
+@pytest.mark.parametrize("fit", ALL_FITS)
+@pytest.mark.parametrize("point", [[1.1, 2.3], [3.0, 5.0]])
+def test_copies_of_one_point_coincide(fit, point):
+    # The mean of 48 copies of (1.1, 2.3) rounds, so their centred points
+    # are not exactly zero; those of (3.0, 5.0) are.
+    pts = np.tile(point, (48, 1))
+    assert (pts - pts.sum(axis=0) / 48).any() == (point == [1.1, 2.3])
+    with pytest.raises(DegenerateConfiguration, match="^all points coincide$"):
+        fit(pts)
+    stack = np.stack(noisy_arcs(3, 48, 36))
+    stack[1] = pts
+    with pytest.raises(DegenerateConfiguration, match="^all points coincide$") as caught:
+        fit(stack)
+    assert caught.value.section == 1
+
+
+@pytest.mark.parametrize("fit", ALL_FITS)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_section_of_a_stack_is_named(fit, value):
+    stack = np.stack(noisy_arcs(3, 20, 37))
+    stack[1, 4, 0] = value
+    with pytest.raises(ValueError, match="^points contain non-finite coordinates$") as caught:
+        fit(stack)
+    assert caught.value.section == 1

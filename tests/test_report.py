@@ -8,6 +8,7 @@ import pytest
 from helibend import HelixSpec, evaluate_cloud, generate, report
 from helibend.errors import InputFormatError
 from helibend.report import EvaluationReport, arc_csv_text, read_cloud_csv, sections_csv_text
+from helpers import count_forks
 
 
 def _line_parse(path):
@@ -127,6 +128,65 @@ def test_byte_order_mark_keeps_error_line_numbers(tmp_path):
     assert want.value.line_number == 5
     assert str(got.value) == str(want.value)
     assert got.value.line_number == want.value.line_number
+
+
+def _rows(count, labeled, bad=None, bad_row=None):
+    """``count`` data lines of a cloud CSV, line ``bad_row`` replaced by ``bad``."""
+    rows = [f"{i * 1.25 - 3.1},{-i / 7},{i * 0.3}" + (f",{i % 3}" if labeled else "")
+            for i in range(count)]
+    if bad is not None:
+        rows[bad_row] = bad
+    return rows
+
+
+# Each file and the number of children a two-process read forks for it. A
+# file whose first "\n" does not end its first text line, or whose data cut
+# falls in its last line, is read by one process.
+SPLIT_READS = {
+    "bom": (_BOM + "x,y,z,section\n" + "\n".join(_rows(20, True)) + "\n", 1),
+    "crlf": ("x,y,z\r\n" + "\r\n".join(_rows(20, False)) + "\r\n", 1),
+    "bare_cr": ("x,y,z,section\r" + "\r".join(_rows(20, True)) + "\r", 0),
+    "cr_after_header": ("x,y,z\r" + "\n".join(_rows(20, False)) + "\n", 0),
+    "one_row": ("x,y,z,section\n1.0,2.0,3.0,4\n", 0),
+    "cut_in_last_line": ("x,y,z\n1.0,2.0,3.0\n4." + "0" * 200 + ",5.0,6.0\n", 0),
+    "malformed_late": ("x,y,z,section\n" + "\n".join(_rows(20, True, "1.0,oops,3.0,2", 16))
+                       + "\n", 1),
+    "nan_late": ("x,y,z\n" + "\n".join(_rows(20, False, "nan,2.0,3.0", 16)) + "\n", 1),
+    "four_wide_late": ("x,y,z\n" + "\n".join(_rows(20, False, "1.0,2.0,3.0,4", 16)) + "\n",
+                       1),
+}
+
+
+def _read_outcome(path, workers):
+    """What read_cloud_csv gives or raises, as comparable values."""
+    try:
+        pts, labels = read_cloud_csv(path, workers=workers)
+    except InputFormatError as exc:
+        return type(exc), str(exc), exc.line_number
+    return (pts.dtype, pts.shape, pts.tobytes(),
+            None if labels is None else (labels.dtype, labels.tobytes()))
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_READS))
+def test_split_read_matches_one_process(tmp_path, monkeypatch, name):
+    text, children = SPLIT_READS[name]
+    path = tmp_path / "cloud.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _read_outcome(path, 1)
+    if name.endswith("_late"):
+        assert expected[0] is InputFormatError and expected[2] == 18
+    forks = count_forks(monkeypatch)
+    assert _read_outcome(path, 2) == expected
+    assert len(forks) == children
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_split_read_of_the_corpus_matches_one_process(tmp_path, monkeypatch, name):
+    path = tmp_path / "cloud.csv"
+    path.write_bytes(CORPUS[name].encode("utf-8"))
+    expected = _read_outcome(path, 1)
+    count_forks(monkeypatch, cpus=3)
+    assert _read_outcome(path, 3) == expected
 
 
 @pytest.mark.parametrize("header", ["x,y,z\n", "x,y,z,section\n"])

@@ -25,7 +25,11 @@
 # width 5) and --window 9 (four windows of widths 5 to 8 clamped at each end
 # of the part); a 3-section part at the default window 5, whose
 # every direction window is clamped at the ends of the part; a 1000 x 400
-# labeled part with trace and gauss-newton; a --twist-constant-deg 45 part;
+# labeled part with trace and gauss-newton; the ragged, failing and
+# 1000 x 400 runs again with --workers 2 (a checkout that ignores the flag
+# gives its sequential outputs, so these show that the forked CSV read and
+# torsion fits of the other change neither outputs nor stderr); a
+# --twist-constant-deg 45 part;
 # a --twist-constant-deg 90 part, whose major axes the ZY projection drops;
 # a noise-free planar part (--pitch 0 --helix-angle-deg 0, whose pitch
 # estimate is exactly 0.0, so a sign-of-zero change shows in report.json);
@@ -99,6 +103,10 @@ run_set() {
         --fitter gauss-newton
     hb c8-ragged-bookstein evaluate --input "$work/ragged.csv" \
         --output-dir "$out/c8-ragged-bookstein" --fitter bookstein
+    for fitter in trace bookstein gauss-newton; do
+        hb "c8-ragged-$fitter-w2" evaluate --input "$work/ragged.csv" \
+            --output-dir "$out/c8-ragged-$fitter-w2" --fitter "$fitter" --workers 2
+    done
     # Two failing sections in one block: every row of section 30 moved onto
     # one point at azimuth 0 (its first row turned about the product axis),
     # whose canonical points are exactly zero, so it fails "all points
@@ -116,6 +124,8 @@ run_set() {
     for fitter in trace bookstein gauss-newton; do
         hb "c8-failing-$fitter" evaluate --input "$work/failing.csv" \
             --output-dir "$out/c8-failing-$fitter" --fitter "$fitter"
+        hb "c8-failing-$fitter-w2" evaluate --input "$work/failing.csv" \
+            --output-dir "$out/c8-failing-$fitter-w2" --fitter "$fitter" --workers 2
     done
     cut -d, -f1-3 "$out/c8/cloud.csv" > "$work/unlabeled.csv"
     hb c8-unlabeled evaluate --input "$work/unlabeled.csv" \
@@ -137,6 +147,8 @@ run_set() {
     for fitter in trace gauss-newton; do
         hb "big-$fitter" evaluate --input "$work/big/cloud.csv" \
             --output-dir "$out/big-$fitter" --fitter "$fitter"
+        hb "big-$fitter-w2" evaluate --input "$work/big/cloud.csv" \
+            --output-dir "$out/big-$fitter-w2" --fitter "$fitter" --workers 2
     done
     rm -rf "$work/big"
 
