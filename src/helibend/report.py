@@ -33,25 +33,41 @@ from .pipeline import EvaluationResult
 SCHEMA_VERSION = 1
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 # ---------------------------------------------------------------------------
 # cloud + ground truth CSV
 # ---------------------------------------------------------------------------
 
-def write_cloud_csv(path, points, labels=None) -> None:
-    points = np.asarray(points, dtype=float)
+_BLOCK_ROWS = 4096  # rows per %-format in _write_rows
+
+
+def _write_rows(path, header: str, row: str, columns) -> None:
+    """Write ``header``, then ``row`` %-formatted with each row of the 2-D arrays
+    ``columns`` side by side: one ``%`` per block of _BLOCK_ROWS rows, whose values
+    become Python floats and ints, so ``%r`` writes ``repr(float)``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if labels is None:
-            fh.write("x,y,z\n")
-            for p in points:
-                fh.write(f"{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])}\n")
-        else:
-            fh.write("x,y,z,section\n")
-            for p, lab in zip(points, labels):
-                fh.write(f"{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])},{int(lab)}\n")
+        fh.write(header)
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = np.concatenate([c[start:start + _BLOCK_ROWS] for c in columns],
+                                   axis=1, dtype=object)
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def write_cloud_csv(path, points, labels=None) -> None:
+    """Write an (n, 3) cloud, with one section label per point if given. Raises
+    ValueError, before the file is opened, on points of another shape, on a
+    non-finite coordinate or on labels of another length."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"points have shape {points.shape}; expected (n, 3)")
+    if points.size and not np.isfinite([points.min(), points.max()]).all():  # no (n, 3) copy
+        bad = np.flatnonzero(~np.isfinite(points).all(axis=1))[0]
+        raise ValueError(f"point {bad} has a non-finite coordinate: {points[bad].tolist()}")
+    if labels is None:
+        return _write_rows(path, "x,y,z\n", "%r,%r,%r\n", [points])
+    labels = np.asarray(labels)
+    if labels.shape != (len(points),):
+        raise ValueError(f"labels have shape {labels.shape}; expected ({len(points)},)")
+    _write_rows(path, "x,y,z,section\n", "%r,%r,%r,%d\n", [points, labels[:, None]])
 
 
 _CLOUD_HEADERS = {("x", "y", "z"): False, ("x", "y", "z", "section"): True}
@@ -163,7 +179,8 @@ def _read_ranges(path, ranges, has_labels: bool):
     points = np.empty((count, 3))
     labels = np.empty(count, dtype=np.int64) if has_labels else None
     start = 0
-    for rows in parts:
+    while parts:
+        rows = parts.pop(0)  # each range's rows are freed once copied
         stop = start + len(rows)
         if has_labels:
             points[start:stop] = rows["p"]
@@ -253,14 +270,9 @@ _TRUTH_HEADER = "section,phi,theta_x_true,theta_y_true,cx,cy,cz"
 
 
 def write_truth_csv(path, truth) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_TRUTH_HEADER + "\n")
-        for i in range(len(truth.phi)):
-            c = truth.centroids[i]
-            fh.write(
-                f"{i},{_fmt(truth.phi[i])},{_fmt(truth.theta_x[i])},"
-                f"{_fmt(truth.theta_y[i])},{_fmt(c[0])},{_fmt(c[1])},{_fmt(c[2])}\n"
-            )
+    values = np.column_stack([truth.phi, truth.theta_x, truth.theta_y, truth.centroids])
+    _write_rows(path, _TRUTH_HEADER + "\n", "%d" + ",%r" * 6 + "\n",
+                [np.arange(len(values))[:, None], values])
 
 
 def read_truth_csv(path):
@@ -485,7 +497,7 @@ def _csv_cell(value) -> str:
         return value
     if isinstance(value, int):
         return str(value)
-    return _fmt(value)
+    return repr(float(value))
 
 
 def _csv_text(rows, cache: dict | None = None, name=None) -> str:

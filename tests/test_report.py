@@ -1,11 +1,12 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from helibend import HelixSpec, evaluate_cloud, generate, report
+from helibend import GroundTruth, HelixSpec, evaluate_cloud, generate, report
 from helibend.errors import InputFormatError
 from helibend.report import EvaluationReport, arc_csv_text, read_cloud_csv, sections_csv_text
 from helpers import count_forks
@@ -221,6 +222,133 @@ def test_unlabeled_random_doubles_round_trip_exactly(tmp_path):
     got_pts, got_labels = read_cloud_csv(path)
     assert got_pts.tobytes() == pts.tobytes()
     assert got_labels is None
+
+
+BLOCK = report._BLOCK_ROWS
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-05, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 2.5, 123456.789]
+
+
+def _reference_cloud(points, labels=None) -> str:
+    """The per-row writer: one f-string per row, each value through float()
+    or int()."""
+    if labels is None:
+        return "x,y,z\n" + "".join(
+            f"{float(x)!r},{float(y)!r},{float(z)!r}\n" for x, y, z in points)
+    return "x,y,z,section\n" + "".join(
+        f"{float(x)!r},{float(y)!r},{float(z)!r},{int(s)}\n"
+        for (x, y, z), s in zip(points, labels, strict=True))
+
+
+def _edge_cloud(rows: int, seed: int):
+    """Random points of widely spread magnitude with EDGE_VALUES spread through
+    every block, and labels in [-2**62, 2**62] holding both ends."""
+    rng = np.random.default_rng(seed)
+    points = rng.normal(scale=rng.choice([1e-300, 1e-3, 1.0, 1e5, 1e300], size=(rows, 1)),
+                        size=(rows, 3))
+    flat = points.reshape(-1)
+    flat[::7] = np.resize(EDGE_VALUES, flat[::7].size)
+    labels = rng.integers(-(2**62), 2**62, size=rows, endpoint=True)
+    labels[:2] = [2**62, -(2**62)][:rows]
+    return points, labels
+
+
+class TestCloudWriterBytes:
+    """write_cloud_csv writes, byte for byte, what the per-row reference writes."""
+
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_matches_the_per_row_reference(self, tmp_path, rows, labeled):
+        points, labels = _edge_cloud(rows, seed=rows)
+        labels = labels if labeled else None
+        path = tmp_path / "cloud.csv"
+        report.write_cloud_csv(path, points, labels)
+        text = path.read_text(encoding="utf-8")
+        assert text == _reference_cloud(points, labels)
+        assert text.count("\n") == rows + 1
+        assert "np." not in text
+
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+    def test_float32_and_list_inputs(self, tmp_path, labeled):
+        points, labels = _edge_cloud(BLOCK + 3, seed=7)
+        small = np.clip(points, -1e30, 1e30).astype(np.float32)
+        labels = labels if labeled else None
+        cases = {
+            "float32": (small, labels, _reference_cloud(small, labels)),
+            "lists": (points.tolist(), None if labels is None else labels.tolist(),
+                      _reference_cloud(points, labels)),
+        }
+        for name, (pts, labs, expected) in cases.items():
+            path = tmp_path / f"{name}.csv"
+            report.write_cloud_csv(path, pts, labs)
+            text = path.read_text(encoding="utf-8")
+            assert text == expected, name
+            assert "np." not in text, name
+
+
+class TestCloudWriterRejects:
+    """A cloud the reader would refuse, or that would lose rows, is not
+    written: ValueError, and no file is made."""
+
+    @pytest.mark.parametrize("labels, shape", [
+        ([1, 2], "(2,)"),
+        ([1, 2, 3, 4, 5], "(5,)"),
+        ([[1], [2], [3], [4]], "(4, 1)"),
+        (3, "()"),
+    ], ids=["shorter", "longer", "column", "scalar"])
+    def test_labels_not_one_per_point(self, tmp_path, labels, shape):
+        path = tmp_path / "cloud.csv"
+        with pytest.raises(ValueError, match=rf"labels have shape {re.escape(shape)}.*\(4,\)"):
+            report.write_cloud_csv(path, np.zeros((4, 3)), labels)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("shape", [(5, 2), (5, 4), (3,), (2, 3, 1)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+    def test_points_not_n_by_3(self, tmp_path, shape, labeled):
+        path = tmp_path / "cloud.csv"
+        with pytest.raises(ValueError, match=re.escape(f"points have shape {shape}")):
+            report.write_cloud_csv(path, np.zeros(shape), np.zeros(5, int) if labeled else None)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+    def test_non_finite_coordinate(self, tmp_path, bad, labeled):
+        points = np.ones((BLOCK + 2, 3))
+        points[BLOCK + 1, 2] = bad
+        path = tmp_path / "cloud.csv"
+        with pytest.raises(ValueError, match=f"point {BLOCK + 1} has a non-finite coordinate"):
+            report.write_cloud_csv(path, points, np.zeros(BLOCK + 2, int) if labeled else None)
+        assert not path.exists()
+
+
+class TestTruthWriterBytes:
+    @staticmethod
+    def _reference(truth) -> str:
+        rows = [f"{i},{float(truth.phi[i])!r},{float(truth.theta_x[i])!r},"
+                f"{float(truth.theta_y[i])!r},{float(c[0])!r},{float(c[1])!r},{float(c[2])!r}\n"
+                for i, c in enumerate(truth.centroids)]
+        return "section,phi,theta_x_true,theta_y_true,cx,cy,cz\n" + "".join(rows)
+
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_matches_the_per_row_reference(self, tmp_path, rows):
+        values, _ = _edge_cloud(2 * rows, seed=rows)
+        truth = GroundTruth(phi=values[:rows, 0], theta_x=values[:rows, 1],
+                            theta_y=values[:rows, 2], centroids=values[rows:])
+        path = tmp_path / "truth.csv"
+        report.write_truth_csv(path, truth)
+        text = path.read_text(encoding="utf-8")
+        assert text == self._reference(truth)
+        assert "np." not in text
+
+    def test_generated_part(self, tmp_path):
+        truth = generate(HelixSpec(sections=7, noise_sigma=0.02, rng_seed=3)).truth
+        path = tmp_path / "truth.csv"
+        report.write_truth_csv(path, truth)
+        assert path.read_text(encoding="utf-8") == self._reference(truth)
+        phi, theta_x, theta_y, centroids = report.read_truth_csv(path)
+        assert phi.tobytes() == truth.phi.tobytes()
+        assert centroids.tobytes() == truth.centroids.tobytes()
 
 
 class TestEvaluationCsv:

@@ -24,7 +24,9 @@
 # even window pools window + 1 sections, so it takes the interior path at
 # width 5) and --window 9 (four windows of widths 5 to 8 clamped at each end
 # of the part); a 3-section part at the default window 5, whose
-# every direction window is clamped at the ends of the part; a 1000 x 400
+# every direction window is clamped at the ends of the part; a 21 x 401
+# part (--seed 11, 8421 rows) whose cloud.csv, over two of the cloud
+# writer's blocks of rows, is diffed directly; a 1000 x 400
 # labeled part with trace and gauss-newton; the ragged, failing and
 # 1000 x 400 runs again with --workers 2 (a checkout that ignores the flag
 # gives its sequential outputs, so these show that the forked CSV read and
@@ -138,6 +140,11 @@ run_set() {
     hb synth-short synth --output-dir "$out/short" --seed 3 --sections 3 \
         --noise-sigma 0.05 --twist-constant-deg 10
     hb short evaluate --input "$out/short/cloud.csv" --output-dir "$out/short-trace"
+
+    # 8421 rows, over two of the writer's blocks of rows and not a multiple
+    # of one, so a change of the writer shows as a line diff of cloud.csv.
+    hb synth-blocks synth --output-dir "$out/blocks" --seed 11 --sections 21 \
+        --points-per-section 401
 
     # The large part's cloud is diffed through its digest in report.json.
     hb synth-big synth --output-dir "$work/big" --seed 7 --sections 1000 \
