@@ -37,8 +37,6 @@ def share_out(weights: Sequence[float], workers: int) -> list[list[int]]:
     """The positions of ``weights`` cut into at most usable_workers(workers)
     runs of consecutive positions of about equal total weight, in order."""
     count = min(usable_workers(workers), len(weights))
-    if count <= 1:
-        return [list(range(len(weights)))]
     ends = list(itertools.accumulate(weights))
     # A share ends after the first position whose running total reaches
     # its fraction of the whole.

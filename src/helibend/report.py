@@ -20,6 +20,7 @@ import json
 import math
 import operator
 import os
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -77,23 +78,25 @@ _LABELED_ROW = np.dtype([("p", "f8", 3), ("s", "i8")])
 def read_cloud_csv(path, workers: int = 1):
     """Parse a cloud CSV into (points, labels or None).
 
-    Raises InputFormatError naming the offending line on any malformed row.
+    Raises InputFormatError naming the offending line on any malformed row
+    or byte that is not UTF-8. A leading UTF-8 byte-order mark is skipped.
     A well-formed file is read in bulk by numpy's C reader; anything that
     reader does not accept is re-read by the line parser, which is the
-    reference and the only one that reports errors. A leading UTF-8
-    byte-order mark is skipped. With ``workers`` above 1 the bulk read is
-    cut into byte ranges at line starts, read by up to that many forked
-    processes (see parallel.forked), with the same result.
+    reference and the only one that reports errors. The bulk read ends the
+    header where a text read does, at the first ``\\r``, ``\\r\\n`` or
+    ``\\n``. It cuts the data into parallel.usable_workers(workers) byte
+    ranges at line starts, read here and in forked children (see
+    parallel.forked), with the same result for every ``workers``; only a
+    range that ends before the end of the file has a length limit.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        parsed = _read_cloud_bulk(fh, path, workers)
-        if parsed is None:
-            fh.seek(0)
+    parsed = _read_cloud_bulk(path, workers)
+    if parsed is None:
+        with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
             parsed = _read_cloud_lines(fh)
     return parsed
 
 
-def _read_cloud_bulk(fh, path, workers: int):
+def _read_cloud_bulk(path, workers: int):
     """Bulk read of a file whose first line is the header; None when any row
     would need the line parser's judgement.
 
@@ -102,57 +105,16 @@ def _read_cloud_bulk(fh, path, workers: int):
     an accepted file of the header's width parses exactly as the line parser
     would. A ``#`` is never a number, so comments fail the parse too.
     """
-    header = fh.readline()
-    has_labels = _CLOUD_HEADERS.get(tuple(f.strip() for f in header.strip().split(",")))
-    if has_labels is None:
-        return None
-    ranges = _data_ranges(path, workers)
-    if len(ranges) > 1:
-        return _read_ranges(path, ranges, has_labels)
-    rows = _parsed_rows(fh, has_labels)
-    if rows is None:
-        return None
-    if has_labels:
-        return np.ascontiguousarray(rows["p"]), np.ascontiguousarray(rows["s"])
-    return rows, None
-
-
-def _parsed_rows(lines, has_labels: bool):
-    """The ``loadtxt`` rows of the data lines ``lines``: a structured array
-    of points and labels, or an (n, 3) array; None when it rejects a row,
-    when a row is not of the header's width or when a point is not finite."""
-    try:
-        with warnings.catch_warnings():
-            # "input contained no data", or an older numpy's deprecated
-            # float-to-int parse of a label, sends the file to the line parser.
-            warnings.simplefilter("error")
-            rows = np.loadtxt(lines, delimiter=",", comments=None,
-                              dtype=_LABELED_ROW if has_labels else float,
-                              ndmin=1 if has_labels else 2)
-    except (ValueError, Warning):
-        return None
-    if not has_labels and rows.shape[1] != 3:
-        return None
-    if not np.isfinite(rows["p"] if has_labels else rows).all():
-        return None
-    return rows
-
-
-def _data_ranges(path, workers: int) -> list[tuple[int, int]]:
-    """Byte ranges [start, stop) that cut the data lines of a cloud CSV
-    into at most parallel.usable_workers(workers) parts of about equal size,
-    each starting after a ``\\n``; none when the file is not cut.
-
-    A text read ends a line at ``\\r`` too, so a file whose first ``\\n``
-    does not end its first text line is not cut.
-    """
-    count = usable_workers(workers)
-    if count == 1:
-        return []
     with open(path, "rb") as raw:
-        header = raw.readline()
-        if not header.endswith(b"\n") or b"\r" in header[:-2]:
-            return []
+        line = raw.readline(io.DEFAULT_BUFFER_SIZE)
+        header = (line.splitlines(keepends=True) or [b""])[0]
+        # A byte that is not UTF-8 decodes to U+FFFD, which no header holds.
+        fields = header.decode("utf-8-sig", errors="replace").strip().split(",")
+        has_labels = _CLOUD_HEADERS.get(tuple(f.strip() for f in fields))
+        if has_labels is None or (len(header) == io.DEFAULT_BUFFER_SIZE
+                                  and not header.endswith(b"\n")):
+            return None  # not a header, or one that may go on past this read
+        count = usable_workers(workers)
         bounds = [len(header)]
         size = os.fstat(raw.fileno()).st_size
         for k in range(1, count):
@@ -161,13 +123,7 @@ def _data_ranges(path, workers: int) -> list[tuple[int, int]]:
             if raw.tell() >= size:
                 break
             bounds.append(raw.tell())
-    return list(itertools.pairwise([*bounds, size]))
-
-
-def _read_ranges(path, ranges, has_labels: bool):
-    """The points and labels of a cloud CSV read as byte ranges, the first
-    here and each other in a forked child; None when any range needs the
-    line parser."""
+    ranges = list(itertools.pairwise([*bounds, None]))
     with forked(lambda span: _range_rows(path, span, has_labels), ranges[1:]) as collect:
         parts = [_range_rows(path, ranges[0], has_labels)]
         if parts[0] is None:
@@ -175,18 +131,17 @@ def _read_ranges(path, ranges, has_labels: bool):
         parts += collect()
     if any(rows is None for rows in parts):
         return None
-    count = sum(len(rows) for rows in parts)
-    points = np.empty((count, 3))
-    labels = np.empty(count, dtype=np.int64) if has_labels else None
+    if len(parts) == 1 and not has_labels:
+        return parts[0], None  # loadtxt's own (n, 3) array, not a copy
+    points = np.empty((sum(len(rows) for rows in parts), 3))
+    labels = np.empty(len(points), dtype=np.int64) if has_labels else None
     start = 0
     while parts:
         rows = parts.pop(0)  # each range's rows are freed once copied
         stop = start + len(rows)
+        points[start:stop] = rows["p"] if has_labels else rows
         if has_labels:
-            points[start:stop] = rows["p"]
             labels[start:stop] = rows["s"]
-        else:
-            points[start:stop] = rows
         start = stop
     return points, labels
 
@@ -208,15 +163,42 @@ class _ByteRange(io.RawIOBase):
         return got
 
 
-def _range_rows(path, span: tuple[int, int], has_labels: bool):
-    """_parsed_rows of the bytes ``span`` of a cloud CSV, decoded as the
-    whole file is."""
+def _range_rows(path, span: tuple[int, int | None], has_labels: bool):
+    """The ``loadtxt`` rows of the bytes [start, stop) of a cloud CSV, to its
+    end when stop is None, decoded as UTF-8: a structured array of points and
+    labels, or an (n, 3) array; None when it rejects a row or a byte, when a
+    row is not of the header's width or when a point is not finite."""
     start, stop = span
-    with open(path, "rb", buffering=0) as raw:
+    # The length limit (_ByteRange) costs 12% of a parse, so the last range has none.
+    with open(path, "rb", buffering=-1 if stop is None else 0) as raw:
         raw.seek(start)
-        with io.TextIOWrapper(io.BufferedReader(_ByteRange(raw, stop - start)),
-                              encoding="utf-8") as lines:
-            return _parsed_rows(lines, has_labels)
+        data = raw if stop is None else io.BufferedReader(_ByteRange(raw, stop - start))
+        try:
+            with io.TextIOWrapper(data, encoding="utf-8") as lines, warnings.catch_warnings():
+                # "input contained no data", or an older numpy's deprecated
+                # float-to-int parse of a label, sends the file to the line
+                # parser; so does a byte that is not UTF-8 (a ValueError).
+                warnings.simplefilter("error")
+                rows = np.loadtxt(lines, delimiter=",", comments=None,
+                                  dtype=_LABELED_ROW if has_labels else float,
+                                  ndmin=1 if has_labels else 2)
+        except (ValueError, Warning):
+            return None
+    points = rows["p"] if has_labels else rows
+    return rows if points.shape[1] == 3 and np.isfinite(points).all() else None
+
+
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # bytes 0x80-0xff as surrogateescape reads them
+
+
+def _stripped(raw: str, lineno: int) -> str:
+    """Line ``lineno`` of a file read with errors="surrogateescape", stripped;
+    InputFormatError when it holds a byte that is not UTF-8."""
+    bad = None if raw.isascii() else _ESCAPED_BYTE.search(raw)
+    if bad:
+        raise InputFormatError(f"line {lineno}: byte {ord(bad[0]) - 0xDC00:#04x} is not UTF-8",
+                               line_number=lineno)
+    return raw.strip()
 
 
 def _read_cloud_lines(fh):
@@ -224,7 +206,7 @@ def _read_cloud_lines(fh):
     labels: list[int] = []
     has_labels = None
     for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
+        line = _stripped(raw, lineno)
         if not line or line.startswith("#"):
             continue
         fields = [f.strip() for f in line.split(",")]
@@ -285,9 +267,9 @@ def read_truth_csv(path):
     rows = []
     seen_header = False
     lineno = 0
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            line = _stripped(raw, lineno)
             if not line or line.startswith("#"):
                 continue
             fields = [f.strip() for f in line.split(",")]

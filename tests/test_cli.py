@@ -151,6 +151,14 @@ class TestEvaluate:
                    "--sections", "1") == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_byte_that_is_not_utf8_names_line(self, tmp_path, capsys, workers):
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_bytes(b"x,y,z\n1.0,2.0,3.0\n# caf\xe9\n4.0,5.0,6.0\n")
+        assert run("evaluate", "--input", cloud, "--output-dir", tmp_path / "o",
+                   "--sections", "1", "--workers", workers) == 2
+        assert "line 3: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+
     def test_empty_file(self, tmp_path, capsys):
         cloud = tmp_path / "cloud.csv"
         cloud.write_text("", encoding="utf-8")
@@ -257,6 +265,15 @@ class TestReadTruthCsv:
         path = tmp_path / "truth.csv"
         path.write_text("section,phi,theta_x_true,theta_y_true,cx,cy,cz\n", encoding="utf-8")
         with pytest.raises(InputFormatError) as exc:
+            read_truth_csv(path)
+        assert exc.value.line_number == 2
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_byte_that_is_not_utf8_names_line(self, tmp_path, mark):
+        path = tmp_path / "truth.csv"
+        path.write_bytes(mark + b"section,phi,theta_x_true,theta_y_true,cx,cy,cz\n"
+                         b"# caf\xe9\n0,0.0,0.1,0.0,120.0,0.0,0.0\n")
+        with pytest.raises(InputFormatError, match="^line 2: byte 0xe9 is not UTF-8$") as exc:
             read_truth_csv(path)
         assert exc.value.line_number == 2
 

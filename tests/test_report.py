@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import warnings
 
@@ -56,6 +57,7 @@ CORPUS = {
     "non_ascii_digits": "x,y,z\n١.٥,2.0,3.0\n",
     "repeated_header": "x,y,z\n1.0,2.0,3.0\nx,y,z\n",
     "wrong_header": "a,b,c\n1.0,2.0,3.0\n",
+    "header_past_first_read": "x,y,z" + " " * 8192 + "1.0,2.0,3.0\n4.0,5.0,6.0\n",
     "precise_decimals": "x,y,z\n0.1000000000000000055511151231257827,5e-324,"
                         "1.7976931348623157e308\n2.2250738585072014e-308,-1e-320,123456789.123456789\n",
 }
@@ -140,14 +142,14 @@ def _rows(count, labeled, bad=None, bad_row=None):
     return rows
 
 
-# Each file and the number of children a two-process read forks for it. A
-# file whose first "\n" does not end its first text line, or whose data cut
-# falls in its last line, is read by one process.
+# Each file and the number of children a two-process read forks for it. The
+# data is cut only after a "\n", so a file with none after its header, or
+# whose data cut falls in its last line, is read by one process.
 SPLIT_READS = {
     "bom": (_BOM + "x,y,z,section\n" + "\n".join(_rows(20, True)) + "\n", 1),
     "crlf": ("x,y,z\r\n" + "\r\n".join(_rows(20, False)) + "\r\n", 1),
     "bare_cr": ("x,y,z,section\r" + "\r".join(_rows(20, True)) + "\r", 0),
-    "cr_after_header": ("x,y,z\r" + "\n".join(_rows(20, False)) + "\n", 0),
+    "cr_after_header": ("x,y,z\r" + "\n".join(_rows(20, False)) + "\n", 1),
     "one_row": ("x,y,z,section\n1.0,2.0,3.0,4\n", 0),
     "cut_in_last_line": ("x,y,z\n1.0,2.0,3.0\n4." + "0" * 200 + ",5.0,6.0\n", 0),
     "malformed_late": ("x,y,z,section\n" + "\n".join(_rows(20, True, "1.0,oops,3.0,2", 16))
@@ -188,6 +190,63 @@ def test_split_read_of_the_corpus_matches_one_process(tmp_path, monkeypatch, nam
     expected = _read_outcome(path, 1)
     count_forks(monkeypatch, cpus=3)
     assert _read_outcome(path, 3) == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["bare_cr", "cr_after_header", "crlf", "bom"])
+def test_line_ends_of_a_text_read_keep_the_bulk_read(tmp_path, monkeypatch, name, workers):
+    path = tmp_path / "cloud.csv"
+    path.write_bytes(SPLIT_READS[name][0].encode("utf-8"))
+    expected = _read_outcome(path, 1)
+
+    def fail(fh):
+        raise AssertionError("line parser used on a well-formed file")
+
+    monkeypatch.setattr(report, "_read_cloud_lines", fail)
+    count_forks(monkeypatch)
+    assert _read_outcome(path, workers) == expected
+
+
+def test_only_a_range_that_ends_before_the_file_does_is_length_limited(tmp_path, monkeypatch):
+    path = tmp_path / "cloud.csv"
+    path.write_bytes(SPLIT_READS["bom"][0].encode("utf-8"))
+    built = tmp_path / "built.txt"  # a file, so that a forked child's builds show too
+    real = report._ByteRange
+
+    def spy(raw, size):
+        with open(built, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(raw, size)
+
+    monkeypatch.setattr(report, "_ByteRange", spy)
+    read_cloud_csv(path, workers=1)
+    assert not built.exists()
+    forks = count_forks(monkeypatch)
+    read_cloud_csv(path, workers=2)
+    assert len(forks) == 1
+    assert built.read_text(encoding="utf-8").split() == [str(os.getpid())]
+
+
+# Each file holding a byte that is not UTF-8, and the line that holds it.
+NOT_UTF8 = {
+    "in_header": (b"x,y,z\xe9\n1.0,2.0,3.0\n", 1),
+    "in_comment": (b"x,y,z\n1.0,2.0,3.0\n# caf\xe9\n4.0,5.0,6.0\n", 3),
+    "in_last_row": (b"x,y,z,section\n" + "\n".join(_rows(20, True)).encode()
+                    + b"\n1.0,2.0,3.0,\xff\n", 22),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mark", [False, True], ids=["plain", "bom"])
+@pytest.mark.parametrize("name", sorted(NOT_UTF8))
+def test_byte_that_is_not_utf8_names_line(tmp_path, monkeypatch, name, mark, workers):
+    data, lineno = NOT_UTF8[name]
+    path = tmp_path / "cloud.csv"
+    path.write_bytes(_BOM.encode("utf-8") * mark + data)
+    count_forks(monkeypatch)
+    with pytest.raises(InputFormatError, match=f"^line {lineno}: byte 0x(e9|ff) is not UTF-8$") as exc:
+        read_cloud_csv(path, workers=workers)
+    assert exc.value.line_number == lineno
 
 
 @pytest.mark.parametrize("header", ["x,y,z\n", "x,y,z,section\n"])

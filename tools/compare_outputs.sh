@@ -20,7 +20,10 @@
 # sizes), with each fitter after section 30's rows are moved onto one point
 # and section 5's onto a line (both fail in one block, section 30 at an
 # earlier check; each run exits 3 with section 5's error), unlabeled with
-# --sections 40, and with --window 1, --window 4 (an
+# --sections 40, with every line ended by a bare "\r" and with only the
+# header so ended, each at --workers 1 and 2 (a text read ends a line at a
+# "\r", so the bulk reader ends the header there and both files are read
+# in bulk, the second cut after its "\n"s), and with --window 1, --window 4 (an
 # even window pools window + 1 sections, so it takes the interior path at
 # width 5) and --window 9 (four windows of widths 5 to 8 clamped at each end
 # of the part); a 3-section part at the default window 5, whose
@@ -132,6 +135,14 @@ run_set() {
     cut -d, -f1-3 "$out/c8/cloud.csv" > "$work/unlabeled.csv"
     hb c8-unlabeled evaluate --input "$work/unlabeled.csv" \
         --output-dir "$out/c8-unlabeled" --sections 40
+    tr '\n' '\r' < "$out/c8/cloud.csv" > "$work/cr.csv"
+    awk 'NR == 1 { printf "%s\r", $0; next } { print }' "$out/c8/cloud.csv" \
+        > "$work/cr-header.csv"
+    for ends in cr cr-header; do  # not "name", which hb sets
+        hb "c8-$ends" evaluate --input "$work/$ends.csv" --output-dir "$out/c8-$ends"
+        hb "c8-$ends-w2" evaluate --input "$work/$ends.csv" \
+            --output-dir "$out/c8-$ends-w2" --workers 2
+    done
     for window in 1 4 9; do
         hb "c8-window$window" evaluate --input "$out/c8/cloud.csv" \
             --output-dir "$out/c8-window$window" --window "$window"
