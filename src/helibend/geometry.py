@@ -15,6 +15,7 @@ Plane conventions used by the rest of the package:
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSection, HelibendError, NotAnEllipse, TooFewPoints
-from .parallel import forked, share_out
+from .parallel import run_shares, share_out
 
 # Conic normalizations for normalize_conic; each also names the linear
 # fitter that imposes it.
@@ -381,42 +382,36 @@ def in_blocks(sizes: Sequence[int], run: Callable[[list[int]], Sequence],
 
     With ``workers`` above 1 the blocks are cut into consecutive shares of
     about equal point count (parallel.share_out), and each share after the
-    first is run in a forked child (parallel.forked), whose results must
-    pickle. A share whose child fails is run here, so the errors and
-    warnings are those of ``workers=1``.
+    first is run in a forked child (parallel.run_shares), whose results and
+    section errors must pickle. A share whose child fails is run here, so
+    the errors and warnings are those of ``workers=1``.
     """
     blocks = list(_blocks(sizes))
     shares = share_out([len(block) * sizes[block[0]] for block in blocks], workers)
-    results = [None] * len(sizes)
-    first = None
 
     def run_share(share):
-        nonlocal first
+        batches = []
         for k in share:
-            block = blocks[k]
             try:
-                batch = run(block)
+                batches.append(run(blocks[k]))
             except (HelibendError, ValueError) as exc:
                 if getattr(exc, "section", None) is None:
                     raise
-                exc.section = block[exc.section]
-                if first is None or exc.section < first.section:
-                    first = exc
-                continue
-            for i, result in zip(block, batch):
-                results[i] = result
+                exc.section = blocks[k][exc.section]
+                batches.append(exc)
+        return batches
 
-    with forked(lambda share: [run(blocks[k]) for k in share], shares[1:]) as collect:
-        run_share(shares[0])
-        for share, batches in zip(shares[1:], collect()):
-            if batches is None:
-                run_share(share)
-                continue
-            for k, batch in zip(share, batches):
-                for i, result in zip(blocks[k], batch):
-                    results[i] = result
-    if first is not None:
-        raise first
+    results = [None] * len(sizes)
+    errors = []
+    # The shares are consecutive runs of the blocks, in order.
+    for block, batch in zip(blocks, itertools.chain.from_iterable(run_shares(run_share, shares))):
+        if isinstance(batch, Exception):
+            errors.append(batch)
+            continue
+        for i, result in zip(block, batch):
+            results[i] = result
+    if errors:
+        raise min(errors, key=lambda exc: exc.section)
     return results
 
 

@@ -1,11 +1,12 @@
 """Work split across forked processes.
 
 A stage that can be cut into independent shares (the byte ranges of a cloud
-CSV, the blocks of a torsion fit) runs its first share on the calling
-process and each other share in a child forked for it. A child computes from
-its copy-on-write memory and pickles its result back through a pipe. A child
-that raises, or that records any warning, sends nothing, and the caller runs
-that share itself, so errors and warnings are those of a sequential run.
+CSV, the blocks of a torsion fit) calls run_shares, which runs the first
+share on the calling process and each other share in a child forked for it.
+A child computes from its copy-on-write memory and pickles its result back
+through a pipe. A child that raises, or that records any warning, sends
+nothing, and the caller runs that share itself, as it does one that could
+not be forked, so errors and warnings are those of a sequential run.
 
 Nothing is forked for one worker, off Linux, or while more than one Python
 thread runs (a fork copies only the calling thread, and a lock another
@@ -15,7 +16,6 @@ thread holds would stay held in the child).
 from __future__ import annotations
 
 import bisect
-import contextlib
 import itertools
 import os
 import pickle
@@ -45,28 +45,15 @@ def share_out(weights: Sequence[float], workers: int) -> list[list[int]]:
     return [list(range(start, stop)) for start, stop in itertools.pairwise(bounds)]
 
 
-@contextlib.contextmanager
-def forked(run: Callable, shares: Sequence):
-    """Fork one child per share that computes ``run(share)``, and yield a
-    function that returns each share's result in order, or None where the
-    child raised, recorded a warning or could not be forked.
-
-    The caller works on its own share inside the ``with`` block, then calls
-    the yielded function. Every child is reaped when the block ends, on
-    success or on an error.
-    """
+def run_shares(run: Callable, shares: Sequence) -> list:
+    """``[run(share) for share in shares]``: the first share run here and
+    each other share in a child forked for it. A share whose child raised,
+    recorded a warning, could not be forked or sent nothing that unpickles
+    is run here too. Every child is reaped before this returns or raises."""
     pids = []
-    pipes = []  # the read end of each share's pipe; None once closed or unforked
-
-    def collect() -> list:
-        results = []
-        for k, read_end in enumerate(pipes):
-            pipes[k] = None
-            results.append(None if read_end is None else _receive(read_end))
-        return results
-
+    pipes = []  # the read end of each share after the first; None once closed or unforked
     try:
-        for share in shares:
+        for share in shares[1:]:
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -76,11 +63,16 @@ def forked(run: Callable, shares: Sequence):
                 pipes.append(None)
                 continue
             if pid == 0:
-                _serve(run, share, write_end, [read_end, *pipes])
+                _serve(run, share, write_end, [read_end, *(fd for fd in pipes if fd is not None)])
             os.close(write_end)
             pids.append(pid)
             pipes.append(read_end)
-        yield collect
+        results = [run(share) for share in shares[:1]]
+        for k, share in enumerate(shares[1:]):
+            read_end, pipes[k] = pipes[k], None
+            sent = None if read_end is None else _receive(read_end)
+            results.append(run(share) if sent is None else sent[0])
+        return results
     finally:
         for read_end in pipes:
             if read_end is not None:
@@ -91,31 +83,30 @@ def forked(run: Callable, shares: Sequence):
 
 
 def _receive(read_end: int):
-    """The result a child pickled into the pipe ``read_end``, which is
-    closed; None when the child sent none. A child sends only a whole
-    result, so a whole pickle is one."""
+    """The 1-tuple of the result a child pickled whole into the pipe
+    ``read_end``, which is closed; None when the child sent none, or what
+    does not unpickle (an exception whose constructor takes other arguments)."""
     try:
         with open(read_end, "rb") as pipe:
             return pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):
+    except Exception:
         return None
 
 
 def _serve(run: Callable, share, write_end: int, inherited: Sequence[int]):
-    """The child's side of forked: send ``run(share)`` and exit; never
-    returns. It exits non-zero, having sent nothing, when ``run`` raises or
-    records a warning."""
+    """The child's side of run_shares: send ``(run(share),)`` and exit;
+    never returns. It exits non-zero, having sent nothing, when ``run``
+    raises or records a warning."""
     code = 1
     try:
         for fd in inherited:
-            if fd is not None:
-                os.close(fd)
+            os.close(fd)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = run(share)
         if not caught:
             with open(write_end, "wb") as pipe:
-                pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump((result,), pipe, protocol=pickle.HIGHEST_PROTOCOL)
             code = 0
     finally:
         # No exit handlers or buffered output of the caller's run in the child.

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import InputFormatError
-from .parallel import forked, usable_workers
+from .parallel import run_shares, usable_workers
 from .pipeline import EvaluationResult
 
 SCHEMA_VERSION = 1
@@ -56,7 +56,8 @@ def _write_rows(path, header: str, row: str, columns) -> None:
 def write_cloud_csv(path, points, labels=None) -> None:
     """Write an (n, 3) cloud, with one section label per point if given. Raises
     ValueError, before the file is opened, on points of another shape, on a
-    non-finite coordinate or on labels of another length."""
+    non-finite coordinate, on labels of another length or on a label that is
+    not an integer in the int64 range (which read_cloud_csv would refuse)."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"points have shape {points.shape}; expected (n, 3)")
@@ -68,6 +69,14 @@ def write_cloud_csv(path, points, labels=None) -> None:
     labels = np.asarray(labels)
     if labels.shape != (len(points),):
         raise ValueError(f"labels have shape {labels.shape}; expected ({len(points)},)")
+    if not np.can_cast(labels.dtype, np.int64):  # floats, uint64 or objects: each is checked
+        for k, value in enumerate(labels.tolist()):
+            try:  # "%d" writes int(value)
+                exact = value == int(value) and -(2**63) <= value < 2**63
+            except (TypeError, ValueError, OverflowError):  # not a number, NaN or infinite
+                exact = False
+            if not exact:
+                raise ValueError(f"label {k} is not an integer in the int64 range: {value!r}")
     _write_rows(path, "x,y,z,section\n", "%r,%r,%r,%d\n", [points, labels[:, None]])
 
 
@@ -86,8 +95,9 @@ def read_cloud_csv(path, workers: int = 1):
     header where a text read does, at the first ``\\r``, ``\\r\\n`` or
     ``\\n``. It cuts the data into parallel.usable_workers(workers) byte
     ranges at line starts, read here and in forked children (see
-    parallel.forked), with the same result for every ``workers``; only a
-    range that ends before the end of the file has a length limit.
+    parallel.run_shares; a range whose child cannot be forked is read
+    here), with the same result for every ``workers``; only a range that
+    ends before the end of the file has a length limit.
     """
     parsed = _read_cloud_bulk(path, workers)
     if parsed is None:
@@ -124,11 +134,7 @@ def _read_cloud_bulk(path, workers: int):
                 break
             bounds.append(raw.tell())
     ranges = list(itertools.pairwise([*bounds, None]))
-    with forked(lambda span: _range_rows(path, span, has_labels), ranges[1:]) as collect:
-        parts = [_range_rows(path, ranges[0], has_labels)]
-        if parts[0] is None:
-            return None
-        parts += collect()
+    parts = run_shares(lambda span: _range_rows(path, span, has_labels), ranges)
     if any(rows is None for rows in parts):
         return None
     if len(parts) == 1 and not has_labels:
@@ -252,7 +258,11 @@ _TRUTH_HEADER = "section,phi,theta_x_true,theta_y_true,cx,cy,cz"
 
 
 def write_truth_csv(path, truth) -> None:
+    """Write a ground-truth sidecar; ValueError, before the file is opened, on a NaN or inf."""
     values = np.column_stack([truth.phi, truth.theta_x, truth.theta_y, truth.centroids])
+    if not np.isfinite(values).all():
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))[0]
+        raise ValueError(f"section {bad} has a non-finite truth value: {values[bad].tolist()}")
     _write_rows(path, _TRUTH_HEADER + "\n", "%d" + ",%r" * 6 + "\n",
                 [np.arange(len(values))[:, None], values])
 

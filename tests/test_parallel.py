@@ -11,7 +11,7 @@ import pytest
 from helibend import EllipseParams, cli, evaluate_cloud, generate
 from helibend.errors import DegenerateConfiguration
 from helibend.geometry import in_blocks
-from helibend.parallel import share_out, usable_workers
+from helibend.parallel import run_shares, share_out, usable_workers
 from helibend.report import read_cloud_csv, write_cloud_csv
 from helibend.torsion import FITTERS, fit_sections
 from helpers import count_forks, forbid_forks, random_helix_spec
@@ -118,6 +118,55 @@ def test_every_child_is_reaped(monkeypatch, fails):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert sorted(os.listdir("/proc/self/fd")) == open_fds
+
+
+def assert_nothing_left(open_fds):
+    """No child is left to reap, and the open fds are ``open_fds``."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == open_fds
+
+
+def test_a_child_that_returns_none_is_not_run_again(monkeypatch, tmp_path):
+    ran = tmp_path / "ran.txt"  # a file, so that a forked child's runs show too
+
+    def run(share):
+        with open(ran, "a", encoding="utf-8") as fh:
+            fh.write(f"{share} {os.getpid()}\n")
+
+    forks = count_forks(monkeypatch)
+    open_fds = sorted(os.listdir("/proc/self/fd"))
+    assert run_shares(run, [0, 1]) == [None, None]
+    assert len(forks) == 1
+    runs = dict(line.split() for line in ran.read_text(encoding="utf-8").splitlines())
+    assert len(runs) == 2 and runs["0"] == str(os.getpid()) != runs["1"]
+    assert_nothing_left(open_fds)
+
+
+class TwoArgumentError(ValueError):
+    """A section error whose pickle does not load: unpickling calls the
+    class with its ``args``, one argument short."""
+
+    def __init__(self, message, detail):
+        super().__init__(message)
+        self.detail = detail
+
+
+def test_a_section_error_that_does_not_unpickle_raises_as_one_process(monkeypatch):
+    def run(block):
+        if 27 in block:
+            exc = TwoArgumentError(f"section {block.index(27)} of {len(block)}", "detail")
+            exc.section = block.index(27)
+            raise exc
+        return [2 * i for i in block]
+
+    expected = raised(lambda: in_blocks([400] * 30, run, workers=1))
+    assert expected[0] is TwoArgumentError and expected[2] == 27
+    forks = count_forks(monkeypatch)
+    open_fds = sorted(os.listdir("/proc/self/fd"))
+    assert raised(lambda: in_blocks([400] * 30, run, workers=2)) == expected
+    assert len(forks) == 1
+    assert_nothing_left(open_fds)
 
 
 def test_share_out_caps_workers_at_the_cpu_count(monkeypatch):

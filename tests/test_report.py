@@ -227,6 +227,26 @@ def test_only_a_range_that_ends_before_the_file_does_is_length_limited(tmp_path,
     assert built.read_text(encoding="utf-8").split() == [str(os.getpid())]
 
 
+def test_a_range_that_cannot_be_forked_is_read_in_bulk_here(tmp_path, monkeypatch):
+    path = tmp_path / "cloud.csv"
+    path.write_bytes(SPLIT_READS["bom"][0].encode("utf-8"))
+    expected = _read_outcome(path, 1)
+    tries = []
+
+    def fork():
+        tries.append(None)
+        raise BlockingIOError("no process to spare")
+
+    def fail(fh):
+        raise AssertionError("line parser used on a well-formed file")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(report, "_read_cloud_lines", fail)
+    assert _read_outcome(path, 2) == expected
+    assert len(tries) == 1
+
+
 # Each file holding a byte that is not UTF-8, and the line that holds it.
 NOT_UTF8 = {
     "in_header": (b"x,y,z\xe9\n1.0,2.0,3.0\n", 1),
@@ -381,6 +401,36 @@ class TestCloudWriterRejects:
         assert not path.exists()
 
 
+    @pytest.mark.parametrize("labels, bad, value", [
+        (np.r_[np.zeros(4500), math.nan, np.zeros(499)], 4500, "nan"),
+        ([0.7, 1.2, 2.9], 0, "0.7"),
+        ([0, 1, 2**70], 2, str(2**70)),
+        ([0.0, -math.inf, 1.0], 1, "-inf"),
+        (np.array([0, 2**63, 1], dtype=np.uint64), 1, str(2**63)),
+        (["0", "1", "2"], 0, "'0'"),
+    ], ids=["nan", "fractions", "beyond_int64", "inf", "uint64_beyond_int64", "strings"])
+    def test_label_not_an_int64(self, tmp_path, labels, bad, value):
+        path = tmp_path / "cloud.csv"
+        with pytest.raises(ValueError, match=re.escape(
+                f"label {bad} is not an integer in the int64 range: {value}")):
+            report.write_cloud_csv(path, np.zeros((len(labels), 3)), labels)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("labels", [
+        [0.0, -3.0, 2.0**62],
+        np.array([0, 2**63 - 1, 7], dtype=np.uint64),
+        np.array([-(2**31), 5, 2**31 - 1], dtype=np.int32),
+        np.array([0, -(2**63), 2**63 - 1], dtype=object),
+        [True, False, True],
+    ], ids=["whole_floats", "uint64", "int32", "python_ints", "bools"])
+    def test_whole_labels_of_any_type_are_written_and_read_back(self, tmp_path, labels):
+        points = np.arange(9.0).reshape(3, 3)
+        path = tmp_path / "cloud.csv"
+        report.write_cloud_csv(path, points, labels)
+        assert path.read_text(encoding="utf-8") == _reference_cloud(points, labels)
+        assert read_cloud_csv(path)[1].tolist() == [int(s) for s in labels]
+
+
 class TestTruthWriterBytes:
     @staticmethod
     def _reference(truth) -> str:
@@ -399,6 +449,18 @@ class TestTruthWriterBytes:
         text = path.read_text(encoding="utf-8")
         assert text == self._reference(truth)
         assert "np." not in text
+
+    @pytest.mark.parametrize("field", ["phi", "theta_x", "theta_y", "centroids"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_is_not_written(self, tmp_path, field, bad):
+        truth = generate(HelixSpec(sections=7, rng_seed=3)).truth
+        values = {name: getattr(truth, name).copy() for name in ("phi", "theta_x", "theta_y",
+                                                                 "centroids")}
+        values[field][5] = bad
+        path = tmp_path / "truth.csv"
+        with pytest.raises(ValueError, match="^section 5 has a non-finite truth value: "):
+            report.write_truth_csv(path, GroundTruth(**values))
+        assert not path.exists()
 
     def test_generated_part(self, tmp_path):
         truth = generate(HelixSpec(sections=7, noise_sigma=0.02, rng_seed=3)).truth

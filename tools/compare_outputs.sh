@@ -23,7 +23,11 @@
 # --sections 40, with every line ended by a bare "\r" and with only the
 # header so ended, each at --workers 1 and 2 (a text read ends a line at a
 # "\r", so the bulk reader ends the header there and both files are read
-# in bulk, the second cut after its "\n"s), and with --window 1, --window 4 (an
+# in bulk, the second cut after its "\n"s), with a "# operator note" line
+# before data row 1500 and with data row 1600's y set to "n/a", each at
+# --workers 1 and 2 (both rows lie in the range a child reads, which needs
+# the line parser: the first file is read by it and the second exits 2
+# naming line 1601), and with --window 1, --window 4 (an
 # even window pools window + 1 sections, so it takes the interior path at
 # width 5) and --window 9 (four windows of widths 5 to 8 clamped at each end
 # of the part); a 3-section part at the default window 5, whose
@@ -142,6 +146,17 @@ run_set() {
         hb "c8-$ends" evaluate --input "$work/$ends.csv" --output-dir "$out/c8-$ends"
         hb "c8-$ends-w2" evaluate --input "$work/$ends.csv" \
             --output-dir "$out/c8-$ends-w2" --workers 2
+    done
+    # Data row 1500 preceded by a comment line, and data row 1600's y set to
+    # "n/a": both lie in the second byte range of a two-process read.
+    awk 'NR == 1501 { print "# operator note" } { print }' "$out/c8/cloud.csv" \
+        > "$work/comment.csv"
+    awk -F, -v OFS=, 'NR == 1601 { $2 = "n/a" } { print }' "$out/c8/cloud.csv" \
+        > "$work/bad-row.csv"
+    for edit in comment bad-row; do
+        hb "c8-$edit" evaluate --input "$work/$edit.csv" --output-dir "$out/c8-$edit"
+        hb "c8-$edit-w2" evaluate --input "$work/$edit.csv" \
+            --output-dir "$out/c8-$edit-w2" --workers 2
     done
     for window in 1 4 9; do
         hb "c8-window$window" evaluate --input "$out/c8/cloud.csv" \
