@@ -34,7 +34,7 @@ from .errors import (
     InvalidSweep,
     SectionCountMismatch,
 )
-from .geometry import TRACE, EllipseParams, fold_half_open
+from .geometry import MIN_SECTION_POINTS, TRACE, EllipseParams, fold_half_open
 from .helix import HelixSpec, generate
 from .linefit import DEFAULT_WINDOW
 from .pipeline import evaluate_cloud
@@ -262,8 +262,8 @@ def _cmd_compare_fits(args) -> int:
         raise InvalidSweep("noise sigma cannot be negative")
     if not args.semi_major > args.semi_minor > 0.0:
         raise InvalidSweep("need semi-major > semi-minor > 0 to define an orientation")
-    if args.points < 6:
-        raise InvalidSweep("need at least 6 points per trial to fit a conic")
+    if args.points < MIN_SECTION_POINTS:
+        raise InvalidSweep(f"need at least {MIN_SECTION_POINTS} points per trial to fit a conic")
     if not (0.0 < args.arc_fraction <= 1.0):
         raise InvalidSweep("arc fraction must lie in (0, 1]")
 

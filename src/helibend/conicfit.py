@@ -49,6 +49,7 @@ except ImportError:  # a numpy without the private gufunc module
 from .errors import CollapsedAxis, DegenerateConfiguration, TooFewPoints
 from .geometry import (
     BOOKSTEIN,
+    MIN_SECTION_POINTS,
     TRACE,
     Conic2D,
     EllipseParams,
@@ -57,6 +58,7 @@ from .geometry import (
     conic_matrices,
     conic_values,
     conics_to_params,
+    finite_points,
     normalize_conics,
     params_to_conics,
     section_stack,
@@ -242,7 +244,7 @@ def _linear_fit(points, constraint: str) -> FitResult | FitBatch:
     stack, single = section_stack(points, 2)
 
     def run(rows):
-        part = _finite(stack[rows])
+        part = finite_points(stack[rows])
         coef, params = _linear_conics(part, constraint)
         geometric = _row_rms(_gn_residual(part, _param_rows(params), None)[1])
         return _fit_batch(part, coef, params, geometric)
@@ -257,8 +259,8 @@ def _linear_conics(stack: np.ndarray, constraint: str):
     first check that a section fails.
     """
     n = stack.shape[1]
-    if n < 6:
-        raise TooFewPoints(f"need at least 6 points, got {n}")
+    if n < MIN_SECTION_POINTS:
+        raise TooFewPoints(f"need at least {MIN_SECTION_POINTS} points, got {n}")
     norm, mean, scale = _normalize_points(stack)
     if (scale <= 0.0).any():
         raise DegenerateConfiguration("all points coincide")
@@ -365,7 +367,7 @@ def fit_gauss_newton(
             raise ValueError(f"got {len(inits)} inits for {count} sections")
 
     def run(rows):
-        part, starts = _finite(stack[rows]), inits[rows]
+        part, starts = finite_points(stack[rows]), inits[rows]
         n = part.shape[1]
         if n < 5:
             raise TooFewPoints(f"need at least 5 points, got {n}")
@@ -381,13 +383,6 @@ def fit_gauss_newton(
 
     fits = stacked_or_alone(run, count, single)
     return fits[0] if single else FitBatch(fits)
-
-
-def _finite(stack: np.ndarray) -> np.ndarray:
-    """``stack``, checked to hold finite coordinates only."""
-    if not np.isfinite(stack).all():
-        raise ValueError("points contain non-finite coordinates")
-    return stack
 
 
 def _levenberg_marquardt(pts: np.ndarray, theta: np.ndarray, max_iterations: int):

@@ -33,6 +33,9 @@ TRACE = "trace"
 # Relative axis-ratio window treated as a circle (orientation undefined).
 CIRCLE_DEGENERACY_TOL = 1e-6
 
+# Fewest points a section may hold: a conic has five degrees of freedom.
+MIN_SECTION_POINTS = 6
+
 # Points per block of a stacked stage: enough sections to share each numpy
 # call's overhead, few enough that a block's arrays (about 200 bytes a point)
 # add little to the evaluation's peak memory, which they set.
@@ -48,16 +51,6 @@ def fold_half_open(angle: float) -> float:
     return a
 
 
-def rotation_x(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rotation_y(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
 def rotation_z(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -69,9 +62,10 @@ def direction_rotation(theta_x: float) -> np.ndarray:
     Chosen so that a section tilted by ``theta_x`` projects onto the ZY
     plane as a line whose angle formula (see ``linefit``) returns exactly
     ``theta_x``. With the (u, v) = (y, z) convention that formula measures
-    the clockwise angle, hence the negated standard rotation.
+    the clockwise angle, hence the negated standard X rotation.
     """
-    return rotation_x(-theta_x)
+    c, s = math.cos(-theta_x), math.sin(-theta_x)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
 def twist_rotation(theta_y: float) -> np.ndarray:
@@ -80,7 +74,8 @@ def twist_rotation(theta_y: float) -> np.ndarray:
     The standard Y rotation is counterclockwise in the (u, v) = (z, x)
     plane, matching the ellipse orientation read off the torsion fit.
     """
-    return rotation_y(theta_y)
+    c, s = math.cos(theta_y), math.sin(theta_y)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 def as_points(arr, dim: int) -> np.ndarray:
@@ -90,7 +85,12 @@ def as_points(arr, dim: int) -> np.ndarray:
         pts = pts.reshape(1, dim)
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise ValueError(f"expected an (N, {dim}) array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
+    return finite_points(pts)
+
+
+def finite_points(pts: np.ndarray) -> np.ndarray:
+    """``pts``, checked to hold finite coordinates only (ValueError otherwise)."""
+    if not np.isfinite(pts).all():
         raise ValueError("points contain non-finite coordinates")
     return pts
 
@@ -449,11 +449,9 @@ def canonicalize_section(points) -> CanonicalSection | list[CanonicalSection]:
 def _canonicalized(stack: np.ndarray) -> list[CanonicalSection]:
     """The CanonicalSections of a stack (S, n, 3), whose canonical points
     are views of one array; raises at the first check a section fails."""
-    if not np.isfinite(stack).all():
-        raise ValueError("points contain non-finite coordinates")
-    n = stack.shape[1]
-    if n < 6:
-        raise TooFewPoints(f"need at least 6 points per section, got {n}")
+    n = finite_points(stack).shape[1]
+    if n < MIN_SECTION_POINTS:
+        raise TooFewPoints(f"need at least {MIN_SECTION_POINTS} points per section, got {n}")
     centroids = stack.mean(axis=1)
     poses = []
     for (x, y, _), scale in zip(centroids.tolist(), np.abs(stack).max(axis=(1, 2)).tolist()):

@@ -26,14 +26,14 @@ from .errors import (
     UnderfilledSection,
 )
 from .geometry import (
+    MIN_SECTION_POINTS,
     CanonicalSection,
+    EllipseParams,
     as_points,
     direction_rotation,
     rotation_z,
     twist_rotation,
 )
-
-_MIN_SECTION_POINTS = 6
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,9 @@ class HelixSpec:
             )
         if self.sections < 2:
             raise InvalidSpec("need at least 2 sections", field="sections")
-        if self.points_per_section < _MIN_SECTION_POINTS:
+        if self.points_per_section < MIN_SECTION_POINTS:
             raise InvalidSpec(
-                f"need at least {_MIN_SECTION_POINTS} points per section",
+                f"need at least {MIN_SECTION_POINTS} points per section",
                 field="points_per_section",
             )
         if not self.extent > 0.0:
@@ -134,10 +134,10 @@ def generate(spec: HelixSpec) -> SyntheticPart:
     spec.validate()
     rng = np.random.default_rng(spec.rng_seed)
     n = spec.points_per_section
-    t = 2.0 * math.pi * np.arange(n) / n
-    base = np.column_stack(
-        (spec.semi_minor * np.sin(t), np.zeros(n), spec.semi_major * np.cos(t))
-    )
+    # The outline in the section's ZX plane: major axis along z, minor along x.
+    base = np.zeros((n, 3))
+    base[:, [2, 0]] = EllipseParams(np.zeros(2), spec.semi_major, spec.semi_minor,
+                                    0.0).boundary_points(n)
     pitch_per_radian = spec.pitch_per_turn / (2.0 * math.pi)
 
     points = np.empty((spec.sections * n, 3))
@@ -232,9 +232,9 @@ def segment_sections(cloud, expected_sections: int | None = None, labels=None):
         names = range(len(groups))
 
     for name, group in zip(names, groups):
-        if len(group) < _MIN_SECTION_POINTS:
+        if len(group) < MIN_SECTION_POINTS:
             raise UnderfilledSection(
-                f"section {name} holds {len(group)} points; need {_MIN_SECTION_POINTS}"
+                f"section {name} holds {len(group)} points; need {MIN_SECTION_POINTS}"
             )
     return groups
 

@@ -122,15 +122,6 @@ def rectify_direction(raw: float, line: Line2D) -> float:
     return fold_half_open(raw)
 
 
-def direction_from_points(points) -> DirectionResult:
-    """Fit a line to ZY-plane projections and convert it to an angle."""
-    line = fit_tls_line(points)
-    raw = surface_direction_angle(line)
-    theta = rectify_direction(raw, line)
-    rms = float(np.sqrt(np.mean(np.square(line.distances(points)))))
-    return DirectionResult(line=line, theta_x=theta, rms_orthogonal_residual=rms)
-
-
 def detect_direction(
     sections: list[CanonicalSection], window: int = DEFAULT_WINDOW
 ) -> list[DirectionResult]:

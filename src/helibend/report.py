@@ -94,10 +94,10 @@ def read_cloud_csv(path, workers: int = 1):
     reference and the only one that reports errors. The bulk read ends the
     header where a text read does, at the first ``\\r``, ``\\r\\n`` or
     ``\\n``. It cuts the data into parallel.usable_workers(workers) byte
-    ranges at line starts, read here and in forked children (see
-    parallel.run_shares; a range whose child cannot be forked is read
-    here), with the same result for every ``workers``; only a range that
-    ends before the end of the file has a length limit.
+    ranges at line starts, with the same result for every ``workers``. The
+    range that ends the file is streamed here; each other range is read
+    whole into the memory of a child forked for it (see
+    parallel.run_shares; a range whose child cannot be forked is read here).
     """
     parsed = _read_cloud_bulk(path, workers)
     if parsed is None:
@@ -133,8 +133,9 @@ def _read_cloud_bulk(path, workers: int):
             if raw.tell() >= size:
                 break
             bounds.append(raw.tell())
-    ranges = list(itertools.pairwise([*bounds, None]))
-    parts = run_shares(lambda span: _range_rows(path, span, has_labels), ranges)
+    # run_shares runs its first share here: the range that ends the file.
+    ranges = list(itertools.pairwise([*bounds, None]))[::-1]
+    parts = run_shares(lambda span: _range_rows(path, span, has_labels), ranges)[::-1]
     if any(rows is None for rows in parts):
         return None
     if len(parts) == 1 and not has_labels:
@@ -152,33 +153,15 @@ def _read_cloud_bulk(path, workers: int):
     return points, labels
 
 
-class _ByteRange(io.RawIOBase):
-    """The next ``size`` bytes of a binary file, as a file of their own."""
-
-    def __init__(self, raw, size: int):
-        super().__init__()
-        self._raw, self._left = raw, size
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        with memoryview(buffer) as view:
-            got = self._raw.readinto(view[:self._left])
-        self._left -= got
-        return got
-
-
 def _range_rows(path, span: tuple[int, int | None], has_labels: bool):
     """The ``loadtxt`` rows of the bytes [start, stop) of a cloud CSV, to its
     end when stop is None, decoded as UTF-8: a structured array of points and
     labels, or an (n, 3) array; None when it rejects a row or a byte, when a
     row is not of the header's width or when a point is not finite."""
     start, stop = span
-    # The length limit (_ByteRange) costs 12% of a parse, so the last range has none.
-    with open(path, "rb", buffering=-1 if stop is None else 0) as raw:
+    with open(path, "rb") as raw:
         raw.seek(start)
-        data = raw if stop is None else io.BufferedReader(_ByteRange(raw, stop - start))
+        data = raw if stop is None else io.BytesIO(raw.read(stop - start))
         try:
             with io.TextIOWrapper(data, encoding="utf-8") as lines, warnings.catch_warnings():
                 # "input contained no data", or an older numpy's deprecated

@@ -442,6 +442,15 @@ class TestGaussNewton:
         with pytest.raises(ValueError, match="max_iterations must be >= 1"):
             fit_gauss_newton(pts, max_iterations=0)
 
+    def test_damped_steps_mask_a_singular_system(self):
+        lhs = np.stack([np.diag([1.0, 2.0, 3.0, 4.0, 5.0]), np.zeros((5, 5)), 2.0 * np.eye(5)])
+        rhs = np.arange(15.0).reshape(3, 5)
+        steps, singular = conicfit._damped_steps(lhs, rhs)
+        assert singular.tolist() == [False, True, False]
+        for k in (0, 2):
+            assert steps[k].tobytes() == np.linalg.solve(lhs[k], rhs[k]).tobytes()
+        assert conicfit._damped_steps(lhs[[0, 2]], rhs[[0, 2]])[1] is None
+
     def test_moment_init_exact_on_uniform_samples(self):
         params = EllipseParams(np.array([1.0, 2.0]), 8.0, 3.0, -0.9)
         est = moment_init(params.boundary_points(64))

@@ -18,7 +18,7 @@ from helibend import (
     surface_direction_angle,
 )
 from helibend.errors import IsotropicScatter, TooFewPoints
-from helibend.linefit import LineOffsetWarning, direction_from_points
+from helibend.linefit import LineOffsetWarning
 
 
 def orthogonal_sse(points, a, b, c):
@@ -211,12 +211,11 @@ def assert_window_lines_fit_every_window_point(sections, window):
     assert len(res) == sections
     for i, r in enumerate(res):
         points = np.vstack([c.points_canonical for c in canon[max(0, i - half) : i + half + 1]])
-        ref = direction_from_points(points[:, 1:])
-        assert (r.line.a, r.line.b, r.line.c) == pytest.approx(
-            (ref.line.a, ref.line.b, ref.line.c), abs=1e-12
-        )
-        assert r.theta_x == pytest.approx(ref.theta_x, abs=1e-12)
-        assert r.rms_orthogonal_residual == pytest.approx(ref.rms_orthogonal_residual, rel=1e-9)
+        line = fit_tls_line(points[:, 1:])
+        assert (r.line.a, r.line.b, r.line.c) == pytest.approx((line.a, line.b, line.c), abs=1e-12)
+        assert r.theta_x == pytest.approx(surface_direction_angle(line), abs=1e-12)
+        rms = math.sqrt(np.mean(np.square(line.distances(points[:, 1:]))))
+        assert r.rms_orthogonal_residual == pytest.approx(rms, rel=1e-9)
 
 
 class TestDetectDirection:
@@ -391,10 +390,3 @@ class TestDetectDirection:
         res = detect_direction(canon)
         for r in res:
             assert abs(r.theta_x - spec.helix_angle) < tol
-
-    def test_direction_from_points_reports_rms(self):
-        rng = np.random.default_rng(62)
-        s = rng.uniform(-3, 3, 200)
-        pts = np.column_stack((np.zeros(200), s)) + rng.normal(0, 0.02, (200, 2))
-        res = direction_from_points(pts)
-        assert 0.01 < res.rms_orthogonal_residual < 0.04

@@ -152,6 +152,8 @@ SPLIT_READS = {
     "cr_after_header": ("x,y,z\r" + "\n".join(_rows(20, False)) + "\n", 1),
     "one_row": ("x,y,z,section\n1.0,2.0,3.0,4\n", 0),
     "cut_in_last_line": ("x,y,z\n1.0,2.0,3.0\n4." + "0" * 200 + ",5.0,6.0\n", 0),
+    "malformed_early": ("x,y,z,section\n" + "\n".join(_rows(20, True, "1.0,oops,3.0,2", 3))
+                        + "\n", 1),
     "malformed_late": ("x,y,z,section\n" + "\n".join(_rows(20, True, "1.0,oops,3.0,2", 16))
                        + "\n", 1),
     "nan_late": ("x,y,z\n" + "\n".join(_rows(20, False, "nan,2.0,3.0", 16)) + "\n", 1),
@@ -207,24 +209,60 @@ def test_line_ends_of_a_text_read_keep_the_bulk_read(tmp_path, monkeypatch, name
     assert _read_outcome(path, workers) == expected
 
 
-def test_only_a_range_that_ends_before_the_file_does_is_length_limited(tmp_path, monkeypatch):
+def _spy_range_reads(monkeypatch, tmp_path):
+    """Record every report._range_rows call in a file, so that a forked
+    child's calls show too; the returned function gives them as
+    (pid, span, rejected) tuples, in the order they returned."""
+    log = tmp_path / "range_reads.txt"
+    real = report._range_rows
+
+    def spy(path, span, has_labels):
+        rows = real(path, span, has_labels)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {span[0]} {span[1]} {rows is None}\n")
+        return rows
+
+    def calls():
+        return [(int(pid), (int(start), None if stop == "None" else int(stop)), rejected == "True")
+                for pid, start, stop, rejected in map(str.split, log.read_text().splitlines())]
+
+    monkeypatch.setattr(report, "_range_rows", spy)
+    return calls
+
+
+def test_the_caller_streams_the_range_that_ends_the_file(tmp_path, monkeypatch):
     path = tmp_path / "cloud.csv"
     path.write_bytes(SPLIT_READS["bom"][0].encode("utf-8"))
-    built = tmp_path / "built.txt"  # a file, so that a forked child's builds show too
-    real = report._ByteRange
-
-    def spy(raw, size):
-        with open(built, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return real(raw, size)
-
-    monkeypatch.setattr(report, "_ByteRange", spy)
+    header_end = len((_BOM + "x,y,z,section\n").encode("utf-8"))
+    calls = _spy_range_reads(monkeypatch, tmp_path)
     read_cloud_csv(path, workers=1)
-    assert not built.exists()
+    assert calls() == [(os.getpid(), (header_end, None), False)]
     forks = count_forks(monkeypatch)
     read_cloud_csv(path, workers=2)
     assert len(forks) == 1
-    assert built.read_text(encoding="utf-8").split() == [str(os.getpid())]
+    split = calls()[1:]
+    here = [span for pid, span, _ in split if pid == os.getpid()]
+    child = [span for pid, span, _ in split if pid != os.getpid()]
+    assert len(here) == 1 and len(child) == 1
+    assert here[0][1] is None
+    assert child[0] == (header_end, here[0][0])
+    assert child[0][1] < path.stat().st_size
+
+
+@pytest.mark.parametrize(("name", "lineno", "in_child"),
+                         [("malformed_early", 5, True), ("malformed_late", 18, False)])
+def test_a_failing_range_on_either_side_matches_one_process(tmp_path, monkeypatch, name,
+                                                           lineno, in_child):
+    path = tmp_path / "cloud.csv"
+    path.write_bytes(SPLIT_READS[name][0].encode("utf-8"))
+    expected = _read_outcome(path, 1)
+    assert expected[0] is InputFormatError and expected[2] == lineno
+    calls = _spy_range_reads(monkeypatch, tmp_path)
+    forks = count_forks(monkeypatch)
+    assert _read_outcome(path, 2) == expected
+    assert len(forks) == 1
+    rejected = [pid != os.getpid() for pid, _, rejected in calls() if rejected]
+    assert rejected == [in_child]
 
 
 def test_a_range_that_cannot_be_forked_is_read_in_bulk_here(tmp_path, monkeypatch):
@@ -530,6 +568,22 @@ class TestEvaluationCsv:
         parsed = EvaluationReport.from_text(rep.to_text())
         assert sections_csv_text(parsed) == sections_csv_text(rep)
         assert arc_csv_text(parsed) == arc_csv_text(rep)
+
+    def test_arc_without_a_pitch_writes_empty_cells_and_null(self, tmp_path):
+        # A central angle below 1e-9 rad gives no pitch and no helical length.
+        part = generate(HelixSpec(sections=5, extent=1e-12))
+        result = evaluate_cloud(part.points, labels=part.labels)
+        assert result.arc.geometry.helical_arc_length is None
+        assert result.arc.geometry.pitch_per_radian is None
+        rep = self._report(result)
+        header, row = arc_csv_text(rep).splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["helical_arc_length_mm"] == cells["pitch_mm_per_rad"] == ""
+        rep.write(tmp_path / "report.json")
+        text = (tmp_path / "report.json").read_text(encoding="utf-8")
+        assert '"helical_arc_length_mm": null,\n' in text
+        assert '"pitch_mm_per_rad": null,\n' in text
+        assert text == json.dumps(rep.document, indent=2) + "\n"
 
 
 class TestReportText:

@@ -24,10 +24,12 @@
 # header so ended, each at --workers 1 and 2 (a text read ends a line at a
 # "\r", so the bulk reader ends the header there and both files are read
 # in bulk, the second cut after its "\n"s), with a "# operator note" line
-# before data row 1500 and with data row 1600's y set to "n/a", each at
-# --workers 1 and 2 (both rows lie in the range a child reads, which needs
-# the line parser: the first file is read by it and the second exits 2
-# naming line 1601), and with --window 1, --window 4 (an
+# before data row 1500, with data row 1600's y set to "n/a" and with data
+# row 300's y set to "n/a", each at --workers 1 and 2 (the first two rows
+# lie in the range that ends the file, which the caller streams, and the
+# third in the range a forked child reads whole; each such range needs the
+# line parser: the first file is read by it, the second exits 2 naming line
+# 1601 and the third naming line 301), and with --window 1, --window 4 (an
 # even window pools window + 1 sections, so it takes the interior path at
 # width 5) and --window 9 (four windows of widths 5 to 8 clamped at each end
 # of the part); a 3-section part at the default window 5, whose
@@ -148,12 +150,15 @@ run_set() {
             --output-dir "$out/c8-$ends-w2" --workers 2
     done
     # Data row 1500 preceded by a comment line, and data row 1600's y set to
-    # "n/a": both lie in the second byte range of a two-process read.
+    # "n/a": both lie in the second byte range of a two-process read. Data
+    # row 300's y set to "n/a" lies in the first.
     awk 'NR == 1501 { print "# operator note" } { print }' "$out/c8/cloud.csv" \
         > "$work/comment.csv"
     awk -F, -v OFS=, 'NR == 1601 { $2 = "n/a" } { print }' "$out/c8/cloud.csv" \
         > "$work/bad-row.csv"
-    for edit in comment bad-row; do
+    awk -F, -v OFS=, 'NR == 301 { $2 = "n/a" } { print }' "$out/c8/cloud.csv" \
+        > "$work/bad-early-row.csv"
+    for edit in comment bad-row bad-early-row; do
         hb "c8-$edit" evaluate --input "$work/$edit.csv" --output-dir "$out/c8-$edit"
         hb "c8-$edit-w2" evaluate --input "$work/$edit.csv" \
             --output-dir "$out/c8-$edit-w2" --workers 2
