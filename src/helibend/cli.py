@@ -20,6 +20,7 @@ import hashlib
 import math
 import platform
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -206,7 +207,7 @@ def _cmd_evaluate(args) -> int:
     if args.format in ("csv", "both"):
         (out / "sections.csv").write_text(sections_csv_text(report), encoding="utf-8")
         (out / "arc.csv").write_text(arc_csv_text(report), encoding="utf-8")
-    if not result.all_converged:
+    if not result.fits.converged:
         print("warning: at least one section fit did not converge", file=sys.stderr)
         return EXIT_NONCONVERGED
     return EXIT_OK
@@ -326,6 +327,12 @@ def _trial_points(args, true: float, rng) -> np.ndarray:
     return pts
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """warnings.showwarning for a command: the warning on one line of stderr,
+    in the form of the error lines, with no source file or line."""
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     with _command_heap():
         parser = _build_parser()
@@ -336,7 +343,10 @@ def main(argv=None) -> int:
             "compare-fits": _cmd_compare_fits,
         }
         try:
-            return handlers[args.command](args)
+            # Restores showwarning on exit; the filters stay, so -W error still raises.
+            with warnings.catch_warnings():
+                warnings.showwarning = _print_warning
+                return handlers[args.command](args)
         except (
             InputFormatError, EmptyCloud, InvalidSpec, InvalidSweep, SectionCountMismatch, OSError
         ) as exc:

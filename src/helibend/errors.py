@@ -84,10 +84,11 @@ class InvalidSweep(HelibendError):
 
 
 class InputFormatError(HelibendError):
-    """Input file could not be parsed. ``.line_number`` locates the problem."""
+    """Input file could not be parsed. ``.line_number`` locates the problem;
+    when it is given, the message starts with ``line {line_number}: ``."""
 
     def __init__(self, message, line_number=None):
-        super().__init__(message)
+        super().__init__(message if line_number is None else f"line {line_number}: {message}")
         self.line_number = line_number
 
 

@@ -39,10 +39,6 @@ class EvaluationResult:
     # One ellipse fit per section; params.orientation is the raw torsion reading.
     fits: FitBatch
 
-    @property
-    def all_converged(self) -> bool:
-        return self.fits.converged
-
 
 def evaluate_sections(
     section_points,

@@ -185,8 +185,7 @@ def _stripped(raw: str, lineno: int) -> str:
     InputFormatError when it holds a byte that is not UTF-8."""
     bad = None if raw.isascii() else _ESCAPED_BYTE.search(raw)
     if bad:
-        raise InputFormatError(f"line {lineno}: byte {ord(bad[0]) - 0xDC00:#04x} is not UTF-8",
-                               line_number=lineno)
+        raise InputFormatError(f"byte {ord(bad[0]) - 0xDC00:#04x} is not UTF-8", lineno)
     return raw.strip()
 
 
@@ -202,34 +201,22 @@ def _read_cloud_lines(fh):
         if has_labels is None:
             has_labels = _CLOUD_HEADERS.get(tuple(fields))
             if has_labels is None:
-                raise InputFormatError(
-                    f"line {lineno}: expected header 'x,y,z[,section]', got {line!r}",
-                    line_number=lineno,
-                )
+                raise InputFormatError(f"expected header 'x,y,z[,section]', got {line!r}", lineno)
             continue
         expected = 4 if has_labels else 3
         if len(fields) != expected:
-            raise InputFormatError(
-                f"line {lineno}: expected {expected} fields, got {len(fields)}",
-                line_number=lineno,
-            )
+            raise InputFormatError(f"expected {expected} fields, got {len(fields)}", lineno)
         try:
             xyz = [float(fields[0]), float(fields[1]), float(fields[2])]
             if has_labels:
                 labels.append(int(fields[3]))
         except ValueError as exc:
-            raise InputFormatError(
-                f"line {lineno}: {exc}", line_number=lineno
-            ) from exc
+            raise InputFormatError(str(exc), lineno) from exc
         if has_labels and not -(2**63) <= labels[-1] < 2**63:
             raise InputFormatError(
-                f"line {lineno}: section label {labels[-1]} is outside the int64 range",
-                line_number=lineno,
-            )
+                f"section label {labels[-1]} is outside the int64 range", lineno)
         if not all(math.isfinite(v) for v in xyz):
-            raise InputFormatError(
-                f"line {lineno}: non-finite coordinate", line_number=lineno
-            )
+            raise InputFormatError("non-finite coordinate", lineno)
         points.append(xyz)
     if has_labels is None:
         raise InputFormatError("no header line found (empty input?)", line_number=None)
@@ -269,38 +256,24 @@ def read_truth_csv(path):
             if not seen_header:
                 if ",".join(fields) != _TRUTH_HEADER:
                     raise InputFormatError(
-                        f"line {lineno}: expected header {_TRUTH_HEADER!r}, got {line!r}",
-                        line_number=lineno,
-                    )
+                        f"expected header {_TRUTH_HEADER!r}, got {line!r}", lineno)
                 seen_header = True
                 continue
             if len(fields) != 7:
-                raise InputFormatError(
-                    f"line {lineno}: expected 7 fields", line_number=lineno
-                )
+                raise InputFormatError("expected 7 fields", lineno)
             try:
                 section = int(fields[0])
                 row = [float(f) for f in fields[1:]]
             except ValueError as exc:
-                raise InputFormatError(
-                    f"line {lineno}: {exc}", line_number=lineno
-                ) from exc
+                raise InputFormatError(str(exc), lineno) from exc
             if section != len(rows):
-                raise InputFormatError(
-                    f"line {lineno}: expected section {len(rows)}, got {section}",
-                    line_number=lineno,
-                )
+                raise InputFormatError(f"expected section {len(rows)}, got {section}", lineno)
             if not all(math.isfinite(v) for v in row):
-                raise InputFormatError(
-                    f"line {lineno}: non-finite value", line_number=lineno
-                )
+                raise InputFormatError("non-finite value", lineno)
             rows.append(row)
     if not rows:
         wanted = "a data row" if seen_header else "the header"
-        raise InputFormatError(
-            f"line {lineno + 1}: expected {wanted}, got end of file",
-            line_number=lineno + 1,
-        )
+        raise InputFormatError(f"expected {wanted}, got end of file", lineno + 1)
     data = np.array(rows, dtype=float)
     return data[:, 0], data[:, 1], data[:, 2], data[:, 3:6]
 

@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 import helibend
 from helibend import geometry, torsion
 from helibend.cli import main
-from helibend.errors import InputFormatError
+from helibend.errors import AmbiguousBranch, InputFormatError
 from helibend.report import EvaluationReport, read_cloud_csv, read_truth_csv
 
 
@@ -81,6 +82,19 @@ class TestSynth:
 
 
 class TestEvaluate:
+    def test_warning_is_one_line_and_filters_still_apply(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert synth(data, twist_constant_deg=45) == 0
+        capsys.readouterr()
+        assert run("evaluate", "--input", data / "cloud.csv", "--output-dir", tmp_path / "o") == 0
+        assert capsys.readouterr().err == (
+            "warning: AmbiguousBranch: torsion branch ambiguous at sample 0; "
+            "resolved toward zero\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AmbiguousBranch)
+            with pytest.raises(AmbiguousBranch):
+                run("evaluate", "--input", data / "cloud.csv", "--output-dir", tmp_path / "o")
+
     def test_noise_free_matches_truth(self, tmp_path):
         data = tmp_path / "data"
         out = tmp_path / "out"

@@ -90,7 +90,7 @@ class TestPipelinePlumbing:
         for i in range(spec.sections):
             assert result.arc.azimuth_phi[i] == pytest.approx(part.truth.phi[i], abs=1e-9)
             assert result.arc.centroid_radius[i] == pytest.approx(spec.radius, abs=1e-9)
-        assert result.all_converged
+        assert result.fits.converged
 
     def test_fast_twist_evaluates_without_warning(self):
         # the reading folds from 1.4 to -1.4; the nearest branch is -1.4 + pi

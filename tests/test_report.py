@@ -9,7 +9,13 @@ import pytest
 
 from helibend import GroundTruth, HelixSpec, evaluate_cloud, generate, report
 from helibend.errors import InputFormatError
-from helibend.report import EvaluationReport, arc_csv_text, read_cloud_csv, sections_csv_text
+from helibend.report import (
+    EvaluationReport,
+    arc_csv_text,
+    read_cloud_csv,
+    read_truth_csv,
+    sections_csv_text,
+)
 from helpers import count_forks
 
 
@@ -316,6 +322,62 @@ def test_header_only_file_warns_nothing(tmp_path, header):
         pts, labels = read_cloud_csv(path)
     assert caught == []
     assert pts.shape == (0, 3)
+
+
+_TRUTH_HEADER = b"section,phi,theta_x_true,theta_y_true,cx,cy,cz\n"
+_TRUTH_ROW = b"0,0.0,0.1,0.0,120.0,0.0,0.0\n"
+
+# Every error of the two readers: (reader, file bytes, exact message, line).
+READER_ERRORS = {
+    "cloud-bad-header": (read_cloud_csv, b"a,b,c\n1.0,2.0,3.0\n",
+                         "line 1: expected header 'x,y,z[,section]', got 'a,b,c'", 1),
+    "cloud-three-fields-labeled": (read_cloud_csv, b"x,y,z,section\n1.0,2.0,3.0,0\n4.0,5.0,6.0\n",
+                                   "line 3: expected 4 fields, got 3", 3),
+    "cloud-not-a-number": (read_cloud_csv, b"x,y,z\n1.0,n/a,3.0\n",
+                           "line 2: could not convert string to float: 'n/a'", 2),
+    "cloud-float-label": (read_cloud_csv, b"x,y,z,section\n1.0,2.0,3.0,1.5\n",
+                          "line 2: invalid literal for int() with base 10: '1.5'", 2),
+    "cloud-label-beyond-int64": (
+        read_cloud_csv, b"x,y,z,section\n1.0,2.0,3.0,9223372036854775808\n",
+        "line 2: section label 9223372036854775808 is outside the int64 range", 2),
+    "cloud-inf": (read_cloud_csv, b"x,y,z\n1.0,2.0,inf\n", "line 2: non-finite coordinate", 2),
+    "cloud-not-utf8": (read_cloud_csv, b"x,y,z\n1.0,2.0,3.0\n4.0,\xff,6.0\n",
+                       "line 3: byte 0xff is not UTF-8", 3),
+    "cloud-empty": (read_cloud_csv, b"", "no header line found (empty input?)", None),
+    "cloud-comments-before-header": (read_cloud_csv, b"# scan 7\n# operator A\nx,y,z\n1.0,2.0\n",
+                                     "line 4: expected 3 fields, got 2", 4),
+    "truth-bad-header": (
+        read_truth_csv, b"section,phi\n" + _TRUTH_ROW,
+        "line 1: expected header 'section,phi,theta_x_true,theta_y_true,cx,cy,cz', "
+        "got 'section,phi'", 1),
+    "truth-six-fields": (read_truth_csv, _TRUTH_HEADER + b"0,0.0,0.1,0.0,120.0,0.0\n",
+                         "line 2: expected 7 fields", 2),
+    "truth-not-a-number": (read_truth_csv, _TRUTH_HEADER + b"0,0.0,0.1,oops,120.0,0.0,0.0\n",
+                           "line 2: could not convert string to float: 'oops'", 2),
+    "truth-section-out-of-order": (
+        read_truth_csv, _TRUTH_HEADER + _TRUTH_ROW + b"2,0.5,0.1,0.0,105.3,57.5,4.8\n",
+        "line 3: expected section 1, got 2", 3),
+    "truth-nan": (read_truth_csv, _TRUTH_HEADER + b"0,nan,0.1,0.0,120.0,0.0,0.0\n",
+                  "line 2: non-finite value", 2),
+    "truth-header-only": (read_truth_csv, _TRUTH_HEADER,
+                          "line 2: expected a data row, got end of file", 2),
+    "truth-not-utf8": (read_truth_csv, _TRUTH_HEADER + b"0,0.0,0.1,0.0,\xff,0.0,0.0\n",
+                       "line 2: byte 0xff is not UTF-8", 2),
+    # The end of file is the line after the last one, blank or comment.
+    "truth-header-then-comment-and-blank": (read_truth_csv, _TRUTH_HEADER + b"# note\n\n",
+                                            "line 4: expected a data row, got end of file", 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READER_ERRORS))
+def test_reader_error_message_and_line(tmp_path, name):
+    reader, data, message, lineno = READER_ERRORS[name]
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    with pytest.raises(InputFormatError) as exc:
+        reader(path)
+    assert (str(exc.value), exc.value.args, exc.value.line_number) == (
+        message, (message,), lineno)
 
 
 def test_random_doubles_round_trip_exactly(tmp_path):

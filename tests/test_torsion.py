@@ -20,6 +20,7 @@ from helibend.errors import (
     AmbiguousBranch,
     DegenerateConfiguration,
     HelibendError,
+    LengthMismatch,
     TooFewPoints,
 )
 from helibend.torsion import fit_sections
@@ -63,6 +64,11 @@ class TestObserveTorsion:
         got, = observe_torsion([canon[0]], [truth.theta_x[0]])
         assert not got.params.orientation_defined
         assert got.params.orientation == 0.0
+
+    def test_one_tilt_per_section(self):
+        canon, truth = canonical_sections(HelixSpec(sections=4, rng_seed=1))
+        with pytest.raises(LengthMismatch, match=r"^4 sections but 3 tilts$"):
+            observe_torsion(canon, truth.theta_x[:-1])
 
 
 class TestFitSections:

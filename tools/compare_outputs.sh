@@ -29,18 +29,23 @@
 # lie in the range that ends the file, which the caller streams, and the
 # third in the range a forked child reads whole; each such range needs the
 # line parser: the first file is read by it, the second exits 2 naming line
-# 1601 and the third naming line 301), and with --window 1, --window 4 (an
-# even window pools window + 1 sections, so it takes the interior path at
-# width 5) and --window 9 (four windows of widths 5 to 8 clamped at each end
-# of the part); a 3-section part at the default window 5, whose
-# every direction window is clamped at the ends of the part; a 21 x 401
+# 1601 and the third naming line 301), with data row 700 cut to three fields
+# (in the child's range; exit 2, "line 701: expected 4 fields, got 3") and
+# with data row 1700's z set to "inf" (in the caller's range; exit 2, "line
+# 1701: non-finite coordinate"), each at --workers 1 and 2, and with
+# --window 1, --window 4 (an even window pools window + 1 sections, so it
+# takes the interior path at width 5) and --window 9 (four windows of
+# widths 5 to 8 clamped at each end of the part); a 3-section part at the
+# default window 5, whose every direction window is clamped at the ends of
+# the part; a 21 x 401
 # part (--seed 11, 8421 rows) whose cloud.csv, over two of the cloud
 # writer's blocks of rows, is diffed directly; a 1000 x 400
 # labeled part with trace and gauss-newton; the ragged, failing and
 # 1000 x 400 runs again with --workers 2 (a checkout that ignores the flag
 # gives its sequential outputs, so these show that the forked CSV read and
 # torsion fits of the other change neither outputs nor stderr); a
-# --twist-constant-deg 45 part;
+# --twist-constant-deg 45 part, whose stderr holds the CLI's one-line
+# AmbiguousBranch warning;
 # a --twist-constant-deg 90 part, whose major axes the ZY projection drops;
 # a noise-free planar part (--pitch 0 --helix-angle-deg 0, whose pitch
 # estimate is exactly 0.0, so a sign-of-zero change shows in report.json);
@@ -88,8 +93,7 @@ run_set() {
     # the output tree and of this script's temporary directory replaced by
     # fixed tokens (in that order: an exported checkout's path starts with
     # the output tree's), so that the text of warnings and errors is compared
-    # too. A warning names the file and line of its warn call, so moving that
-    # call shows as a difference.
+    # too.
     hb() {
         name=$1
         shift
@@ -158,7 +162,13 @@ run_set() {
         > "$work/bad-row.csv"
     awk -F, -v OFS=, 'NR == 301 { $2 = "n/a" } { print }' "$out/c8/cloud.csv" \
         > "$work/bad-early-row.csv"
-    for edit in comment bad-row bad-early-row; do
+    # Data row 700 cut to three fields lies in the first range; data row
+    # 1700's z set to "inf" lies in the second.
+    awk -F, -v OFS=, 'NR == 701 { $0 = $1 OFS $2 OFS $3 } { print }' "$out/c8/cloud.csv" \
+        > "$work/three-fields.csv"
+    awk -F, -v OFS=, 'NR == 1701 { $3 = "inf" } { print }' "$out/c8/cloud.csv" \
+        > "$work/inf-z.csv"
+    for edit in comment bad-row bad-early-row three-fields inf-z; do
         hb "c8-$edit" evaluate --input "$work/$edit.csv" --output-dir "$out/c8-$edit"
         hb "c8-$edit-w2" evaluate --input "$work/$edit.csv" \
             --output-dir "$out/c8-$edit-w2" --workers 2
