@@ -47,7 +47,7 @@ from .linefit import (
     rectify_direction,
     surface_direction_angle,
 )
-from .pipeline import ArcReport, EvaluationResult, evaluate_cloud, evaluate_sections
+from .pipeline import EvaluationResult, evaluate_cloud, evaluate_sections
 from .report import EvaluationReport
 from .torsion import (
     FITTERS,
@@ -62,7 +62,6 @@ __all__ = [
     "TRACE",
     "FITTERS",
     "ArcGeometry",
-    "ArcReport",
     "CanonicalSection",
     "Conic2D",
     "DirectionResult",

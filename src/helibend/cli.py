@@ -353,7 +353,8 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
         except HelibendError as exc:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            where = "" if exc.section is None else f"section {exc.section}: "
+            print(f"error: {type(exc).__name__}: {where}{exc}", file=sys.stderr)
             return EXIT_ANALYSIS
 
 

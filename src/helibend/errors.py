@@ -5,9 +5,11 @@ class HelibendError(Exception):
     """Base class for all analysis errors raised by this package.
 
     ``.section`` is the position of the failing section when a stage over
-    several sections raised the error, else None. A stacked kernel raises at
-    the first check any section fails, and a failing stack is run again one
-    section at a time, so the error is the earliest failing section's own.
+    several sections raised the error, else None: the section's ``index``
+    in the report, which the CLI prints as ``section k: `` before the
+    message. A stacked kernel raises at the first check any section fails,
+    and a failing stack is run again one section at a time, so the error is
+    the earliest failing section's own.
     """
 
     section: int | None = None

@@ -310,32 +310,34 @@ def section_stack(points, dim: int) -> tuple[np.ndarray, bool]:
     stack are not checked here.
 
     Each section of a stack keeps its memory layout, by which its sums round.
-    np.asarray copies a sequence of sections in C order, and the stacked sums
-    of a stack whose sections do not lie one after another (a transposed or
-    broadcast array) take another order, so both are stacked again section
-    by section, each keeping its own layout. Sections of unequal shape raise
-    a ValueError naming the first that differs from section 0.
+    A sequence of (n, dim) sections is stacked once, section by section, and
+    a stack whose sections do not lie one after another (a transposed or
+    broadcast array) would sum in another order, so it is stacked again the
+    same way. Sections of unequal shape raise a ValueError naming the first
+    that differs from section 0.
     """
-    try:
-        pts = np.asarray(points, dtype=float)
-    except ValueError:
-        shapes = [np.shape(section) for section in points]
+    sections = None if isinstance(points, np.ndarray) else [
+        np.asarray(section, dtype=float) for section in points]
+    if sections and sections[0].ndim == 2:  # else not a list of (n, dim) sections
+        shapes = [section.shape for section in sections]
         first = next((k for k, shape in enumerate(shapes) if shape != shapes[0]), None)
-        if first is None or len(shapes[0]) != 2:  # not a list of (n, dim) sections
-            raise
-        got, want = shapes[first], shapes[0]
-        if len(got) == 2 and got[1] == want[1]:
-            raise ValueError(f"section {first} has {got[0]} points but section 0 has "
-                             f"{want[0]}; a stack needs sections of equal point count") from None
-        raise ValueError(f"section {first} has shape {got} but section 0 has {want}; "
-                         "a stack needs sections of equal shape") from None
+        if first is not None:
+            got, want = shapes[first], shapes[0]
+            if len(got) == 2 and got[1] == want[1]:
+                raise ValueError(f"section {first} has {got[0]} points but section 0 has "
+                                 f"{want[0]}; a stack needs sections of equal point count")
+            raise ValueError(f"section {first} has shape {got} but section 0 has {want}; "
+                             "a stack needs sections of equal shape")
+        pts = np.stack(sections)
+    else:
+        pts = np.asarray(points, dtype=float)
     if pts.ndim != 3:
         return as_points(pts, dim)[None], True
     if pts.shape[2] != dim:
         raise ValueError(f"expected an (S, n, {dim}) stack of sections, got shape {pts.shape}")
-    if not isinstance(points, np.ndarray) or (
-            len(pts) > 1 and abs(pts.strides[0]) < max(abs(pts.strides[1]), abs(pts.strides[2]))):
-        pts = np.stack([np.asarray(section, dtype=float) for section in points])
+    if isinstance(points, np.ndarray) and len(pts) > 1 and (
+            abs(pts.strides[0]) < max(abs(pts.strides[1]), abs(pts.strides[2]))):
+        pts = np.stack(list(pts))
     return pts, False
 
 

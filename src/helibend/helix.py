@@ -27,7 +27,6 @@ from .errors import (
 )
 from .geometry import (
     MIN_SECTION_POINTS,
-    CanonicalSection,
     EllipseParams,
     as_points,
     direction_rotation,
@@ -239,33 +238,38 @@ def segment_sections(cloud, expected_sections: int | None = None, labels=None):
     return groups
 
 
-def arc_parameters(sections: list[CanonicalSection]) -> ArcGeometry:
-    """Arc geometry from the canonical poses of consecutive sections.
+def arc_parameters(azimuth, radius, axial) -> ArcGeometry:
+    """Arc geometry from the azimuths, centroid radii and axial positions
+    of consecutive sections, in part order.
 
     The radius is the mean centroid radius, the central angle is the
     unwrapped azimuth sweep (monotone along the part by assumption), and
     the planar arc length is radius times central angle. When the sections
     drift along the product axis the pitch is estimated by a linear fit of
     axial position against azimuth and the helical arc length
-    sqrt(R^2 + p^2) * dphi is reported as well.
+    sqrt(R^2 + p^2) * dphi is reported as well. Azimuths that step both ways
+    raise NonMonotonicAzimuth naming in ``.section`` the later section of
+    the first step against the net sweep.
     """
-    if len(sections) < 2:
+    if len(azimuth) < 2:
         raise TooFewSections("need at least 2 sections for arc geometry")
-    radius = float(np.mean([s.centroid_radius for s in sections]))
-    phi = [s.azimuth_phi for s in sections]
+    radius = float(np.mean(radius))
+    phi = np.asarray(azimuth, dtype=float).tolist()
     diffs = [math.remainder(b - a, 2.0 * math.pi) for a, b in zip(phi, phi[1:])]
-    has_positive = any(d > 1e-15 for d in diffs)
-    has_negative = any(d < -1e-15 for d in diffs)
-    if has_positive and has_negative:
-        raise NonMonotonicAzimuth("section azimuths reverse direction along the part")
-    central_angle = abs(math.fsum(diffs))
+    sweep = math.fsum(diffs)
+    if any(d > 1e-15 for d in diffs) and any(d < -1e-15 for d in diffs):
+        exc = NonMonotonicAzimuth("section azimuths reverse direction along the part")
+        sign = -1.0 if sweep < 0.0 else 1.0
+        exc.section = 1 + next(k for k, d in enumerate(diffs) if sign * d < -1e-15)
+        raise exc
+    central_angle = abs(sweep)
     arc_length = radius * central_angle
 
     pitch = None
     helical = None
     if central_angle > 1e-9:
         unwrapped = np.concatenate(([phi[0]], phi[0] + np.cumsum(diffs)))
-        z = np.array([s.centroid[2] for s in sections])
+        z = np.asarray(axial, dtype=float)
         du = unwrapped - unwrapped.mean()
         pitch = float(du @ (z - z.mean()) / (du @ du))
         helical = math.sqrt(radius * radius + pitch * pitch) * central_angle

@@ -136,7 +136,8 @@ def detect_direction(
     window clamped at an end of the part as a stack of one), and
     ``rms_orthogonal_residual`` is the RMS orthogonal distance of the
     window's points from the line. Each window's result is bit for bit the
-    one that pooling that window alone gives.
+    one that pooling that window alone gives. Window i's IsotropicScatter
+    carries i in ``.section``.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -159,7 +160,13 @@ def detect_direction(
         totals[at], pooled_means[at], pooled[at] = _pool(
             counts[lo:hi], means[lo:hi], scatters[lo:hi], hi - lo)
     results = []
-    for i, ((line, sse), total) in enumerate(zip(_lines(pooled_means, pooled), totals.tolist())):
+    lines = _lines(pooled_means, pooled)
+    for i, total in enumerate(totals.tolist()):
+        try:
+            line, sse = next(lines)
+        except IsotropicScatter as exc:
+            exc.section = i
+            raise
         # sse can round below 0 on noise-free parts
         rms = math.sqrt(max(sse, 0.0) / total)
         results.append(DirectionResult(line, surface_direction_angle(line), rms))

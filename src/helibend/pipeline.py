@@ -22,20 +22,15 @@ from .torsion import observe_torsion
 
 
 @dataclass(frozen=True)
-class ArcReport:
-    """Arc geometry plus the per-section columns, one entry per section."""
+class EvaluationResult:
+    """Arc geometry, then the per-section columns, one entry per section."""
 
-    geometry: ArcGeometry
+    arc: ArcGeometry
     azimuth_phi: np.ndarray
     centroid_radius: np.ndarray
     theta_x: np.ndarray
     line_rms: np.ndarray
     theta_y_rectified: np.ndarray
-
-
-@dataclass(frozen=True)
-class EvaluationResult:
-    arc: ArcReport
     # One ellipse fit per section; params.orientation is the raw torsion reading.
     fits: FitBatch
 
@@ -52,20 +47,22 @@ def evaluate_sections(
     canonical = in_blocks([len(points) for points in groups],
                           lambda block: canonicalize_section([groups[i] for i in block]))
     directions = detect_direction(canonical, window=window)
-    fits = observe_torsion(canonical, [d.theta_x for d in directions], fitter, gn_max_iterations,
-                           workers)
+    azimuth = np.array([s.azimuth_phi for s in canonical])
+    radius = np.array([s.centroid_radius for s in canonical])
+    theta_x = np.array([d.theta_x for d in directions])
+    fits = observe_torsion(canonical, theta_x, fitter, gn_max_iterations, workers)
     # looked up on the module at call time, so a wrapper installed on
     # helibend.torsion.rectify_torsion sees the call
     rectified = _torsion.rectify_torsion([f.params.orientation for f in fits])
-    arc = ArcReport(
-        geometry=arc_parameters(canonical),
-        azimuth_phi=np.array([s.azimuth_phi for s in canonical]),
-        centroid_radius=np.array([s.centroid_radius for s in canonical]),
-        theta_x=np.array([d.theta_x for d in directions]),
+    return EvaluationResult(
+        arc=arc_parameters(azimuth, radius, np.array([s.centroid[2] for s in canonical])),
+        azimuth_phi=azimuth,
+        centroid_radius=radius,
+        theta_x=theta_x,
         line_rms=np.array([d.rms_orthogonal_residual for d in directions]),
         theta_y_rectified=rectified,
+        fits=fits,
     )
-    return EvaluationResult(arc=arc, fits=fits)
 
 
 def evaluate_cloud(

@@ -300,8 +300,7 @@ class EvaluationReport:
     def from_result(
         cls, result: EvaluationResult, fitter: str, input_digest: str
     ) -> "EvaluationReport":
-        cols = result.arc
-        geo = cols.geometry
+        geo = result.arc
         arc = {
             "radius_mm": geo.radius,
             "central_angle_rad": geo.central_angle,
@@ -312,7 +311,7 @@ class EvaluationReport:
             "sections": len(result.fits),
         }
         phi, theta_x, theta_y = (
-            cols.azimuth_phi.tolist(), cols.theta_x.tolist(), cols.theta_y_rectified.tolist())
+            result.azimuth_phi.tolist(), result.theta_x.tolist(), result.theta_y_rectified.tolist())
         params = [fit.params for fit in result.fits]
         raw = [p.orientation for p in params]
         # One list per column, in document order; tolist() keeps numpy
@@ -321,7 +320,7 @@ class EvaluationReport:
             "index": range(len(params)),
             "azimuth_rad": phi,
             "azimuth_deg": map(math.degrees, phi),
-            "centroid_radius_mm": cols.centroid_radius.tolist(),
+            "centroid_radius_mm": result.centroid_radius.tolist(),
             "theta_x_rad": theta_x,
             "theta_x_deg": map(math.degrees, theta_x),
             "theta_y_raw_rad": raw,
@@ -329,7 +328,7 @@ class EvaluationReport:
             "theta_y_rect_rad": theta_y,
             "theta_y_rect_deg": map(math.degrees, theta_y),
             "circle_degenerate": [not p.orientation_defined for p in params],
-            "line_rms_mm": cols.line_rms.tolist(),
+            "line_rms_mm": result.line_rms.tolist(),
             "algebraic_rms": [fit.rms_algebraic_residual for fit in result.fits],
             "geometric_rms_mm": [fit.rms_geometric_residual for fit in result.fits],
             "fit_iterations": [fit.iterations for fit in result.fits],

@@ -75,9 +75,9 @@ def test_criterion_2_noise_free_pipeline():
             spec = random_helix_spec(rng)
             part = generate(spec)
             result = evaluate_cloud(part.points, labels=part.labels)
-            assert np.max(np.abs(result.arc.theta_x - part.truth.theta_x)) < 1e-7
-            assert np.max(np.abs(result.arc.theta_y_rectified - part.truth.theta_y)) < 1e-7
-            geo = result.arc.geometry
+            assert np.max(np.abs(result.theta_x - part.truth.theta_x)) < 1e-7
+            assert np.max(np.abs(result.theta_y_rectified - part.truth.theta_y)) < 1e-7
+            geo = result.arc
             planar = spec.radius * spec.extent
             assert abs(geo.arc_length - planar) / planar < 1e-6
             pitch = spec.pitch_per_turn / (2 * math.pi)

@@ -14,7 +14,7 @@ import helibend
 from helibend import geometry, torsion
 from helibend.cli import main
 from helibend.errors import AmbiguousBranch, InputFormatError
-from helibend.report import EvaluationReport, read_cloud_csv, read_truth_csv
+from helibend.report import EvaluationReport, read_cloud_csv, read_truth_csv, write_cloud_csv
 
 
 def run(*args):
@@ -197,6 +197,18 @@ class TestEvaluate:
         code = run("evaluate", "--input", cloud, "--output-dir", tmp_path / "o",
                    "--sections", "1")
         assert code == 3
+
+    def test_analysis_error_names_its_section(self, tmp_path, capsys):
+        # section labels 4 and 5 swapped: the azimuths step back from 4 to 5
+        synth(tmp_path, seed=42, sections=8)
+        points, labels = read_cloud_csv(tmp_path / "cloud.csv")
+        write_cloud_csv(tmp_path / "swapped.csv", points, np.choose(
+            labels, [0, 1, 2, 3, 5, 4, 6, 7]))
+        assert run("evaluate", "--input", tmp_path / "swapped.csv",
+                   "--output-dir", tmp_path / "o") == 3
+        assert capsys.readouterr().err == (
+            "error: NonMonotonicAzimuth: section 5: "
+            "section azimuths reverse direction along the part\n")
 
     def test_nonconvergence_exit_code_with_partial_report(self, tmp_path, capsys):
         data = tmp_path / "data"

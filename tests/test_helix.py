@@ -216,6 +216,12 @@ class TestSegmentSections:
             segment_sections(part.points)
 
 
+def poses(sections):
+    """The azimuth, centroid radius and axial position columns of sections."""
+    return ([s.azimuth_phi for s in sections], [s.centroid_radius for s in sections],
+            [s.centroid[2] for s in sections])
+
+
 class TestArcParameters:
     def _sections_for(self, spec):
         part = generate(spec)
@@ -226,7 +232,7 @@ class TestArcParameters:
         sections = self._sections_for(
             HelixSpec(radius=100.0, pitch_per_turn=0.0, extent=math.pi / 6, sections=2)
         )
-        geo = arc_parameters(sections)
+        geo = arc_parameters(*poses(sections))
         assert geo.central_angle == pytest.approx(math.pi / 6, abs=1e-12)
         assert geo.arc_length == pytest.approx(52.35987755982988, abs=1e-4)
 
@@ -235,13 +241,13 @@ class TestArcParameters:
             HelixSpec(radius=50.0, pitch_per_turn=0.0, semi_major=6.0, semi_minor=4.0,
                       extent=math.pi, sections=5)
         )
-        geo = arc_parameters(sections)
+        geo = arc_parameters(*poses(sections))
         assert geo.central_angle == pytest.approx(math.pi, abs=1e-12)
         assert geo.arc_length == pytest.approx(157.07963267948966, abs=1e-4)
 
     def test_helical_length_closed_form(self):
         spec = HelixSpec(radius=120.0, pitch_per_turn=60.0, extent=math.pi / 2, sections=10)
-        geo = arc_parameters(self._sections_for(spec))
+        geo = arc_parameters(*poses(self._sections_for(spec)))
         p = 60.0 / (2 * math.pi)
         expected = math.sqrt(120.0**2 + p**2) * math.pi / 2
         assert geo.helical_arc_length == pytest.approx(expected, rel=1e-6)
@@ -249,29 +255,40 @@ class TestArcParameters:
 
     def test_multi_turn_unwrap(self):
         spec = HelixSpec(radius=90.0, extent=3.0 * math.pi, sections=60)
-        geo = arc_parameters(self._sections_for(spec))
+        geo = arc_parameters(*poses(self._sections_for(spec)))
         assert geo.central_angle == pytest.approx(3.0 * math.pi, abs=1e-9)
 
     def test_subarc_additivity(self):
         rng = np.random.default_rng(16)
         spec = random_helix_spec(rng)
         sections = self._sections_for(spec)
-        total = arc_parameters(sections).central_angle
+        total = arc_parameters(*poses(sections)).central_angle
         for cut in (1, len(sections) // 2, len(sections) - 2):
-            left = arc_parameters(sections[: cut + 1]).central_angle
-            right = arc_parameters(sections[cut:]).central_angle
+            left = arc_parameters(*poses(sections[: cut + 1])).central_angle
+            right = arc_parameters(*poses(sections[cut:])).central_angle
             assert abs((left + right) - total) < 1e-12
 
     def test_too_few_sections(self):
         sections = self._sections_for(HelixSpec(sections=2))
         with pytest.raises(TooFewSections):
-            arc_parameters(sections[:1])
+            arc_parameters(*poses(sections[:1]))
 
     def test_back_bending_rejected(self):
         sections = self._sections_for(HelixSpec(extent=1.0, sections=6))
         reordered = [sections[0], sections[3], sections[1]]
         with pytest.raises(NonMonotonicAzimuth):
-            arc_parameters(reordered)
+            arc_parameters(*poses(reordered))
+
+    @pytest.mark.parametrize("first, reverse", [(4, False), (4, True), (0, False)],
+                             ids=["swap-4-5", "reversed-part-swap-4-5", "swap-0-1"])
+    def test_back_bending_names_the_later_section(self, first, reverse):
+        # sections first and first + 1 swapped: the first step against the
+        # part's sweep ends at section first + 1
+        sections = self._sections_for(HelixSpec(extent=1.0, sections=10))[::-1 if reverse else 1]
+        sections[first], sections[first + 1] = sections[first + 1], sections[first]
+        with pytest.raises(NonMonotonicAzimuth) as caught:
+            arc_parameters(*poses(sections))
+        assert caught.value.section == first + 1
 
     def test_section_centroid_recovery(self):
         spec = HelixSpec(sections=5, rng_seed=17)

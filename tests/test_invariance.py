@@ -49,21 +49,20 @@ def assert_same_part(want, got, fitter, scale=1.0, turn=0.0, reverse=False):
     ``scale``, its azimuths turned by ``turn`` and, if ``reverse``, its
     sections in reverse order."""
     order = slice(None, None, -1 if reverse else 1)
-    arc, moved = want.arc, got.arc
-    np.testing.assert_allclose(moved.theta_x[order], arc.theta_x, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(moved.theta_y_rectified[order], arc.theta_y_rectified,
+    np.testing.assert_allclose(got.theta_x[order], want.theta_x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.theta_y_rectified[order], want.theta_y_rectified,
                                rtol=0, atol=ANGLE_TOL[fitter])
-    turned = np.remainder(moved.azimuth_phi[order] - arc.azimuth_phi - turn + math.pi,
+    turned = np.remainder(got.azimuth_phi[order] - want.azimuth_phi - turn + math.pi,
                           2.0 * math.pi) - math.pi
     np.testing.assert_allclose(turned, 0.0, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(moved.centroid_radius[order], scale * arc.centroid_radius,
+    np.testing.assert_allclose(got.centroid_radius[order], scale * want.centroid_radius,
                                rtol=LENGTH_RTOL, atol=0)
     lengths = ("radius", "arc_length", "helical_arc_length", "pitch_per_radian")
     for name in lengths:
-        assert getattr(moved.geometry, name) == pytest.approx(
-            scale * getattr(arc.geometry, name), rel=LENGTH_RTOL, abs=0), name
-    assert moved.geometry.central_angle == pytest.approx(arc.geometry.central_angle,
-                                                         rel=LENGTH_RTOL, abs=0)
+        assert getattr(got.arc, name) == pytest.approx(
+            scale * getattr(want.arc, name), rel=LENGTH_RTOL, abs=0), name
+    assert got.arc.central_angle == pytest.approx(want.arc.central_angle,
+                                                  rel=LENGTH_RTOL, abs=0)
 
 
 @pytest.mark.parametrize("fitter", sorted(ANGLE_TOL))

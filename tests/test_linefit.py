@@ -267,6 +267,18 @@ class TestDetectDirection:
         with pytest.warns(LineOffsetWarning, match="check canonicalization"):
             detect_direction(shifted)
 
+    def test_isotropic_window_names_its_section(self):
+        # section 3 made a circle in the YZ plane: at window 1 its own
+        # window's scatter has equal principal variances
+        part = generate(HelixSpec(sections=6, rng_seed=6))
+        canon = canonicalize_section(segment_sections(part.points, labels=part.labels))
+        t = 2.0 * math.pi * np.arange(48) / 48
+        circle = np.column_stack([np.zeros(48), np.cos(t), np.sin(t)])
+        canon[3] = dataclasses.replace(canon[3], points_canonical=circle)
+        with pytest.raises(IsotropicScatter) as caught:
+            detect_direction(canon, window=1)
+        assert caught.value.section == 3
+
     def test_window_line_is_the_fit_to_every_window_point(self):
         assert_window_lines_fit_every_window_point(sections=7, window=3)
 

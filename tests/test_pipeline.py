@@ -1,5 +1,7 @@
+import importlib
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,8 +39,8 @@ class TestNoiseFreeRecovery:
         spec = HelixSpec(pitch_per_turn=0.0, helix_angle=0.0, sections=10, rng_seed=1)
         part = generate(spec)
         result = evaluate_cloud(part.points, labels=part.labels)
-        assert np.max(np.abs(result.arc.theta_x)) < 1e-9
-        assert np.max(np.abs(result.arc.theta_y_rectified)) < 1e-9
+        assert np.max(np.abs(result.theta_x)) < 1e-9
+        assert np.max(np.abs(result.theta_y_rectified)) < 1e-9
 
     def test_random_specs_recover_truth(self):
         rng = np.random.default_rng(2)
@@ -46,9 +48,9 @@ class TestNoiseFreeRecovery:
             spec = random_helix_spec(rng)
             part = generate(spec)
             result = evaluate_cloud(part.points, labels=part.labels)
-            assert np.max(np.abs(result.arc.theta_x - part.truth.theta_x)) < 1e-7
-            assert np.max(np.abs(result.arc.theta_y_rectified - part.truth.theta_y)) < 1e-7
-            geo = result.arc.geometry
+            assert np.max(np.abs(result.theta_x - part.truth.theta_x)) < 1e-7
+            assert np.max(np.abs(result.theta_y_rectified - part.truth.theta_y)) < 1e-7
+            geo = result.arc
             planar = spec.radius * spec.extent
             assert abs(geo.arc_length - planar) / planar < 1e-6
             p = spec.pitch_per_turn / (2 * math.pi)
@@ -60,7 +62,7 @@ class TestNoiseFreeRecovery:
         spec = HelixSpec(sections=12, twist_profile=lambda i: twist, rng_seed=9)
         part = generate(spec)
         result = evaluate_cloud(part.points, labels=part.labels)
-        assert np.max(np.abs(result.arc.theta_y_rectified - twist)) < 1e-8
+        assert np.max(np.abs(result.theta_y_rectified - twist)) < 1e-8
 
     @pytest.mark.parametrize("fitter", ["trace", "bookstein", "gauss-newton"])
     def test_all_fitters_exact(self, fitter):
@@ -69,7 +71,7 @@ class TestNoiseFreeRecovery:
         )
         part = generate(spec)
         result = evaluate_cloud(part.points, labels=part.labels, fitter=fitter)
-        assert np.max(np.abs(result.arc.theta_y_rectified - part.truth.theta_y)) < 1e-7
+        assert np.max(np.abs(result.theta_y_rectified - part.truth.theta_y)) < 1e-7
 
 
 class TestPipelinePlumbing:
@@ -81,15 +83,15 @@ class TestPipelinePlumbing:
         part = generate(spec)
         result = evaluate_cloud(part.points, expected_sections=20)
         assert len(result.fits) == 20
-        assert np.max(np.abs(result.arc.theta_x - part.truth.theta_x)) < 1e-7
+        assert np.max(np.abs(result.theta_x - part.truth.theta_x)) < 1e-7
 
     def test_section_records_consistent(self):
         spec = HelixSpec(sections=6, rng_seed=6)
         part = generate(spec)
         result = evaluate_cloud(part.points, labels=part.labels)
         for i in range(spec.sections):
-            assert result.arc.azimuth_phi[i] == pytest.approx(part.truth.phi[i], abs=1e-9)
-            assert result.arc.centroid_radius[i] == pytest.approx(spec.radius, abs=1e-9)
+            assert result.azimuth_phi[i] == pytest.approx(part.truth.phi[i], abs=1e-9)
+            assert result.centroid_radius[i] == pytest.approx(spec.radius, abs=1e-9)
         assert result.fits.converged
 
     def test_fast_twist_evaluates_without_warning(self):
@@ -102,7 +104,7 @@ class TestPipelinePlumbing:
             result = evaluate_sections(segment_sections(part.points, labels=part.labels))
         raw = [f.params.orientation for f in result.fits]
         assert np.max(np.abs(np.array(raw) - twists)) < 1e-8
-        off = [fold_half_open(r - t) for r, t in zip(result.arc.theta_y_rectified, twists)]
+        off = [fold_half_open(r - t) for r, t in zip(result.theta_y_rectified, twists)]
         assert np.max(np.abs(off)) < 1e-8
 
     def test_ambiguous_branch_warns_and_evaluates(self):
@@ -120,9 +122,9 @@ class TestPipelinePlumbing:
         )
         part = generate(spec)
         result = evaluate_cloud(part.points, labels=part.labels)
-        assert np.max(np.abs(result.arc.theta_x - part.truth.theta_x)) < 0.05
-        assert np.max(np.abs(result.arc.theta_y_rectified - part.truth.theta_y)) < 0.05
-        geo = result.arc.geometry
+        assert np.max(np.abs(result.theta_x - part.truth.theta_x)) < 0.05
+        assert np.max(np.abs(result.theta_y_rectified - part.truth.theta_y)) < 0.05
+        geo = result.arc
         assert geo.radius == pytest.approx(spec.radius, rel=1e-3)
 
     def test_single_section_fails_arc_geometry(self):
@@ -146,7 +148,7 @@ class TestRampTracking:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
             result = evaluate_cloud(part.points, labels=part.labels)
-        assert np.max(np.abs(result.arc.theta_y_rectified - part.truth.theta_y)) < 5e-3
+        assert np.max(np.abs(result.theta_y_rectified - part.truth.theta_y)) < 5e-3
 
 
 def fit_row(fit):
@@ -321,9 +323,17 @@ def test_pinned_part_keeps_its_bits(fitter):
                               rng_seed=31, twist_profile=lambda i: 0.02 * i))
     keep = np.arange(len(part.points)) % 7 != 3
     result = evaluate_cloud(part.points[keep], labels=part.labels[keep], fitter=fitter)
-    arc = result.arc
     got = [((float(phi).hex(), float(radius).hex(), float(theta).hex(), float(rms).hex()),
             fit.params.orientation.hex())
-           for phi, radius, theta, rms, fit in zip(arc.azimuth_phi, arc.centroid_radius,
-                                                  arc.theta_x, arc.line_rms, result.fits)]
+           for phi, radius, theta, rms, fit in zip(result.azimuth_phi, result.centroid_radius,
+                                                  result.theta_x, result.line_rms, result.fits)]
     assert got == PINNED[fitter]
+
+
+def test_every_benchmark_trace_target_exists(monkeypatch):
+    # The benchmark's per-layer metrics wrap these names; a renamed one
+    # would be skipped and its metrics would silently go missing.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    with tracing.installed(tracing.Tracer()) as missing:
+        assert missing == []

@@ -609,14 +609,14 @@ class TestEvaluationCsv:
     def test_rows_hold_the_arc_columns_and_fits(self):
         result = self._result()
         document = self._report(result).document
-        rows, arc = document["sections"], result.arc
+        rows = document["sections"]
         assert len(rows) == len(result.fits) == 5
         for i, (row, fit) in enumerate(zip(rows, result.fits)):
             assert row["index"] == i
-            assert row["azimuth_rad"] == arc.azimuth_phi[i]
-            assert row["theta_x_rad"] == arc.theta_x[i]
-            assert row["line_rms_mm"] == arc.line_rms[i]
-            assert row["theta_y_rect_rad"] == arc.theta_y_rectified[i]
+            assert row["azimuth_rad"] == result.azimuth_phi[i]
+            assert row["theta_x_rad"] == result.theta_x[i]
+            assert row["line_rms_mm"] == result.line_rms[i]
+            assert row["theta_y_rect_rad"] == result.theta_y_rectified[i]
             assert row["theta_y_raw_rad"] == fit.params.orientation
             assert row["geometric_rms_mm"] == fit.rms_geometric_residual
             assert row["fit_iterations"] == fit.iterations
@@ -635,8 +635,8 @@ class TestEvaluationCsv:
         # A central angle below 1e-9 rad gives no pitch and no helical length.
         part = generate(HelixSpec(sections=5, extent=1e-12))
         result = evaluate_cloud(part.points, labels=part.labels)
-        assert result.arc.geometry.helical_arc_length is None
-        assert result.arc.geometry.pitch_per_radian is None
+        assert result.arc.helical_arc_length is None
+        assert result.arc.pitch_per_radian is None
         rep = self._report(result)
         header, row = arc_csv_text(rep).splitlines()
         cells = dict(zip(header.split(","), row.split(",")))

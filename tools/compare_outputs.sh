@@ -19,13 +19,16 @@
 # cloud is dropped (34 sections of 41 points and 6 of 42, so blocks of two
 # sizes), with each fitter after section 30's rows are moved onto one point
 # and section 5's onto a line (both fail in one block, section 30 at an
-# earlier check; each run exits 3 with section 5's error), unlabeled with
-# --sections 40, with every line ended by a bare "\r" and with only the
-# header so ended, each at --workers 1 and 2 (a text read ends a line at a
-# "\r", so the bulk reader ends the header there and both files are read
-# in bulk, the second cut after its "\n"s), with a "# operator note" line
-# before data row 1500, with data row 1600's y set to "n/a" and with data
-# row 300's y set to "n/a", each at --workers 1 and 2 (the first two rows
+# earlier check; each run exits 3 with section 5's error), with section
+# labels 4 and 5 swapped, at --workers 1 and 2 (the azimuths step back from
+# section 4 to 5; each run exits 3 with NonMonotonicAzimuth naming section
+# 5), unlabeled with --sections 40, with every line ended by a bare "\r"
+# and with only the header so ended, each at --workers 1 and 2 (a text
+# read ends a line at a "\r", so the bulk reader ends the header there and
+# both files are read in bulk, the second cut after its "\n"s), with a
+# "# operator note" line before data row 1500, with data row 1600's y set
+# to "n/a" and with data row 300's y set to "n/a", each at --workers 1 and
+# 2 (the first two rows
 # lie in the range that ends the file, which the caller streams, and the
 # third in the range a forked child reads whole; each such range needs the
 # line parser: the first file is read by it, the second exits 2 naming line
@@ -142,6 +145,11 @@ run_set() {
         hb "c8-failing-$fitter-w2" evaluate --input "$work/failing.csv" \
             --output-dir "$out/c8-failing-$fitter-w2" --fitter "$fitter" --workers 2
     done
+    awk -F, -v OFS=, 'NR > 1 && ($4 == 4 || $4 == 5) { $4 = 9 - $4 } { print }' \
+        "$out/c8/cloud.csv" > "$work/swapped.csv"
+    hb c8-swapped evaluate --input "$work/swapped.csv" --output-dir "$out/c8-swapped"
+    hb c8-swapped-w2 evaluate --input "$work/swapped.csv" --output-dir "$out/c8-swapped-w2" \
+        --workers 2
     cut -d, -f1-3 "$out/c8/cloud.csv" > "$work/unlabeled.csv"
     hb c8-unlabeled evaluate --input "$work/unlabeled.csv" \
         --output-dir "$out/c8-unlabeled" --sections 40
