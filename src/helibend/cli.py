@@ -18,6 +18,7 @@ import contextlib
 import ctypes
 import hashlib
 import math
+import os
 import platform
 import sys
 import warnings
@@ -249,7 +250,9 @@ def _cmd_synth(args) -> int:
     part = generate(spec)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_cloud_csv(out / "cloud.csv", part.points, part.labels)
+    # The bytes do not depend on the worker count, so synth takes no flag for
+    # it; usable_workers caps it at the CPUs this process may run on.
+    write_cloud_csv(out / "cloud.csv", part.points, part.labels, workers=os.cpu_count() or 1)
     write_truth_csv(out / "truth.csv", part.truth)
     return EXIT_OK
 

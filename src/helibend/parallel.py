@@ -1,12 +1,13 @@
 """Work split across forked processes.
 
 A stage that can be cut into independent shares (the byte ranges of a cloud
-CSV, the blocks of a torsion fit) calls run_shares, which runs the first
-share on the calling process and each other share in a child forked for it.
-A child computes from its copy-on-write memory and pickles its result back
-through a pipe. A child that raises, or that records any warning, sends
-nothing, and the caller runs that share itself, as it does one that could
-not be forked, so errors and warnings are those of a sequential run.
+CSV, the blocks of a torsion fit, the row blocks of a cloud CSV write) calls
+run_shares, which runs the first share on the calling process and each other
+share in a child forked for it. A child computes from its copy-on-write
+memory and pickles its result back through a pipe. A child that raises, or
+that records any warning, sends nothing, and the caller runs that share
+itself, as it does one that could not be forked, so errors and warnings are
+those of a sequential run.
 
 Nothing is forked for one worker, off Linux, or while more than one Python
 thread runs (a fork copies only the calling thread, and a lock another

@@ -14,6 +14,7 @@ twins for reading; the CSV readers skip a leading byte-order mark):
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import json
@@ -21,14 +22,17 @@ import math
 import operator
 import os
 import re
+import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
 from .errors import InputFormatError
-from .parallel import run_shares, usable_workers
+from .parallel import run_shares, share_out, usable_workers
 from .pipeline import EvaluationResult
 
 SCHEMA_VERSION = 1
@@ -41,23 +45,50 @@ SCHEMA_VERSION = 1
 _BLOCK_ROWS = 4096  # rows per %-format in _write_rows
 
 
-def _write_rows(path, header: str, row: str, columns) -> None:
+def _write_rows(path, header: str, row: str, columns, workers: int = 1) -> None:
     """Write ``header``, then ``row`` %-formatted with each row of the 2-D arrays
     ``columns`` side by side: one ``%`` per block of _BLOCK_ROWS rows, whose values
-    become Python floats and ints, so ``%r`` writes ``repr(float)``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header)
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = np.concatenate([c[start:start + _BLOCK_ROWS] for c in columns],
-                                   axis=1, dtype=object)
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    become Python floats and ints, so ``%r`` writes ``repr(float)``.
+
+    The blocks are cut into parallel.share_out runs of about equal row count,
+    one per usable worker, with the same bytes for every ``workers``. The
+    caller formats the first run straight into the file; each other run is
+    formatted by a child forked for it (see parallel.run_shares) into an
+    anonymous temporary file in the output's directory, which the caller then
+    appends in order."""
+    rows = len(columns[0])
+    starts = range(0, rows, _BLOCK_ROWS)
+    runs = [[starts[k] for k in run] for run in
+            share_out([min(_BLOCK_ROWS, rows - start) for start in starts], workers)]
+    with open(path, "wb") as fh, contextlib.ExitStack() as stack:
+        fh.write(header.encode())
+        spills = [stack.enter_context(tempfile.TemporaryFile(dir=Path(path).parent))
+                  for _ in runs[1:]]
+
+        def write(share) -> None:
+            out, run = share
+            if out is not fh:  # the caller may write a failed child's share again
+                out.seek(0)
+                out.truncate()
+            for start in run:
+                block = np.concatenate([c[start:start + _BLOCK_ROWS] for c in columns],
+                                       axis=1, dtype=object)
+                out.write(((row * len(block)) % tuple(block.ravel().tolist())).encode())
+            out.flush()  # a child leaves by os._exit, which flushes nothing
+
+        run_shares(write, list(zip([fh, *spills], runs)))
+        for spill in spills:
+            spill.seek(0)
+            shutil.copyfileobj(spill, fh)
 
 
-def write_cloud_csv(path, points, labels=None) -> None:
+def write_cloud_csv(path, points, labels=None, workers: int = 1) -> None:
     """Write an (n, 3) cloud, with one section label per point if given. Raises
     ValueError, before the file is opened, on points of another shape, on a
     non-finite coordinate, on labels of another length or on a label that is
-    not an integer in the int64 range (which read_cloud_csv would refuse)."""
+    not an integer in the int64 range (which read_cloud_csv would refuse).
+    The rows are formatted by up to parallel.usable_workers(workers) processes
+    (see _write_rows), with the same bytes for every ``workers``."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"points have shape {points.shape}; expected (n, 3)")
@@ -65,7 +96,7 @@ def write_cloud_csv(path, points, labels=None) -> None:
         bad = np.flatnonzero(~np.isfinite(points).all(axis=1))[0]
         raise ValueError(f"point {bad} has a non-finite coordinate: {points[bad].tolist()}")
     if labels is None:
-        return _write_rows(path, "x,y,z\n", "%r,%r,%r\n", [points])
+        return _write_rows(path, "x,y,z\n", "%r,%r,%r\n", [points], workers)
     labels = np.asarray(labels)
     if labels.shape != (len(points),):
         raise ValueError(f"labels have shape {labels.shape}; expected ({len(points)},)")
@@ -77,7 +108,7 @@ def write_cloud_csv(path, points, labels=None) -> None:
                 exact = False
             if not exact:
                 raise ValueError(f"label {k} is not an integer in the int64 range: {value!r}")
-    _write_rows(path, "x,y,z,section\n", "%r,%r,%r,%d\n", [points, labels[:, None]])
+    _write_rows(path, "x,y,z,section\n", "%r,%r,%r,%d\n", [points, labels[:, None]], workers)
 
 
 _CLOUD_HEADERS = {("x", "y", "z"): False, ("x", "y", "z", "section"): True}

@@ -15,6 +15,7 @@ from helibend import geometry, torsion
 from helibend.cli import main
 from helibend.errors import AmbiguousBranch, InputFormatError
 from helibend.report import EvaluationReport, read_cloud_csv, read_truth_csv, write_cloud_csv
+from helpers import count_forks
 
 
 def run(*args):
@@ -79,6 +80,26 @@ class TestSynth:
         assert exc.value.code == 2
         assert "must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "cloud.csv").exists()
+
+    def test_cloud_write_split_over_cpus_keeps_its_bytes(self, tmp_path, monkeypatch, capsys):
+        # 21 x 401 = 8421 rows: three of the cloud writer's blocks of rows.
+        outputs = {}
+        for cpus, children in [(1, 0), (2, 1)]:
+            forks = count_forks(monkeypatch, cpus=cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert synth(out, seed=11, sections=21, points_per_section=401) == 0
+            assert len(forks) == children
+            assert sorted(os.listdir(out)) == ["cloud.csv", "truth.csv"]
+            outputs[cpus] = [(out / name).read_bytes() for name in ("cloud.csv", "truth.csv")]
+        assert outputs[1] == outputs[2]
+
+        out = tmp_path / "taken"
+        (out / "cloud.csv").mkdir(parents=True)
+        count_forks(monkeypatch, cpus=2)
+        assert synth(out, seed=11, sections=21, points_per_section=401) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 21] Is a directory: {str(out / 'cloud.csv')!r}\n")
+        assert os.listdir(out) == ["cloud.csv"]
 
 
 class TestEvaluate:

@@ -432,20 +432,56 @@ def _edge_cloud(rows: int, seed: int):
     return points, labels
 
 
+def _fork_fails():
+    raise OSError("no process to spare")
+
+
 class TestCloudWriterBytes:
-    """write_cloud_csv writes, byte for byte, what the per-row reference writes."""
+    """write_cloud_csv writes, byte for byte, what the per-row reference writes,
+    for every worker count, and leaves no temporary file behind."""
 
     @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
     @pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
-    def test_matches_the_per_row_reference(self, tmp_path, rows, labeled):
+    def test_matches_the_per_row_reference(self, tmp_path, monkeypatch, rows, labeled):
         points, labels = _edge_cloud(rows, seed=rows)
         labels = labels if labeled else None
         path = tmp_path / "cloud.csv"
-        report.write_cloud_csv(path, points, labels)
-        text = path.read_text(encoding="utf-8")
-        assert text == _reference_cloud(points, labels)
-        assert text.count("\n") == rows + 1
-        assert "np." not in text
+
+        def check(workers):
+            report.write_cloud_csv(path, points, labels, workers=workers)
+            text = path.read_text(encoding="utf-8")
+            assert text == _reference_cloud(points, labels), workers
+            assert text.count("\n") == rows + 1
+            assert "np." not in text
+            assert os.listdir(tmp_path) == ["cloud.csv"]
+
+        forks = count_forks(monkeypatch, cpus=2)
+        for workers, children in [(1, 0), (2, int(rows > BLOCK))]:
+            forks.clear()
+            check(workers)
+            assert len(forks) == children, workers
+        monkeypatch.setattr(os, "fork", _fork_fails)  # the caller writes every share
+        check(2)
+
+    def test_a_failed_child_share_is_written_again_by_the_caller(self, tmp_path, monkeypatch):
+        # Two shares of two blocks each; the child fails on its second block,
+        # after its first reached its temporary file.
+        points, labels = _edge_cloud(3 * BLOCK + 1, seed=3)
+        caller = os.getpid()
+        concatenate = np.concatenate
+
+        def fail_in_child(blocks, **kwargs):
+            if os.getpid() != caller and len(blocks[0]) == 1:
+                raise RuntimeError("child failed")
+            return concatenate(blocks, **kwargs)
+
+        monkeypatch.setattr(report.np, "concatenate", fail_in_child)
+        forks = count_forks(monkeypatch, cpus=2)
+        path = tmp_path / "cloud.csv"
+        report.write_cloud_csv(path, points, labels, workers=2)
+        assert len(forks) == 1
+        assert path.read_text(encoding="utf-8") == _reference_cloud(points, labels)
+        assert os.listdir(tmp_path) == ["cloud.csv"]
 
     @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
     def test_float32_and_list_inputs(self, tmp_path, labeled):

@@ -41,8 +41,11 @@
 # widths 5 to 8 clamped at each end of the part); a 3-section part at the
 # default window 5, whose every direction window is clamped at the ends of
 # the part; a 21 x 401
-# part (--seed 11, 8421 rows) whose cloud.csv, over two of the cloud
-# writer's blocks of rows, is diffed directly; a 1000 x 400
+# part (--seed 11, 8421 rows) whose cloud.csv, over three of the cloud
+# writer's blocks of rows (which a 2-CPU host cuts into two shares, one
+# written by a forked child), is diffed directly, and the same part again
+# pinned to CPU 0 by taskset, when there is one, so that its cloud is
+# written as one share; a 1000 x 400
 # labeled part with trace and gauss-newton; the ragged, failing and
 # 1000 x 400 runs again with --workers 2 (a checkout that ignores the flag
 # gives its sequential outputs, so these show that the forked CSV read and
@@ -67,6 +70,7 @@ if [ $# -ne 2 ]; then
 fi
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
+pin=  # a command that hb runs the CLI under, such as taskset
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
@@ -100,7 +104,7 @@ run_set() {
     hb() {
         name=$1
         shift
-        PYTHONPATH="$src" python3 -m helibend.cli "$@" 2> "$work/stderr.raw"
+        PYTHONPATH="$src" $pin python3 -m helibend.cli "$@" 2> "$work/stderr.raw"
         echo "$name $?" >> "$codes"
         sed -e "s|$src|<src>|g" -e "s|$out|<out>|g" -e "s|$work|<work>|g" \
             "$work/stderr.raw" > "$out/$name.stderr"
@@ -190,10 +194,17 @@ run_set() {
         --noise-sigma 0.05 --twist-constant-deg 10
     hb short evaluate --input "$out/short/cloud.csv" --output-dir "$out/short-trace"
 
-    # 8421 rows, over two of the writer's blocks of rows and not a multiple
+    # 8421 rows, over three of the writer's blocks of rows and not a multiple
     # of one, so a change of the writer shows as a line diff of cloud.csv.
+    # Pinned to one CPU, the writer runs one share and forks nothing.
     hb synth-blocks synth --output-dir "$out/blocks" --seed 11 --sections 21 \
         --points-per-section 401
+    if command -v taskset > /dev/null 2>&1; then
+        pin="taskset -c 0"
+        hb synth-blocks-1cpu synth --output-dir "$out/blocks-1cpu" --seed 11 --sections 21 \
+            --points-per-section 401
+        pin=
+    fi
 
     # The large part's cloud is diffed through its digest in report.json.
     hb synth-big synth --output-dir "$work/big" --seed 7 --sections 1000 \
