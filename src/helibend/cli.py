@@ -206,8 +206,8 @@ def _cmd_evaluate(args) -> int:
     if args.format in ("report", "both"):
         report.write(out / "report.json")
     if args.format in ("csv", "both"):
-        (out / "sections.csv").write_text(sections_csv_text(report), encoding="utf-8")
-        (out / "arc.csv").write_text(arc_csv_text(report), encoding="utf-8")
+        (out / "sections.csv").write_text(sections_csv_text(report), encoding="utf-8", newline="\n")
+        (out / "arc.csv").write_text(arc_csv_text(report), encoding="utf-8", newline="\n")
     if not result.fits.converged:
         print("warning: at least one section fit did not converge", file=sys.stderr)
         return EXIT_NONCONVERGED
@@ -311,10 +311,10 @@ def _cmd_compare_fits(args) -> int:
             ylabel="detected angle [deg]",
             lim=(args.min_angle_deg, args.max_angle_deg),
         )
-        (out / f"compare_{fitter}.svg").write_text(svg, encoding="utf-8")
+        (out / f"compare_{fitter}.svg").write_text(svg, encoding="utf-8", newline="\n")
 
-    (out / "sweep.csv").write_text(_csv_text(rows), encoding="utf-8")
-    (out / "summary.csv").write_text(_csv_text(summary), encoding="utf-8")
+    (out / "sweep.csv").write_text(_csv_text(rows), encoding="utf-8", newline="\n")
+    (out / "summary.csv").write_text(_csv_text(summary), encoding="utf-8", newline="\n")
     return EXIT_OK
 
 

@@ -39,6 +39,7 @@ def evaluate_sections(
     section_points,
     fitter: str = TRACE,
     window: int = DEFAULT_WINDOW,
+    *,
     workers: int = 1,
     gn_max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> EvaluationResult:
@@ -50,7 +51,8 @@ def evaluate_sections(
     azimuth = np.array([s.azimuth_phi for s in canonical])
     radius = np.array([s.centroid_radius for s in canonical])
     theta_x = np.array([d.theta_x for d in directions])
-    fits = observe_torsion(canonical, theta_x, fitter, gn_max_iterations, workers)
+    fits = observe_torsion(canonical, theta_x, fitter,
+                           gn_max_iterations=gn_max_iterations, workers=workers)
     # looked up on the module at call time, so a wrapper installed on
     # helibend.torsion.rectify_torsion sees the call
     rectified = _torsion.rectify_torsion([f.params.orientation for f in fits])
@@ -71,9 +73,11 @@ def evaluate_cloud(
     expected_sections: int | None = None,
     fitter: str = TRACE,
     window: int = DEFAULT_WINDOW,
+    *,
     gn_max_iterations: int = DEFAULT_MAX_ITERATIONS,
     workers: int = 1,
 ) -> EvaluationResult:
     """Segment a raw cloud and evaluate it."""
     groups = segment_sections(points, expected_sections=expected_sections, labels=labels)
-    return evaluate_sections(groups, fitter, window, workers, gn_max_iterations)
+    return evaluate_sections(groups, fitter, window,
+                             workers=workers, gn_max_iterations=gn_max_iterations)

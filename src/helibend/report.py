@@ -380,11 +380,11 @@ class EvaluationReport:
     def to_text(self) -> str:
         """``json.dumps(document, indent=2, allow_nan=False)`` and a newline.
 
-        A top-level list of flat records that share their keys (the
-        ``sections`` and ``arcs`` tables) is written column by column (see
-        _json_table); anything else, and any table holding a NaN or an
-        infinity, goes through json, which raises ValueError on those as
-        allow_nan=False does.
+        A top-level list of flat records that share their keys, each column
+        all bool, all int or all finite float (the ``sections`` and ``arcs``
+        tables of an evaluated part), is written column by column (see
+        _json_table); anything else goes through json, which raises
+        ValueError on a NaN or an infinity as allow_nan=False does.
         """
         doc = self.document
         if not (isinstance(doc, dict) and doc and all(isinstance(k, str) for k in doc)):
@@ -402,8 +402,7 @@ class EvaluationReport:
         return cls(json.loads(text))
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_text())
+        Path(path).write_text(self.to_text(), encoding="utf-8", newline="\n")
 
 
 def _column_cells(values) -> tuple[list[str], bool] | None:
@@ -436,10 +435,10 @@ def _cached_cells(values: tuple, cache: dict | None, key) -> tuple[list[str], bo
     return encoded
 
 
-def _json_table(rows, cache: dict | None = None, name=None) -> str | None:
+def _json_table(rows, cache: dict, name) -> str | None:
     """``json.dumps(rows, indent=2)`` as the value of a top-level key, for a
     non-empty list of flat records that share their keys in order and whose
-    cells are finite numbers, booleans, strings or None, written column by
+    columns are each all bool, all int or all finite float, written column by
     column (the columns kept in ``cache`` under (``name``, key)); None for
     any other value."""
     if not (isinstance(rows, list) and rows and all(type(row) is dict for row in rows)):
@@ -451,15 +450,9 @@ def _json_table(rows, cache: dict | None = None, name=None) -> str | None:
     columns = []
     for key, values in zip(keys, zip(*(row.values() for row in rows))):
         encoded = _cached_cells(values, cache, (name, key))
-        if encoded is not None:
-            cells, finite = encoded
-            if not finite:
-                return None
-        elif all(v is None or isinstance(v, (str, int, float)) for v in values):
-            cells = [json.dumps(v, allow_nan=False) for v in values]
-        else:
+        if encoded is None or not encoded[1]:
             return None
-        columns.append(cells)
+        columns.append(encoded[0])
     # One %-format per record; a % in a key is doubled to stay literal.
     record = "    {\n" + ",\n".join(
         "      " + json.dumps(k).replace("%", "%%") + ": %s" for k in keys) + "\n    }"

@@ -50,6 +50,7 @@ def observe_torsion(
     sections: Sequence[CanonicalSection],
     theta_x: Sequence[float],
     fitter: str = TRACE,
+    *,
     gn_max_iterations: int = DEFAULT_MAX_ITERATIONS,
     workers: int = 1,
 ) -> FitBatch:

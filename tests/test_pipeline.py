@@ -93,6 +93,15 @@ class TestPipelinePlumbing:
             assert result.azimuth_phi[i] == pytest.approx(part.truth.phi[i], abs=1e-9)
             assert result.centroid_radius[i] == pytest.approx(spec.radius, abs=1e-9)
         assert result.fits.converged
+        # workers and gn_max_iterations are keyword-only, so a call that
+        # swaps the two ints cannot pass silently
+        groups = segment_sections(part.points, labels=part.labels)
+        with pytest.raises(TypeError):
+            evaluate_sections(groups, "trace", 5, 1, 50)
+        with pytest.raises(TypeError):
+            evaluate_cloud(part.points, part.labels, None, "trace", 5, 50, 1)
+        with pytest.raises(TypeError):
+            observe_torsion([], [], "trace", 50, 1)
 
     def test_fast_twist_evaluates_without_warning(self):
         # the reading folds from 1.4 to -1.4; the nearest branch is -1.4 + pi

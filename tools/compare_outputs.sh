@@ -55,6 +55,10 @@
 # a --twist-constant-deg 90 part, whose major axes the ZY projection drops;
 # a noise-free planar part (--pitch 0 --helix-angle-deg 0, whose pitch
 # estimate is exactly 0.0, so a sign-of-zero change shows in report.json);
+# a noise-free part of central angle 1e-8 degrees (--extent-deg 1e-8, whose
+# helical arc length and pitch are null in report.json and empty in arc.csv:
+# the only arcs table that is not written column by column; with noise its
+# azimuths jitter and evaluate exits 3 with NonMonotonicAzimuth);
 # a noise-free circular part (--seed 5 --semi-major 5 --semi-minor 5, the
 # only part whose rows report "circle_degenerate": true); and compare-fits
 # at --arc-fraction 1 and at --arc-fraction 0.3 --noise-sigma 0.1.
@@ -228,6 +232,10 @@ run_set() {
 
     hb synth-planar synth --output-dir "$out/planar" --pitch 0 --helix-angle-deg 0
     hb planar evaluate --input "$out/planar/cloud.csv" --output-dir "$out/planar-trace" \
+        --fitter trace
+
+    hb synth-flat synth --output-dir "$out/flat" --extent-deg 1e-8
+    hb flat evaluate --input "$out/flat/cloud.csv" --output-dir "$out/flat-trace" \
         --fitter trace
 
     hb synth-circle synth --output-dir "$out/circle" --seed 5 --semi-major 5 \
