@@ -251,8 +251,9 @@ def _cmd_synth(args) -> int:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     # The bytes do not depend on the worker count, so synth takes no flag for
-    # it; usable_workers caps it at the CPUs this process may run on.
-    write_cloud_csv(out / "cloud.csv", part.points, part.labels, workers=os.cpu_count() or 1)
+    # it; usable_workers caps it at the CPUs this process may run on. Each
+    # writing process generates the sections it writes, one block at a time.
+    write_cloud_csv(out / "cloud.csv", part, workers=os.cpu_count() or 1)
     write_truth_csv(out / "truth.csv", part.truth)
     return EXIT_OK
 

@@ -10,10 +10,11 @@ isotropic Gaussian measurement noise.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields
-from typing import Callable
 
 import numpy as np
 
@@ -100,11 +101,66 @@ class GroundTruth:
     centroids: np.ndarray
 
 
+# Noise draws discarded per call when a section stream starts past section 0.
+_SKIP_DRAWS = 1 << 16
+
+
 @dataclass(frozen=True)
 class SyntheticPart:
-    points: np.ndarray
-    labels: np.ndarray
+    """A generated part: its spec and ground truth, with the cloud made from them.
+
+    ``sections(first, stop)`` yields the points of sections first..stop-1 one
+    section at a time, so a process can write any run of sections without
+    holding the rest. ``points`` and ``labels``, the whole labeled cloud, are
+    built from that stream on first use and kept; any cut of the stream,
+    joined, equals ``points`` bit for bit.
+    """
+
+    spec: HelixSpec
     truth: GroundTruth
+
+    def sections(self, first: int = 0, stop: int | None = None) -> Iterator[np.ndarray]:
+        """The (n, 3) points of each section from ``first`` up to ``stop``
+        (the end of the part when None), in order.
+
+        Each section is built at the evaluation pose (twist about the local
+        normal first, then the surface-direction tilt), rotated to its
+        azimuth, translated onto the helix and given its noise draws, which
+        follow those of every earlier section.
+        """
+        spec, truth = self.spec, self.truth
+        n = spec.points_per_section
+        # The outline in the section's ZX plane: major axis along z, minor along x.
+        base = np.zeros((n, 3))
+        base[:, [2, 0]] = EllipseParams(np.zeros(2), spec.semi_major, spec.semi_minor,
+                                        0.0).boundary_points(n)
+        tilt = direction_rotation(spec.helix_angle)
+        rng = np.random.default_rng(spec.rng_seed)
+        if spec.noise_sigma > 0.0:
+            # A normal draw takes as many generator steps as a standard normal
+            # one, so skipping the earlier sections' draws leaves the same stream.
+            skipped = np.empty(min(_SKIP_DRAWS, first * n * 3))
+            for left in range(first * n * 3, 0, -_SKIP_DRAWS):
+                rng.standard_normal(out=skipped[: min(left, _SKIP_DRAWS)])
+        phi, twist = truth.phi.tolist(), truth.theta_y.tolist()
+        for i in range(first, spec.sections if stop is None else stop):
+            rot = rotation_z(phi[i]) @ tilt @ twist_rotation(twist[i])
+            section = base @ rot.T + truth.centroids[i]
+            if spec.noise_sigma > 0.0:
+                section = section + rng.normal(0.0, spec.noise_sigma, section.shape)
+            yield section
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        n = self.spec.points_per_section
+        points = np.empty((self.spec.sections * n, 3))
+        for i, section in enumerate(self.sections()):
+            points[i * n : (i + 1) * n] = section
+        return points
+
+    @functools.cached_property
+    def labels(self) -> np.ndarray:
+        return np.repeat(np.arange(self.spec.sections), self.spec.points_per_section)
 
 
 @dataclass(frozen=True)
@@ -124,55 +180,56 @@ class ArcGeometry:
 
 
 def generate(spec: HelixSpec) -> SyntheticPart:
-    """Sample an elliptical helical surface with known ground truth.
+    """Validate ``spec`` and compute the ground truth of its part; the cloud
+    is made from them section by section (see SyntheticPart.sections).
+    Deterministic for a fixed seed.
 
-    Each section is built at the evaluation pose (twist about the local
-    normal first, then the surface-direction tilt), rotated to its azimuth
-    and translated onto the helix. Deterministic for a fixed seed.
+    Raises InvalidSpec on an invalid field, on a non-finite twist and on a
+    spec whose points overflow, naming the first section with a non-finite
+    point. Only a spec within a factor of about four of the largest double
+    is generated here to look for one.
     """
     spec.validate()
-    rng = np.random.default_rng(spec.rng_seed)
-    n = spec.points_per_section
-    # The outline in the section's ZX plane: major axis along z, minor along x.
-    base = np.zeros((n, 3))
-    base[:, [2, 0]] = EllipseParams(np.zeros(2), spec.semi_major, spec.semi_minor,
-                                    0.0).boundary_points(n)
     pitch_per_radian = spec.pitch_per_turn / (2.0 * math.pi)
-
-    points = np.empty((spec.sections * n, 3))
-    labels = np.repeat(np.arange(spec.sections), n)
     phi = np.empty(spec.sections)
     theta_y = np.empty(spec.sections)
     centroids = np.empty((spec.sections, 3))
-
     for i in range(spec.sections):
         phi_i = spec.extent * i / (spec.sections - 1)
+        if not math.isfinite(phi_i):
+            raise InvalidSpec(f"azimuth is {phi_i} at section {i}", field="extent")
         twist_i = spec.twist_at(i)
         if not math.isfinite(twist_i):
             raise InvalidSpec(f"twist is {twist_i} at section {i}", field="twist_profile")
-        center = np.array(
-            (
-                spec.radius * math.cos(phi_i),
-                spec.radius * math.sin(phi_i),
-                pitch_per_radian * phi_i,
-            )
-        )
-        rot = rotation_z(phi_i) @ direction_rotation(spec.helix_angle) @ twist_rotation(twist_i)
-        section = base @ rot.T + center
-        if spec.noise_sigma > 0.0:
-            section = section + rng.normal(0.0, spec.noise_sigma, section.shape)
-        points[i * n : (i + 1) * n] = section
         phi[i] = phi_i
         theta_y[i] = twist_i
-        centroids[i] = center
-
+        centroids[i] = (
+            spec.radius * math.cos(phi_i),
+            spec.radius * math.sin(phi_i),
+            pitch_per_radian * phi_i,
+        )
     truth = GroundTruth(
         phi=phi,
         theta_x=np.full(spec.sections, spec.helix_angle),
         theta_y=theta_y,
         centroids=centroids,
     )
-    return SyntheticPart(points=points, labels=labels, truth=truth)
+    part = SyntheticPart(spec=spec, truth=truth)
+    # A coordinate is its centre's, plus at most the semi-major axis from the
+    # outline, plus the noise, whose standard normal factor numpy never draws
+    # beyond 14 (its tail draw is r - log(u) / r with u >= 2**-53).
+    with np.errstate(over="ignore"):
+        reach = np.abs(centroids).max() + spec.semi_major + 64.0 * spec.noise_sigma
+    if not reach < np.finfo(float).max / 4:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, section in enumerate(part.sections()):
+                bad = ~np.isfinite(section).all(axis=1)
+                if bad.any():
+                    exc = InvalidSpec(f"section {i} has a non-finite point: "
+                                      f"{section[bad.argmax()].tolist()}")
+                    exc.section = i
+                    raise exc
+    return part
 
 
 def segment_sections(cloud, expected_sections: int | None = None, labels=None):

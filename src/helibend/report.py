@@ -30,8 +30,14 @@ from pathlib import Path
 
 import numpy as np
 
+try:  # the C text reader that np.loadtxt calls
+    from numpy._core._multiarray_umath import _load_from_filelike
+except ImportError:  # a numpy without the private module
+    _load_from_filelike = None
+
 from ._version import __version__
 from .errors import InputFormatError
+from .helix import SyntheticPart
 from .parallel import run_shares, share_out, usable_workers
 from .pipeline import EvaluationResult
 
@@ -42,13 +48,15 @@ SCHEMA_VERSION = 1
 # cloud + ground truth CSV
 # ---------------------------------------------------------------------------
 
-_BLOCK_ROWS = 4096  # rows per %-format in _write_rows
+_BLOCK_ROWS = 4096  # rows per %-format in _write_rows, unless one section holds more
 
 
-def _write_rows(path, header: str, row: str, columns, workers: int = 1) -> None:
-    """Write ``header``, then ``row`` %-formatted with each row of the 2-D arrays
-    ``columns`` side by side: one ``%`` per block of _BLOCK_ROWS rows, whose values
-    become Python floats and ints, so ``%r`` writes ``repr(float)``.
+def _write_rows(path, header: str, row: str, sizes, blocks, workers: int = 1) -> None:
+    """Write ``header``, then ``row`` %-formatted with each row of a list of
+    blocks. ``sizes`` holds each block's row count, and ``blocks(run)``
+    yields, for a run of consecutive block indices, each block's 2-D arrays
+    to set side by side. One ``%`` per block, whose values become Python
+    floats and ints, so ``%r`` writes ``repr(float)``.
 
     The blocks are cut into parallel.share_out runs of about equal row count,
     one per usable worker, with the same bytes for every ``workers``. The
@@ -56,10 +64,7 @@ def _write_rows(path, header: str, row: str, columns, workers: int = 1) -> None:
     formatted by a child forked for it (see parallel.run_shares) into an
     anonymous temporary file in the output's directory, which the caller then
     appends in order."""
-    rows = len(columns[0])
-    starts = range(0, rows, _BLOCK_ROWS)
-    runs = [[starts[k] for k in run] for run in
-            share_out([min(_BLOCK_ROWS, rows - start) for start in starts], workers)]
+    runs = share_out(sizes, workers)
     with open(path, "wb") as fh, contextlib.ExitStack() as stack:
         fh.write(header.encode())
         spills = [stack.enter_context(tempfile.TemporaryFile(dir=Path(path).parent))
@@ -70,9 +75,8 @@ def _write_rows(path, header: str, row: str, columns, workers: int = 1) -> None:
             if out is not fh:  # the caller may write a failed child's share again
                 out.seek(0)
                 out.truncate()
-            for start in run:
-                block = np.concatenate([c[start:start + _BLOCK_ROWS] for c in columns],
-                                       axis=1, dtype=object)
+            for columns in blocks(run):
+                block = np.concatenate(columns, axis=1, dtype=object)
                 out.write(((row * len(block)) % tuple(block.ravel().tolist())).encode())
             out.flush()  # a child leaves by os._exit, which flushes nothing
 
@@ -82,13 +86,50 @@ def _write_rows(path, header: str, row: str, columns, workers: int = 1) -> None:
             shutil.copyfileobj(spill, fh)
 
 
+def _array_blocks(columns):
+    """The block sizes and source (see _write_rows) of the 2-D arrays
+    ``columns`` set side by side, in blocks of _BLOCK_ROWS rows."""
+    rows = len(columns[0])
+    starts = range(0, rows, _BLOCK_ROWS)
+
+    def blocks(run):
+        for k in run:
+            yield [c[starts[k] : starts[k] + _BLOCK_ROWS] for c in columns]
+
+    return [min(_BLOCK_ROWS, rows - start) for start in starts], blocks
+
+
+def _part_blocks(part: SyntheticPart):
+    """The block sizes and source (see _write_rows) of a part's labeled
+    cloud: runs of whole sections of at most _BLOCK_ROWS rows, and at least
+    one section, each generated by the process that writes it."""
+    n, count = part.spec.points_per_section, part.spec.sections
+    bounds = [*range(0, count, max(1, _BLOCK_ROWS // n)), count]
+
+    def blocks(run):
+        sections = part.sections(bounds[run[0]], bounds[run[-1] + 1])
+        for first, stop in itertools.pairwise(bounds[run[0] : run[-1] + 2]):
+            points = np.concatenate([next(sections) for _ in range(first, stop)])
+            yield [points, np.repeat(np.arange(first, stop), n)[:, None]]
+
+    return [(stop - first) * n for first, stop in itertools.pairwise(bounds)], blocks
+
+
 def write_cloud_csv(path, points, labels=None, workers: int = 1) -> None:
-    """Write an (n, 3) cloud, with one section label per point if given. Raises
-    ValueError, before the file is opened, on points of another shape, on a
-    non-finite coordinate, on labels of another length or on a label that is
-    not an integer in the int64 range (which read_cloud_csv would refuse).
-    The rows are formatted by up to parallel.usable_workers(workers) processes
-    (see _write_rows), with the same bytes for every ``workers``."""
+    """Write an (n, 3) cloud, with one section label per point if given, or
+    the labeled cloud of a helix.SyntheticPart given as ``points``, which is
+    generated section by section as it is written, so no process holds the
+    whole part. Raises ValueError, before the file is opened, on points of
+    another shape, on a non-finite coordinate, on labels of another length
+    (or any with a part) or on a label that is not an integer in the int64
+    range (which read_cloud_csv would refuse). The rows are formatted by up
+    to parallel.usable_workers(workers) processes (see _write_rows), with
+    the same bytes for every ``workers``."""
+    if isinstance(points, SyntheticPart):
+        if labels is not None:
+            raise ValueError("a SyntheticPart is written with its own labels")
+        return _write_rows(path, "x,y,z,section\n", "%r,%r,%r,%d\n", *_part_blocks(points),
+                           workers)
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"points have shape {points.shape}; expected (n, 3)")
@@ -96,7 +137,7 @@ def write_cloud_csv(path, points, labels=None, workers: int = 1) -> None:
         bad = np.flatnonzero(~np.isfinite(points).all(axis=1))[0]
         raise ValueError(f"point {bad} has a non-finite coordinate: {points[bad].tolist()}")
     if labels is None:
-        return _write_rows(path, "x,y,z\n", "%r,%r,%r\n", [points], workers)
+        return _write_rows(path, "x,y,z\n", "%r,%r,%r\n", *_array_blocks([points]), workers)
     labels = np.asarray(labels)
     if labels.shape != (len(points),):
         raise ValueError(f"labels have shape {labels.shape}; expected ({len(points)},)")
@@ -108,7 +149,8 @@ def write_cloud_csv(path, points, labels=None, workers: int = 1) -> None:
                 exact = False
             if not exact:
                 raise ValueError(f"label {k} is not an integer in the int64 range: {value!r}")
-    _write_rows(path, "x,y,z,section\n", "%r,%r,%r,%d\n", [points, labels[:, None]], workers)
+    _write_rows(path, "x,y,z,section\n", "%r,%r,%r,%d\n",
+                *_array_blocks([points, labels[:, None]]), workers)
 
 
 _CLOUD_HEADERS = {("x", "y", "z"): False, ("x", "y", "z", "section"): True}
@@ -187,25 +229,38 @@ def _read_cloud_bulk(path, workers: int):
 def _range_rows(path, span: tuple[int, int | None], has_labels: bool):
     """The ``loadtxt`` rows of the bytes [start, stop) of a cloud CSV, to its
     end when stop is None, decoded as UTF-8: a structured array of points and
-    labels, or an (n, 3) array; None when it rejects a row or a byte, when a
-    row is not of the header's width or when a point is not finite."""
+    labels, or an (n, 3) array; None when it rejects a row or a byte, when
+    there is no row, when a row is not of the header's width or when a point
+    is not finite."""
     start, stop = span
     with open(path, "rb") as raw:
         raw.seek(start)
         data = raw if stop is None else io.BytesIO(raw.read(stop - start))
         try:
             with io.TextIOWrapper(data, encoding="utf-8") as lines, warnings.catch_warnings():
-                # "input contained no data", or an older numpy's deprecated
-                # float-to-int parse of a label, sends the file to the line
-                # parser; so does a byte that is not UTF-8 (a ValueError).
+                # An older numpy's deprecated float-to-int parse of a label
+                # sends the file to the line parser, as do no rows at all and
+                # a byte that is not UTF-8 (a ValueError).
                 warnings.simplefilter("error")
-                rows = np.loadtxt(lines, delimiter=",", comments=None,
-                                  dtype=_LABELED_ROW if has_labels else float,
-                                  ndmin=1 if has_labels else 2)
+                rows = _loadtxt(lines, _LABELED_ROW if has_labels else np.dtype(float))
         except (ValueError, Warning):
             return None
     points = rows["p"] if has_labels else rows
-    return rows if points.shape[1] == 3 and np.isfinite(points).all() else None
+    return rows if len(rows) and points.shape[1] == 3 and np.isfinite(points).all() else None
+
+
+def _loadtxt(lines, dtype):
+    """``np.loadtxt(lines, delimiter=",", comments=None, dtype=dtype)`` of an
+    open text file, as a structured array or an (n, 3) array, parsed by
+    numpy's C reader from ``lines.read()`` in chunks: loadtxt itself, given a
+    file object, hands its reader one line at a time."""
+    if _load_from_filelike is None:
+        return np.loadtxt(lines, delimiter=",", comments=None, dtype=dtype,
+                          ndmin=1 if dtype.names else 2)
+    return _load_from_filelike(
+        lines, delimiter=",", comment=None, quote=None, imaginary_unit="j", usecols=None,
+        skiplines=0, max_rows=-1, converters=None, dtype=dtype, encoding="utf-8",
+        filelike=True, byte_converters=False)
 
 
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # bytes 0x80-0xff as surrogateescape reads them
@@ -265,7 +320,7 @@ def write_truth_csv(path, truth) -> None:
         bad = np.flatnonzero(~np.isfinite(values).all(axis=1))[0]
         raise ValueError(f"section {bad} has a non-finite truth value: {values[bad].tolist()}")
     _write_rows(path, _TRUTH_HEADER + "\n", "%d" + ",%r" * 6 + "\n",
-                [np.arange(len(values))[:, None], values])
+                *_array_blocks([np.arange(len(values))[:, None], values]))
 
 
 def read_truth_csv(path):

@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import helibend
+from helibend import HelixSpec, generate
 from helibend import geometry, torsion
 from helibend.cli import main
 from helibend.errors import AmbiguousBranch, InputFormatError
@@ -100,6 +102,54 @@ class TestSynth:
         assert capsys.readouterr().err == (
             f"error: [Errno 21] Is a directory: {str(out / 'cloud.csv')!r}\n")
         assert os.listdir(out) == ["cloud.csv"]
+
+    @pytest.mark.parametrize("flags, message", [
+        # Centroid z overflows from section 1 on.
+        ({"pitch": "1e308", "helix_angle_deg": 10, "extent_deg": "1e10"},
+         "error: section 1 has a non-finite point: [92.81828478430614, -76.07033486080033, "
+         "inf]\n"),
+        # Finite centroids, but the outline pushes x past the largest double.
+        ({"radius": "1.79e308", "semi_major": "1e307", "semi_minor": "1e306",
+          "helix_angle_deg": 10, "extent_deg": 10},
+         "error: section 0 has a non-finite point: [inf, 8.682408883346518e+305, "
+         "4.9240387650610414e+306]\n"),
+    ], ids=["centroid", "outline"])
+    def test_overflowing_spec_is_an_input_error(self, tmp_path, capsys, flags, message):
+        assert synth(tmp_path / "out", sections=3, points_per_section=6, **flags) == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sections, n", [(21, 401), (3, 5000)])
+    def test_cloud_is_the_generated_arrays_written(self, tmp_path, monkeypatch, sections, n):
+        # Shares of whole sections, generated where they are written, cut off
+        # the writer's 4096-row blocks.
+        flags = dict(seed=5, sections=sections, points_per_section=n, noise_sigma=0.02,
+                     twist_constant_deg=4)
+        spec = HelixSpec(radius=120.0, pitch_per_turn=60.0, semi_major=8.0, semi_minor=5.0,
+                         helix_angle=math.atan2(60.0 / (2.0 * math.pi), 120.0),
+                         twist_profile=lambda i: math.radians(4.0),
+                         sections=sections, points_per_section=n, noise_sigma=0.02, rng_seed=5)
+        part = generate(spec)
+        write_cloud_csv(tmp_path / "arrays.csv", part.points, part.labels)
+        expected = (tmp_path / "arrays.csv").read_bytes()
+        for cpus in (1, 2, 3):
+            forks = count_forks(monkeypatch, cpus=cpus)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert synth(out, **flags) == 0
+            assert len(forks) == cpus - 1
+            assert (out / "cloud.csv").read_bytes() == expected, cpus
+
+    def test_one_process_holds_a_block_not_the_cloud(self, tmp_path, monkeypatch):
+        count_forks(monkeypatch, cpus=1)
+        array_bytes = 400 * 400 * (3 * 8 + 8)  # the points and labels of generate's part
+        tracemalloc.start()
+        try:
+            assert synth(tmp_path, sections=400, points_per_section=400, noise_sigma=0.02) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < array_bytes / 2
 
 
 class TestEvaluate:

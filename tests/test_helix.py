@@ -1,13 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from helibend import (
+    EllipseParams,
     HelixSpec,
     arc_parameters,
     canonicalize_section,
     generate,
+    helix,
     segment_sections,
 )
 from helibend.errors import (
@@ -18,6 +21,7 @@ from helibend.errors import (
     TooFewSections,
     UnderfilledSection,
 )
+from helibend.geometry import direction_rotation, rotation_z, twist_rotation
 
 from helpers import random_helix_spec
 
@@ -100,6 +104,89 @@ class TestGenerate:
         for i in range(9):
             pts = part.points[part.labels == i]
             assert np.max(np.abs(pts.mean(axis=0) - part.truth.centroids[i])) < 1e-9
+
+
+def _reference_points(spec):
+    """The whole cloud built in one loop over the sections, every noise draw
+    taken in section order: what every cut of the section stream must join to."""
+    n = spec.points_per_section
+    base = np.zeros((n, 3))
+    base[:, [2, 0]] = EllipseParams(np.zeros(2), spec.semi_major, spec.semi_minor,
+                                    0.0).boundary_points(n)
+    rng = np.random.default_rng(spec.rng_seed)
+    points = []
+    for i in range(spec.sections):
+        phi = spec.extent * i / (spec.sections - 1)
+        center = np.array((spec.radius * math.cos(phi), spec.radius * math.sin(phi),
+                           spec.pitch_per_turn / (2.0 * math.pi) * phi))
+        rot = (rotation_z(phi) @ direction_rotation(spec.helix_angle)
+               @ twist_rotation(spec.twist_at(i)))
+        section = base @ rot.T + center
+        if spec.noise_sigma > 0.0:
+            section = section + rng.normal(0.0, spec.noise_sigma, section.shape)
+        points.append(section)
+    return np.concatenate(points)
+
+
+class TestSectionStream:
+    SPECS = {
+        "noise-free": HelixSpec(sections=11, points_per_section=13),
+        "noisy": HelixSpec(sections=11, points_per_section=13, noise_sigma=0.3, rng_seed=4),
+        "twisted": HelixSpec(sections=11, points_per_section=13, noise_sigma=0.05,
+                             rng_seed=8, twist_profile=lambda i: 0.1 * math.sin(i)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    @pytest.mark.parametrize("cuts", [[], [1], [5], [10], [3, 4, 9], list(range(1, 11))])
+    def test_cuts_join_to_the_whole_cloud(self, monkeypatch, name, cuts):
+        spec = self.SPECS[name]
+        expected = _reference_points(spec)
+        # Skip the earlier sections' noise in chunks of 7 draws, most of them
+        # whole and the last one short.
+        monkeypatch.setattr(helix, "_SKIP_DRAWS", 7)
+        part = generate(spec)
+        bounds = [0, *cuts, spec.sections]
+        joined = [section for first, stop in zip(bounds, bounds[1:])
+                  for section in part.sections(first, stop)]
+        assert len(joined) == spec.sections
+        assert np.concatenate(joined).tobytes() == expected.tobytes()
+        assert part.points.tobytes() == expected.tobytes()
+        assert np.array_equal(part.labels, np.repeat(np.arange(spec.sections), 13))
+
+    def test_twist_profile_called_once_per_section(self):
+        calls = []
+        part = generate(HelixSpec(sections=6, twist_profile=lambda i: calls.append(i) or 0.0))
+        list(part.sections(2, 5))
+        part.points
+        assert calls == list(range(6))
+
+    @pytest.mark.parametrize("kwargs, section, where", [
+        # Centroid z overflows from section 1 on.
+        ({"pitch_per_turn": 1e308, "helix_angle": 0.17, "extent": 1.7e8}, 1, "inf]"),
+        # Finite centroids, but the outline pushes x past the largest double.
+        ({"radius": 1.79e308, "semi_major": 1e307, "semi_minor": 1e306,
+          "helix_angle": 0.17, "extent": 0.17}, 0, "[inf, "),
+        # Noise alone overflows.
+        ({"noise_sigma": 1e308, "sections": 3}, 0, "inf"),
+    ], ids=["centroid", "outline", "noise"])
+    def test_overflowing_spec_names_the_first_section(self, kwargs, section, where):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSpec, match=rf"^section {section} has a non-finite point: "
+                                                  r"\[.*\]$") as err:
+                generate(HelixSpec(points_per_section=6, **kwargs))
+        assert where in str(err.value)
+        assert err.value.section == section
+
+    def test_overflowing_azimuth_is_invalid(self):
+        with pytest.raises(InvalidSpec, match=r"^azimuth is inf at section 2$") as err:
+            generate(HelixSpec(extent=1.2e308, sections=3))
+        assert err.value.field == "extent"
+
+    def test_large_finite_spec_is_generated(self):
+        spec = HelixSpec(radius=1e306, semi_major=1e305, semi_minor=1e304, sections=3,
+                         points_per_section=6, noise_sigma=1e300)
+        assert np.isfinite(generate(spec).points).all()
 
 
 class TestSegmentSections:

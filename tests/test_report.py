@@ -200,6 +200,29 @@ def test_split_read_of_the_corpus_matches_one_process(tmp_path, monkeypatch, nam
     assert _read_outcome(path, 3) == expected
 
 
+READER_EDGES = {**CORPUS, **{f"split-{name}": text for name, (text, _) in SPLIT_READS.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(READER_EDGES))
+def test_chunked_parse_matches_loadtxt(tmp_path, monkeypatch, name):
+    # numpy's C reader fed by read() in chunks, and np.loadtxt fed line by
+    # line, accept the same files with the same arrays, whole or in two ranges.
+    path = tmp_path / "cloud.csv"
+    path.write_bytes(READER_EDGES[name].encode("utf-8"))
+    count_forks(monkeypatch, cpus=2)
+    for workers in (1, 2):
+        chunked = report._read_cloud_bulk(path, workers)
+        with monkeypatch.context() as patch:
+            patch.setattr(report, "_load_from_filelike", None)
+            by_line = report._read_cloud_bulk(path, workers)
+        assert (chunked is None) == (by_line is None), workers
+        for got, want in zip(chunked or (), by_line or ()):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", ["bare_cr", "cr_after_header", "crlf", "bom"])
 def test_line_ends_of_a_text_read_keep_the_bulk_read(tmp_path, monkeypatch, name, workers):
@@ -499,6 +522,62 @@ class TestCloudWriterBytes:
             text = path.read_text(encoding="utf-8")
             assert text == expected, name
             assert "np." not in text, name
+
+
+class TestPartWriterBytes:
+    """write_cloud_csv of a SyntheticPart, generated section by section in the
+    writing processes, writes the bytes of its materialized arrays."""
+
+    # 21 x 401: blocks of 10 sections (4010 rows), cut at row 8020 into two
+    # shares and at rows 4010 and 8020 into three; 3 x 5000: blocks of one
+    # section, each over _BLOCK_ROWS rows.
+    SIZES = [(21, 401), (3, 5000), (5, BLOCK)]
+
+    @pytest.mark.parametrize("sections, n", SIZES)
+    def test_matches_the_array_writer(self, tmp_path, monkeypatch, sections, n):
+        part = generate(HelixSpec(sections=sections, points_per_section=n, noise_sigma=0.02,
+                                  rng_seed=sections, twist_profile=lambda i: 0.01 * i))
+        expected = tmp_path / "arrays.csv"
+        report.write_cloud_csv(expected, generate(part.spec).points, part.labels)
+        path = tmp_path / "cloud.csv"
+        for workers in (1, 2, 3):
+            forks = count_forks(monkeypatch, cpus=3)
+            report.write_cloud_csv(path, part, workers=workers)
+            assert len(forks) == workers - 1
+            assert path.read_bytes() == expected.read_bytes(), workers
+            assert sorted(os.listdir(tmp_path)) == ["arrays.csv", "cloud.csv"]
+        monkeypatch.setattr(os, "fork", _fork_fails)  # the caller writes every share
+        report.write_cloud_csv(path, part, workers=3)
+        assert path.read_bytes() == expected.read_bytes()
+        assert "points" not in vars(part)  # never materialized
+
+    def test_a_failed_child_share_is_written_again_by_the_caller(self, tmp_path, monkeypatch):
+        part = generate(HelixSpec(sections=21, points_per_section=401, noise_sigma=0.02))
+        expected = tmp_path / "arrays.csv"
+        report.write_cloud_csv(expected, part.points, part.labels)
+        caller = os.getpid()
+        stream = type(part).sections
+
+        def fail_in_child(self, first=0, stop=None):
+            for k, section in enumerate(stream(self, first, stop)):
+                if os.getpid() != caller and k == 1:
+                    raise RuntimeError("child failed")
+                yield section
+
+        monkeypatch.setattr(type(part), "sections", fail_in_child)
+        forks = count_forks(monkeypatch, cpus=2)
+        path = tmp_path / "cloud.csv"
+        report.write_cloud_csv(path, part, workers=2)
+        assert len(forks) == 1
+        assert path.read_bytes() == expected.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["arrays.csv", "cloud.csv"]
+
+    def test_labels_beside_a_part_are_refused(self, tmp_path):
+        part = generate(HelixSpec(sections=3))
+        path = tmp_path / "cloud.csv"
+        with pytest.raises(ValueError, match="own labels"):
+            report.write_cloud_csv(path, part, part.labels)
+        assert not path.exists()
 
 
 class TestCloudWriterRejects:

@@ -45,7 +45,12 @@
 # writer's blocks of rows (which a 2-CPU host cuts into two shares, one
 # written by a forked child), is diffed directly, and the same part again
 # pinned to CPU 0 by taskset, when there is one, so that its cloud is
-# written as one share; a 1000 x 400
+# written as one share; a noisy 3 x 5000 part (--seed 13), whose every
+# block of the cloud writer is one section, larger than the writer's 4096
+# rows, and whose second share skips the first share's noise draws; a
+# noise-free 1001 x 48 part (48048 rows in blocks of 85 sections, the last
+# of 66, which a 2-CPU host cuts into shares of 24480 and 23568 rows, with
+# no noise draws to skip); a 1000 x 400
 # labeled part with trace and gauss-newton; the ragged, failing and
 # 1000 x 400 runs again with --workers 2 (a checkout that ignores the flag
 # gives its sequential outputs, so these show that the forked CSV read and
@@ -209,6 +214,14 @@ run_set() {
             --points-per-section 401
         pin=
     fi
+
+    # Blocks of one section each, 5000 rows, and a noisy second share that
+    # skips the first share's noise draws.
+    hb synth-wide synth --output-dir "$out/wide" --seed 13 --sections 3 \
+        --points-per-section 5000 --noise-sigma 0.02
+    # Blocks of 85 sections, the last of 66, cut off the middle row, with no
+    # noise draws to skip.
+    hb synth-long synth --output-dir "$out/long" --sections 1001
 
     # The large part's cloud is diffed through its digest in report.json.
     hb synth-big synth --output-dir "$work/big" --seed 7 --sections 1000 \
