@@ -237,8 +237,12 @@ def segment_sections(cloud, expected_sections: int | None = None, labels=None):
 
     With labels, points are grouped by label and ordered by label value,
     keeping input order inside each group; an underfilled group is reported
-    by its label value, and an ``expected_sections`` that differs from the
-    number of labels raises SectionCountMismatch.
+    by its label value (the first in input order, as -0.0 and 0.0 share a
+    group), and an ``expected_sections`` that differs from the number of
+    labels raises SectionCountMismatch. Labels already in non-decreasing
+    order, as ``synth`` writes them, are cut where they change, so each
+    group is a view of the cloud's rows and writing into a group writes
+    into the cloud; any other order is gathered into new arrays once.
     Without labels the points are binned by azimuth about the product axis:
     the cloud is rebased past the largest circular gap (so parts spanning
     the -pi/pi seam work) and split at the ``expected_sections - 1`` widest
@@ -253,17 +257,21 @@ def segment_sections(cloud, expected_sections: int | None = None, labels=None):
         labels = np.asarray(labels)
         if len(labels) != len(pts):
             raise ValueError("labels length does not match point count")
+        if labels.ndim != 1:
+            raise ValueError(f"labels must hold one value per point, got shape {labels.shape}")
         if labels.dtype.kind in "fc" and np.isnan(labels).any():
             raise ValueError("labels contain NaN")
-        names, inverse = np.unique(labels, return_inverse=True)
+        if not (labels[1:] >= labels[:-1]).all():
+            # One stable sort keeps file order inside each group.
+            order = np.argsort(labels, kind="stable")
+            pts, labels = pts[order], labels[order]
+        cuts = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+        names = labels[np.concatenate(([0], cuts))]
         if expected_sections is not None and expected_sections != len(names):
             raise SectionCountMismatch(
                 f"labels name {len(names)} sections, but {expected_sections} were expected"
             )
-        # One stable sort keeps file order inside each group.
-        order = np.argsort(inverse, kind="stable")
-        counts = np.bincount(inverse)
-        groups = np.split(pts[order], np.cumsum(counts)[:-1])
+        groups = np.split(pts, cuts)
     else:
         if expected_sections is None or expected_sections < 1:
             raise ValueError("expected_sections must be >= 1 for unlabeled input")

@@ -16,6 +16,7 @@ from helibend import HelixSpec, generate
 from helibend import geometry, torsion
 from helibend.cli import main
 from helibend.errors import AmbiguousBranch, InputFormatError
+from helibend.pipeline import evaluate_cloud, evaluate_sections
 from helibend.report import EvaluationReport, read_cloud_csv, read_truth_csv, write_cloud_csv
 from helpers import count_forks
 
@@ -345,6 +346,37 @@ class TestEvaluate:
         assert run("evaluate", "--input", data / "cloud.csv",
                    "--output-dir", tmp_path / "o") == 2
         assert "line 6" in capsys.readouterr().err
+
+    def test_one_process_holds_the_cloud_twice_not_three_times(self, tmp_path):
+        # The read points and labels, then the canonical points: the groups
+        # of a label-ordered cloud are views of its rows, not a third copy.
+        assert synth(tmp_path, sections=400, points_per_section=400, noise_sigma=0.02) == 0
+        array_bytes = 400 * 400 * (3 * 8 + 8)  # the points and labels read
+        tracemalloc.start()
+        try:
+            assert run("evaluate", "--input", tmp_path / "cloud.csv",
+                       "--output-dir", tmp_path / "o", "--workers", 1) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.4 * array_bytes
+
+    @pytest.mark.parametrize("fitter", ["trace", "gauss-newton"])
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_views_of_an_ordered_cloud_evaluate_as_copies(self, tmp_path, fitter, ragged):
+        # Criterion 8's part, whole and with every 7th data row dropped
+        # (sections of two sizes): sums round by memory layout, so the groups
+        # cut from the cloud must give the bits of separate arrays.
+        synth(tmp_path, seed=42, noise_sigma=0.05, twist_sine_amp_deg=3)
+        points, labels = read_cloud_csv(tmp_path / "cloud.csv")
+        if ragged:
+            keep = np.arange(len(points)) % 7 != 6
+            points, labels = points[keep], labels[keep]
+        copies = [points[labels == label] for label in np.unique(labels)]
+        texts = [EvaluationReport.from_result(result, fitter=fitter, input_digest="").to_text()
+                 for result in (evaluate_cloud(points, labels, fitter=fitter),
+                                evaluate_sections(copies, fitter))]
+        assert texts[0] == texts[1]
 
     def test_comments_and_blank_lines_ok(self, tmp_path):
         data = tmp_path / "data"

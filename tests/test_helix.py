@@ -206,6 +206,9 @@ class TestSegmentSections:
             np.repeat([100, 4, 97, 12, 55], [6, 9, 7, 12, 6]),  # non-contiguous values
             np.full(20, 42),  # a single label
             np.random.default_rng(3).choice([-5, 1, 9, 1000], size=120),
+            np.choose(np.repeat(np.arange(6), 8), [0, 1, 3, 2, 4, 5]),  # two labels swapped
+            np.random.default_rng(4).permutation(np.repeat(np.arange(7), 9)),  # shuffled
+            np.repeat(np.arange(6), 8)[::-1],  # descending
         ],
     )
     def test_labeled_grouping_matches_mask_reference(self, labels):
@@ -217,6 +220,59 @@ class TestSegmentSections:
         for got, want in zip(groups, expected):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.repeat(np.arange(6), 8),  # as synth writes a part
+            np.repeat([-3, 0, 2, 40], [6, 9, 7, 12]),  # unequal runs of increasing values
+            np.full(9, 7),  # a single label
+            np.repeat([-0.0, 0.0, 1.5], 6),  # -0.0 and 0.0 are one group
+            np.repeat([False, True], [6, 7]),
+        ],
+    )
+    def test_ordered_labels_give_views_of_the_rows(self, labels):
+        pts = np.random.default_rng(len(labels)).normal(size=(len(labels), 3))
+        groups = segment_sections(pts, labels=labels)
+        # reference: the rows gathered by one stable sort of the labels
+        order = np.argsort(labels, kind="stable")
+        counts = np.unique(labels, return_counts=True)[1]
+        expected = np.split(pts[order], np.cumsum(counts)[:-1])
+        assert len(groups) == len(expected)
+        for got, want in zip(groups, expected):
+            assert np.shares_memory(got, pts)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "labels, expected_sections, error, message",
+        [
+            # -0.0 and 0.0 are one group, named by its first label in file order
+            ([-0.0, 0.0, -0.0, 0.0] + [1.0] * 6, None, UnderfilledSection,
+             "section -0.0 holds 4 points; need 6"),
+            ([1.0] * 6 + [0.0, -0.0, 0.0, -0.0], None, UnderfilledSection,
+             "section 0.0 holds 4 points; need 6"),
+            ([-0.0] * 6 + [0.0] * 6, 2, SectionCountMismatch,
+             "labels name 1 sections, but 2 were expected"),
+            ([False] * 4 + [True] * 6, None, UnderfilledSection,
+             "section False holds 4 points; need 6"),
+            ([True] * 6 + [False] * 4, None, UnderfilledSection,
+             "section False holds 4 points; need 6"),
+            ([7], None, UnderfilledSection, "section 7 holds 1 points; need 6"),
+            ([7], 2, SectionCountMismatch, "labels name 1 sections, but 2 were expected"),
+            ([0] * 6 + [1] * 5 + [2] * 6, None, UnderfilledSection,
+             "section 1 holds 5 points; need 6"),
+            ([0.0] * 6 + [np.nan] + [1.0] * 6, None, ValueError, "labels contain NaN"),
+        ],
+    )
+    def test_labeled_names_and_messages(self, labels, expected_sections, error, message):
+        pts = np.arange(3.0 * len(labels)).reshape(-1, 3)
+        with pytest.raises(error) as err:
+            segment_sections(pts, expected_sections=expected_sections, labels=np.array(labels))
+        assert str(err.value) == message
+
+    def test_labels_of_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"one value per point, got shape \(12, 1\)"):
+            segment_sections(np.ones((12, 3)), labels=np.zeros((12, 1)))
 
     def test_nan_label_rejected(self):
         labels = np.repeat([0.0, 1.0, np.nan], 6)

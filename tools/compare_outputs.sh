@@ -54,7 +54,10 @@
 # labeled part with trace and gauss-newton; the ragged, failing and
 # 1000 x 400 runs again with --workers 2 (a checkout that ignores the flag
 # gives its sequential outputs, so these show that the forked CSV read and
-# torsion fits of the other change neither outputs nor stderr); a
+# torsion fits of the other change neither outputs nor stderr); the
+# 1000 x 400 part with its data rows reversed, so its labels descend, at
+# --workers 1 and 2 (the only runs that group an unordered labeled cloud and
+# exit 0; the swapped-label runs above exit 3); a
 # --twist-constant-deg 45 part, whose stderr holds the CLI's one-line
 # AmbiguousBranch warning;
 # a --twist-constant-deg 90 part, whose major axes the ZY projection drops;
@@ -234,6 +237,13 @@ run_set() {
         hb "big-$fitter-w2" evaluate --input "$work/big/cloud.csv" \
             --output-dir "$out/big-$fitter-w2" --fitter "$fitter" --workers 2
     done
+    # The same data rows in reverse order: descending labels, which
+    # segment_sections gathers by one stable sort, not cuts into views.
+    { head -n 1 "$work/big/cloud.csv"; tail -n +2 "$work/big/cloud.csv" | tac; } \
+        > "$work/big/reversed.csv"
+    hb big-reversed evaluate --input "$work/big/reversed.csv" --output-dir "$out/big-reversed"
+    hb big-reversed-w2 evaluate --input "$work/big/reversed.csv" \
+        --output-dir "$out/big-reversed-w2" --workers 2
     rm -rf "$work/big"
 
     hb synth-45 synth --output-dir "$out/t45" --twist-constant-deg 45
