@@ -279,13 +279,17 @@ def _cmd_compare_fits(args) -> int:
     else:
         true_angles = lo + (hi - lo) * np.arange(args.trials) / (args.trials - 1)
 
+    rng = np.random.default_rng(args.seed)
+    trial_points = [_trial_points(args, float(true), rng) for true in true_angles]
+    for trial, pts in enumerate(trial_points):
+        bad = ~np.isfinite(pts).all(axis=1)
+        if bad.any():
+            raise InvalidSweep(f"trial {trial} has a non-finite point: {pts[bad][0].tolist()}")
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     band = math.radians(10.0)
     summary = []
-    rng = np.random.default_rng(args.seed)
-    trial_points = [_trial_points(args, float(true), rng) for true in true_angles]
     for fitter in FITTERS:
         # Gauss-Newton is deliberately not warm-started from the trace fit: the
         # sweep compares the methods, so it starts from plain moment estimates.

@@ -362,6 +362,9 @@ def fit_gauss_newton(
     if single:
         inits = [init]
     else:
+        if isinstance(init, EllipseParams):
+            raise ValueError(f"got one init for {count} sections; a stack takes None "
+                             "or one init per section")
         inits = [None] * count if init is None else list(init)
         if len(inits) != count:
             raise ValueError(f"got {len(inits)} inits for {count} sections")

@@ -388,7 +388,13 @@ def in_blocks(sizes: Sequence[int], run: Callable[[list[int]], Sequence],
     section errors must pickle. A share whose child fails is run here, so
     the errors and warnings are those of ``workers=1``.
     """
-    blocks = list(_blocks(sizes))
+    by_size: dict[int, list[int]] = {}
+    for i, size in enumerate(sizes):
+        by_size.setdefault(size, []).append(i)
+    blocks = []
+    for size, positions in by_size.items():
+        per_block = max(1, _BLOCK_POINTS // max(size, 1))
+        blocks += (positions[k:k + per_block] for k in range(0, len(positions), per_block))
     shares = share_out([len(block) * sizes[block[0]] for block in blocks], workers)
 
     def run_share(share):
@@ -415,19 +421,6 @@ def in_blocks(sizes: Sequence[int], run: Callable[[list[int]], Sequence],
     if errors:
         raise min(errors, key=lambda exc: exc.section)
     return results
-
-
-def _blocks(sizes: Sequence[int]):
-    """Positions of the sections, grouped by size into blocks in section
-    order of at most _BLOCK_POINTS points (and at least one section).
-    """
-    by_size: dict[int, list[int]] = {}
-    for i, size in enumerate(sizes):
-        by_size.setdefault(size, []).append(i)
-    for size, positions in by_size.items():
-        per_block = max(1, _BLOCK_POINTS // max(size, 1))
-        for start in range(0, len(positions), per_block):
-            yield positions[start:start + per_block]
 
 
 def canonicalize_section(points) -> CanonicalSection | list[CanonicalSection]:

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IsotropicScatter, TooFewPoints
-from .geometry import CanonicalSection, _blocks, as_points, fold_half_open
+from .geometry import CanonicalSection, as_points, fold_half_open, in_blocks
 
 _ISOTROPY_TOL = 1e-12
 
@@ -201,21 +201,20 @@ def _pool(counts: np.ndarray, means: np.ndarray, scatters: np.ndarray, width: in
 def _zy_moments(sections: list[CanonicalSection]):
     """Point counts, ZY means (S, 2), centered ZY scatters (S, 2, 2) and
     largest absolute canonical coordinates of the sections, each section's
-    bit for bit its own, computed in blocks of equal-size sections."""
-    sizes = [len(s.points_canonical) for s in sections]
-    means = np.empty((len(sizes), 2))
-    scatters = np.empty((len(sizes), 2, 2))
-    extents = np.empty(len(sizes))
-    for block in _blocks(sizes):
+    bit for bit its own, computed in blocks of equal-size sections
+    (geometry.in_blocks)."""
+    def moments(block):
         pts = np.stack([sections[i].points_canonical for i in block])
         zy = pts[..., 1:]
         mean = zy.mean(axis=1)
         # Two centered copies keep the product a general matmul (gemm): an
         # array times its own transpose takes the symmetric kernel (syrk),
         # which rounds differently.
-        scatters[block] = (zy - mean[:, None, :]).transpose(0, 2, 1) @ (zy - mean[:, None, :])
-        means[block] = mean
+        scatter = (zy - mean[:, None, :]).transpose(0, 2, 1) @ (zy - mean[:, None, :])
         # canonical sections are centered, so the section extent is the
         # scale against which a suspicious line offset is judged
-        extents[block] = np.abs(pts).max(axis=(1, 2))
-    return np.array(sizes, dtype=float), means, scatters, extents.tolist()
+        return list(zip(mean, scatter, np.abs(pts).max(axis=(1, 2)).tolist()))
+
+    sizes = [len(s.points_canonical) for s in sections]
+    means, scatters, extents = zip(*in_blocks(sizes, moments))
+    return np.array(sizes, dtype=float), np.array(means), np.array(scatters), extents

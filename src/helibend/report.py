@@ -515,15 +515,12 @@ def _json_table(rows, cache: dict, name) -> str | None:
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    """One cell of a mixed column; a number is written as _column_cells writes it."""
     if value is None:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+    return _column_cells([value])[0][0]
 
 
 def _csv_text(rows, cache: dict | None = None, name=None) -> str:

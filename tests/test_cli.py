@@ -538,6 +538,25 @@ class TestCompareFits:
         assert "must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_one_trial_is_the_midpoint_angle(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert run("compare-fits", "--output-dir", out, "--trials", 1,
+                   "--min-angle-deg", -10, "--max-angle-deg", 30) == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [["trace", "0"], ["bookstein", "0"],
+                                             ["gauss-newton", "0"]]
+        for row in rows:
+            assert float(row[2]) == 0.5 * (math.radians(-10.0) + math.radians(30.0))
+            assert abs(float(row[4]) - float(row[2])) < 1e-8
+
+    def test_overflowing_trial_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert run("compare-fits", "--output-dir", out, "--trials", 3,
+                   "--noise-sigma", "1e308") == 2
+        assert capsys.readouterr().err == (
+            "error: trial 0 has a non-finite point: [-inf, -2.1879166393254573e+307]\n")
+        assert not out.exists()
+
     def test_inverted_range_rejected(self, tmp_path):
         assert run("compare-fits", "--output-dir", tmp_path,
                    "--min-angle-deg", 50, "--max-angle-deg", -50) == 2

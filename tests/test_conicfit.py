@@ -442,6 +442,24 @@ class TestGaussNewton:
         with pytest.raises(ValueError, match="max_iterations must be >= 1"):
             fit_gauss_newton(pts, max_iterations=0)
 
+    def test_wrong_number_of_inits_rejected(self):
+        params = EllipseParams(np.zeros(2), 5.0, 2.0, 0.3)
+        stack = np.stack([params.boundary_points(20)] * 3)
+        with pytest.raises(ValueError, match="got 2 inits for 3 sections"):
+            fit_gauss_newton(stack, init=[params, params])
+
+    def test_lone_init_for_a_stack_rejected(self):
+        params = EllipseParams(np.zeros(2), 5.0, 2.0, 0.3)
+        stack = np.stack([params.boundary_points(20)] * 3)
+        with pytest.raises(ValueError, match="got one init for 3 sections; a stack takes None "
+                                             "or one init per section"):
+            fit_gauss_newton(stack, init=params)
+
+    def test_four_points_with_an_init_are_too_few(self):
+        params = EllipseParams(np.zeros(2), 5.0, 2.0, 0.3)
+        with pytest.raises(TooFewPoints, match="need at least 5 points, got 4"):
+            fit_gauss_newton(params.boundary_points(4), init=params)
+
     def test_damped_steps_mask_a_singular_system(self):
         lhs = np.stack([np.diag([1.0, 2.0, 3.0, 4.0, 5.0]), np.zeros((5, 5)), 2.0 * np.eye(5)])
         rhs = np.arange(15.0).reshape(3, 5)
@@ -465,6 +483,12 @@ class TestGaussNewton:
         assert not est.orientation_defined
         assert est.orientation == 0.0
         assert est.semi_major == pytest.approx(3.0, abs=1e-9)
+
+    def test_moment_init_rejects_two_points_and_a_line(self):
+        with pytest.raises(TooFewPoints, match="at least 3 points"):
+            moment_init([(0.0, 0.0), (1.0, 2.0)])
+        with pytest.raises(DegenerateConfiguration, match="collinear"):
+            moment_init([(0.0, 0.0), (1.0, 2.0), (2.0, 4.0), (3.0, 6.0)])
 
 
 class TestPointToEllipseDistance:

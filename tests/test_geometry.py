@@ -407,6 +407,11 @@ class TestStackedConversions:
             assert str(caught.value) == str(alone.value)
             assert caught.value.conic == alone.value.conic
 
+    def test_unknown_constraint_rejected(self):
+        ring = params_to_conic(EllipseParams(np.array([1.0, 2.0]), 3.0, 2.0, 0.5))
+        with pytest.raises(ValueError, match="unknown constraint: 'taubin'"):
+            normalize_conics(np.array([astuple(ring)]), "taubin")
+
     @pytest.mark.parametrize("constraint, message", [
         (TRACE, "trace-normalization impossible"), (BOOKSTEIN, "quadratic part vanishes")])
     def test_normalize_failure_spares_the_other_rows_and_warns_nothing(self, constraint, message):

@@ -341,6 +341,12 @@ class TestSegmentSections:
         with pytest.raises(UnderfilledSection):
             segment_sections(part.points, expected_sections=4)
 
+    def test_more_sections_than_the_points_split_into(self):
+        # 12 points have 11 gaps between azimuths: 13 sections need 12 cuts
+        part = generate(HelixSpec(sections=2, points_per_section=6, rng_seed=15))
+        with pytest.raises(UnderfilledSection, match="fewer points than requested sections"):
+            segment_sections(part.points, expected_sections=13)
+
     def test_underfilled_labeled_group_names_its_label(self):
         # labels 3 and 5: the short group is the second one but labeled 5
         part = generate(HelixSpec(sections=2, points_per_section=8, rng_seed=16))

@@ -150,6 +150,10 @@ class TestDirectionAngle:
         with pytest.raises(ValueError, match="a\\^2 \\+ b\\^2 = 1"):
             Line2D(1.0, 1.0, 0.0)
 
+    def test_zero_normal_rejected(self):
+        with pytest.raises(ValueError, match="degenerate line"):
+            Line2D.normalized(0.0, 0.0, 1.0)
+
 
 class TestRectifyDirection:
     def test_identity_on_branch(self):
@@ -219,6 +223,11 @@ def assert_window_lines_fit_every_window_point(sections, window):
 
 
 class TestDetectDirection:
+    def test_window_below_one_rejected_and_no_sections_give_none(self):
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            detect_direction(shifted_sections(3), window=0)
+        assert detect_direction([]) == []
+
     def test_window_clamps_at_ends(self):
         spec = HelixSpec(sections=3, rng_seed=2)
         part = generate(spec)

@@ -762,6 +762,12 @@ class TestEvaluationCsv:
         assert '"pitch_mm_per_rad": null,\n' in text
         assert text == json.dumps(rep.document, indent=2) + "\n"
 
+    def test_column_of_mixed_kinds_writes_each_cell_as_its_kind(self):
+        # A column that is not all bool, all int or all float is written cell
+        # by cell, each number as a column of its own kind writes it.
+        rows = [{"v": value} for value in (None, 0.1, True, 3, "x", np.float64(2.5), -0.0)]
+        assert report._csv_text(rows) == "v\n\n0.1\ntrue\n3\nx\n2.5\n-0.0\n"
+
 
 class TestReportText:
     """to_text writes its tables column by column; json is the reference."""

@@ -17,9 +17,12 @@
 # --twist-sine-amp-deg 3) evaluated with each fitter, with gauss-newton at
 # --gn-max-iterations 2, with each fitter after every 7th data row of its
 # cloud is dropped (34 sections of 41 points and 6 of 42, so blocks of two
-# sizes), with each fitter after section 30's rows are moved onto one point
-# and section 5's onto a line (both fail in one block, section 30 at an
-# earlier check; each run exits 3 with section 5's error), with section
+# sizes), with each fitter at --workers 1 and 2 after section s drops s of
+# its 48 rows, spread evenly around its outline (40 sections of 48 down to 9
+# points, so every block is a stack of one), with each fitter after section
+# 30's rows are moved onto one point and section 5's onto a line (both fail
+# in one block, section 30 at an earlier check; each run exits 3 with
+# section 5's error), with section
 # labels 4 and 5 swapped, at --workers 1 and 2 (the azimuths step back from
 # section 4 to 5; each run exits 3 with NonMonotonicAzimuth naming section
 # 5), unlabeled with --sections 40, with every line ended by a bare "\r"
@@ -140,6 +143,17 @@ run_set() {
     for fitter in trace bookstein gauss-newton; do
         hb "c8-ragged-$fitter-w2" evaluate --input "$work/ragged.csv" \
             --output-dir "$out/c8-ragged-$fitter-w2" --fitter "$fitter" --workers 2
+    done
+    # Section s keeps 48 - s of its rows, the s it drops spread evenly around
+    # its outline: no two sections share a point count, so every block of
+    # canonicalization, direction moments and fits is a stack of one.
+    awk -F, 'NR > 1 { s = $4; j = seen[s]++; if (int((j + 1) * s / 48) > int(j * s / 48)) next }
+        { print }' "$out/c8/cloud.csv" > "$work/distinct.csv"
+    for fitter in trace bookstein gauss-newton; do
+        hb "c8-distinct-$fitter" evaluate --input "$work/distinct.csv" \
+            --output-dir "$out/c8-distinct-$fitter" --fitter "$fitter"
+        hb "c8-distinct-$fitter-w2" evaluate --input "$work/distinct.csv" \
+            --output-dir "$out/c8-distinct-$fitter-w2" --fitter "$fitter" --workers 2
     done
     # Two failing sections in one block: every row of section 30 moved onto
     # one point at azimuth 0 (its first row turned about the product axis),
