@@ -285,17 +285,24 @@ def _cmd_compare_fits(args) -> int:
         bad = ~np.isfinite(pts).all(axis=1)
         if bad.any():
             raise InvalidSweep(f"trial {trial} has a non-finite point: {pts[bad][0].tolist()}")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.square(pts - pts.mean(axis=0)).sum()):
+                raise InvalidSweep(f"trial {trial}'s centred coordinates overflow when squared")
+    # Every fit before any output, so a sweep that fails writes nothing.
+    all_fits = []
+    for fitter in FITTERS:
+        # Gauss-Newton is deliberately not warm-started from the trace fit: the
+        # sweep compares the methods, so it starts from plain moment estimates.
+        inits = [moment_init(pts) for pts in trial_points] if fitter == GAUSS_NEWTON else None
+        all_fits.append(fit_sections(fitter, [len(pts) for pts in trial_points],
+                                     lambda block: np.stack([trial_points[i] for i in block]),
+                                     inits))
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     band = math.radians(10.0)
     summary = []
-    for fitter in FITTERS:
-        # Gauss-Newton is deliberately not warm-started from the trace fit: the
-        # sweep compares the methods, so it starts from plain moment estimates.
-        inits = [moment_init(pts) for pts in trial_points] if fitter == GAUSS_NEWTON else None
-        fits = fit_sections(fitter, [len(pts) for pts in trial_points],
-                            lambda block: np.stack([trial_points[i] for i in block]), inits)
+    for fitter, fits in zip(FITTERS, all_fits):
         detected_list = []
         for trial, (true, fit) in enumerate(zip(true_angles, fits)):
             raw = fit.params.orientation
@@ -306,8 +313,9 @@ def _cmd_compare_fits(args) -> int:
         detected = np.array(detected_list)
         in_band = np.abs(true_angles) < band
         err = detected[in_band] - true_angles[in_band]
-        summary.append(dict(fitter=fitter, trials_in_band=int(in_band.sum()),
-                            std_error_rad=float(np.std(err))))
+        # No trial in the band leaves the cell empty.
+        summary.append(dict(fitter=fitter, trials_in_band=len(err),
+                            std_error_rad=float(np.std(err)) if len(err) else None))
         svg = svg_scatter(
             np.degrees(true_angles),
             np.degrees(detected),

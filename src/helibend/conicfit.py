@@ -35,6 +35,7 @@ original coordinates.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -416,18 +417,15 @@ def _levenberg_marquardt(pts: np.ndarray, theta: np.ndarray, max_iterations: int
         live = np.flatnonzero(running)
         if not live.size:
             break
-        delta, singular = _damped_steps(hess[live] + mu[live, None, None] * _EYE5, -grad[live])
-        if singular is not None:
-            mu[live[singular]] *= 10.0
-            live, delta = live[~singular], delta[~singular]
+        # A singular system's NaN step fails the acceptance test below, which
+        # raises that section's damping.
+        delta = _damped_steps(hess[live] + mu[live, None, None] * _EYE5, -grad[live])
         trial = theta[live] + delta
         np.abs(trial[:, 2:4], out=trial[:, 2:4])
         a, b = trial[:, 2], trial[:, 3]
         # min(a, b) as Python's min picks it, NaN included.
         if (np.where(b < a, b, a) < _AXIS_FLOOR).any():
             raise CollapsedAxis("a semi-axis collapsed during iteration")
-        if not live.size:
-            continue
 
         # A slice while every section runs: a view, not a copy.
         rows = live if len(live) < count else slice(None)
@@ -467,22 +465,17 @@ def _normal_equations(jac: np.ndarray, residual: np.ndarray):
     return (jac_t @ residual[..., None])[..., 0], jac_t @ jac
 
 
-def _damped_steps(lhs: np.ndarray, rhs: np.ndarray):
-    """Solutions of a stack of 5x5 systems, and a mask of the singular ones
-    (None when there are none), whose rows are left unset.
-    """
+def _damped_steps(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solutions of a stack of 5x5 systems; a singular system's row is NaN."""
     try:
-        return np.linalg.solve(lhs, rhs[..., None])[..., 0], None
+        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         pass
-    steps = np.empty_like(rhs)
-    singular = np.zeros(len(rhs), dtype=bool)
+    steps = np.full_like(rhs, np.nan)
     for j, (a, b) in enumerate(zip(lhs, rhs)):
-        try:
+        with contextlib.suppress(np.linalg.LinAlgError):
             steps[j] = np.linalg.solve(a, b[:, None])[:, 0]
-        except np.linalg.LinAlgError:
-            singular[j] = True
-    return steps, singular
+    return steps
 
 
 def point_to_ellipse_distance(point, params: EllipseParams) -> float:
@@ -549,12 +542,14 @@ def _foot_points(local: np.ndarray, a, b, start: np.ndarray | None = None):
     pq = np.abs(local)
     p, q = pq[..., 0], pq[..., 1]
     t = np.arctan2(a * q, b * p) if start is None else np.array(start, dtype=float)
-    # -0.0 counts as zero, as the axis masks do. Points on an axis keep their
-    # closed-form angle and take no part in the Newton rounds.
-    on_axis = None if np.count_nonzero(local) == local.size else _axis_angles(t, p, q, a, b)
+    lo = np.zeros(t.shape)
+    hi = lo + math.pi / 2.0
+    # -0.0 counts as zero, as the axis masks do.
+    if np.count_nonzero(local) != local.size:
+        _axis_angles(t, lo, hi, p, q, a, b)
     ap, bq = a * p, b * q
     del pq, p, q  # not needed in the Newton rounds
-    t = _newton_angles(t, ap, bq, a * a - b * b, on_axis)
+    t = _newton_angles(t, lo, hi, ap, bq, a * a - b * b)
 
     # sign is +-1, so applying it last changes no bit of the product.
     foot = np.empty_like(local)
@@ -567,14 +562,16 @@ def _foot_points(local: np.ndarray, a, b, start: np.ndarray | None = None):
     return foot, np.where(inside, -dist, dist), t
 
 
-def _newton_angles(t: np.ndarray, ap: np.ndarray, bq: np.ndarray, diff, on_axis):
-    """Foot-point angles from the starting angles ``t``, which it may overwrite.
+def _newton_angles(t: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                   ap: np.ndarray, bq: np.ndarray, diff):
+    """Foot-point angles from the starting angles ``t`` in the brackets
+    [``lo``, ``hi``], which it may overwrite.
 
     The foot-point condition in the first quadrant is
     g(t) = (a^2 - b^2) sin t cos t - a P sin t + b Q cos t = 0
     with g(0) = bQ >= 0 and g(pi/2) = -aP <= 0, so the root is bracketed;
-    Newton steps that leave the bracket fall back to bisection. ``diff`` is
-    a^2 - b^2, and points in the ``on_axis`` mask keep their angle. Each
+    Newton steps that leave the bracket fall back to bisection, so a point
+    whose bracket has zero width keeps its angle. ``diff`` is a^2 - b^2. Each
     section (row of the stack) stops once its own largest step is below
     1e-15, so a section in a stack takes the steps it takes alone; a section
     without points has settled at once.
@@ -583,13 +580,11 @@ def _newton_angles(t: np.ndarray, ap: np.ndarray, bq: np.ndarray, diff, on_axis)
     # than a Python float, and the values are the same.
     zero = np.zeros(t.shape)
     diff = zero + diff
-    lo = np.zeros(t.shape)
-    hi = lo + math.pi / 2.0
     rows = None  # the sections still iterating, once some have settled
     tg = t
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(90):
-            t_next = _newton_step(tg, lo, hi, ap, bq, diff, zero, on_axis)
+            t_next = _newton_step(tg, lo, hi, ap, bq, diff, zero)
             # One ulp at t ~ 1 is 2.2e-16, so a tighter bound never settles.
             settled = np.abs(t_next - tg).max(axis=1, initial=0.0) < 1e-15
             tg = t_next
@@ -605,15 +600,13 @@ def _newton_angles(t: np.ndarray, ap: np.ndarray, bq: np.ndarray, diff, on_axis)
                 rows, tg, lo, hi, diff, ap, bq = (
                     x[keep] for x in (rows, tg, lo, hi, diff, ap, bq))
                 zero = zero[:len(rows)]
-                if on_axis is not None:
-                    on_axis = on_axis[keep]
     if rows is None:
         return tg
     t[rows] = tg
     return t
 
 
-def _newton_step(t, lo, hi, ap, bq, diff, zero, on_axis) -> np.ndarray:
+def _newton_step(t, lo, hi, ap, bq, diff, zero) -> np.ndarray:
     """One safeguarded Newton step from the angles ``t``; narrows the
     bracket [``lo``, ``hi``] in place.
     """
@@ -629,23 +622,21 @@ def _newton_step(t, lo, hi, ap, bq, diff, zero, on_axis) -> np.ndarray:
     # the stack takes.
     newton = t - g / dg
     in_bracket = (newton >= lo) & (newton <= hi)
-    if on_axis is not None:
-        in_bracket |= on_axis
     # count_nonzero is ndarray.all() without its reduction wrapper.
     if np.count_nonzero(in_bracket) == in_bracket.size:
-        t_next = newton
-    else:
-        newton = np.where(g == 0.0, t, newton)
-        # NaN and +-inf fail both comparisons and so bisect.
-        in_bracket = (newton >= lo) & (newton <= hi)
-        t_next = np.where(in_bracket, newton, 0.5 * (lo + hi))
-    return t_next if on_axis is None else np.where(on_axis, t, t_next)
+        return newton
+    newton = np.where(g == 0.0, t, newton)
+    # NaN and +-inf fail both comparisons and so bisect.
+    in_bracket = (newton >= lo) & (newton <= hi)
+    return np.where(in_bracket, newton, 0.5 * (lo + hi))
 
 
-def _axis_angles(t: np.ndarray, p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray):
+def _axis_angles(t: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Write the closed-form foot-point angle of every point on a symmetry
-    axis into the angles ``t`` (S, n) of a stack, with ``a`` and ``b`` as
-    (S, 1) columns; stacks only. Returns the mask of those points.
+    axis into the angles ``t`` (S, n) of a stack and into both ends of its
+    bracket [``lo``, ``hi``], which Newton and bisection then cannot leave,
+    with ``a`` and ``b`` as (S, 1) columns; stacks only.
     """
     a = np.broadcast_to(a, t.shape)
     b = np.broadcast_to(b, t.shape)
@@ -666,7 +657,8 @@ def _axis_angles(t: np.ndarray, p: np.ndarray, q: np.ndarray, a: np.ndarray, b: 
     center = on_u_axis & on_v_axis
     if np.any(center):
         t[center] = np.where(a[center] <= b[center], 0.0, math.pi / 2.0)
-    return on_u_axis | on_v_axis
+    on_axis = on_u_axis | on_v_axis
+    lo[on_axis] = hi[on_axis] = t[on_axis]
 
 
 def _gn_residual(pts: np.ndarray, theta: np.ndarray, start: np.ndarray | None):

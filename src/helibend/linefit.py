@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import IsotropicScatter, TooFewPoints
+from .errors import DegenerateConfiguration, HelibendError, IsotropicScatter, TooFewPoints
 from .geometry import CanonicalSection, as_points, fold_half_open, in_blocks
 
 _ISOTROPY_TOL = 1e-12
@@ -46,8 +46,10 @@ class Line2D:
     c: float
 
     def __post_init__(self):
-        if abs(self.a * self.a + self.b * self.b - 1.0) > _ISOTROPY_TOL:
-            raise ValueError("line coefficients must satisfy a^2 + b^2 = 1")
+        # Written so that NaN fails each test.
+        if not (abs(self.a * self.a + self.b * self.b - 1.0) <= _ISOTROPY_TOL
+                and math.isfinite(self.c)):
+            raise ValueError("line coefficients must be finite and satisfy a^2 + b^2 = 1")
 
     @classmethod
     def normalized(cls, a: float, b: float, c: float) -> "Line2D":
@@ -75,12 +77,16 @@ class DirectionResult:
 def _lines(means: np.ndarray, scatters: np.ndarray):
     """TLS line through each mean (S, 2) from its centered 2x2 scatter
     (S, 2, 2), and the scatter's smallest eigenvalue (the summed squared
-    orthogonal distances), one line at a time: an isotropic scatter raises
-    when its line is reached. One stacked eigh serves all of them.
+    orthogonal distances), one line at a time: a scatter that overflowed or
+    is isotropic raises when its line is reached. One stacked eigh serves all
+    of them.
     """
     evals, evecs = np.linalg.eigh(scatters)
-    for (mu, mv), (low, high), (a, b) in zip(
-            means.tolist(), evals.tolist(), evecs[:, :, 0].tolist()):
+    for (mu, mv), (low, high), (a, b), finite in zip(
+            means.tolist(), evals.tolist(), evecs[:, :, 0].tolist(),
+            np.isfinite(scatters).all(axis=(1, 2)).tolist()):
+        if not finite:
+            raise DegenerateConfiguration("ZY scatter overflowed; coordinates too large")
         if high - low <= _ISOTROPY_TOL * high:
             raise IsotropicScatter("principal variances are equal; direction undefined")
         yield Line2D.normalized(a, b, -(a * mu + b * mv)), low
@@ -136,8 +142,9 @@ def detect_direction(
     window clamped at an end of the part as a stack of one), and
     ``rms_orthogonal_residual`` is the RMS orthogonal distance of the
     window's points from the line. Each window's result is bit for bit the
-    one that pooling that window alone gives. Window i's IsotropicScatter
-    carries i in ``.section``.
+    one that pooling that window alone gives. Window i's IsotropicScatter, or
+    its DegenerateConfiguration when its scatter overflows, carries i in
+    ``.section``.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -164,7 +171,7 @@ def detect_direction(
     for i, total in enumerate(totals.tolist()):
         try:
             line, sse = next(lines)
-        except IsotropicScatter as exc:
+        except HelibendError as exc:
             exc.section = i
             raise
         # sse can round below 0 on noise-free parts
@@ -182,6 +189,8 @@ def detect_direction(
     return results
 
 
+# An overflowed scatter raises at its window (_lines); numpy need not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def _pool(counts: np.ndarray, means: np.ndarray, scatters: np.ndarray, width: int):
     """Point totals, means (W, 2) and scatters (W, 2, 2) of every run of
     ``width`` consecutive sections, pooled by the parallel-axis rule; each
@@ -198,6 +207,7 @@ def _pool(counts: np.ndarray, means: np.ndarray, scatters: np.ndarray, width: in
     return totals, pooled_means, summed + (w[:, :, None] * d).transpose(0, 2, 1) @ d
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _zy_moments(sections: list[CanonicalSection]):
     """Point counts, ZY means (S, 2), centered ZY scatters (S, 2, 2) and
     largest absolute canonical coordinates of the sections, each section's

@@ -270,6 +270,19 @@ class TestEvaluate:
                    "--sections", "1")
         assert code == 3
 
+    def test_overflowing_scatter_is_an_analysis_error(self, tmp_path, capsys):
+        # finite coordinates whose ZY squares overflow in every direction window
+        data = tmp_path / "data"
+        assert synth(data, radius="1.2e160", semi_major="8e158", semi_minor="5e158",
+                     pitch="6e159", sections=12, points_per_section=30) == 0
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run("evaluate", "--input", data / "cloud.csv", "--output-dir", out) == 3
+        assert capsys.readouterr().err == (
+            "error: DegenerateConfiguration: section 0: ZY scatter overflowed; "
+            "coordinates too large\n")
+        assert not out.exists()
+
     def test_analysis_error_names_its_section(self, tmp_path, capsys):
         # section labels 4 and 5 swapped: the azimuths step back from 4 to 5
         synth(tmp_path, seed=42, sections=8)
@@ -556,6 +569,33 @@ class TestCompareFits:
         assert capsys.readouterr().err == (
             "error: trial 0 has a non-finite point: [-inf, -2.1879166393254573e+307]\n")
         assert not out.exists()
+
+    def test_squares_that_overflow_are_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert run("compare-fits", "--output-dir", out, "--trials", 3,
+                   "--noise-sigma", "1e300") == 2
+        assert capsys.readouterr().err == (
+            "error: trial 0's centred coordinates overflow when squared\n")
+        assert not out.exists()
+
+    def test_failing_fit_writes_nothing(self, tmp_path, capsys):
+        # six points on a ten-thousandth of the outline do not fit an ellipse
+        out = tmp_path / "sweep"
+        assert run("compare-fits", "--output-dir", out, "--points", 6, "--arc-fraction", "0.0001",
+                   "--trials", 3, "--noise-sigma", 0.5) == 3
+        assert capsys.readouterr().err == (
+            "error: NotAnEllipse: section 0: best-fit conic is not an ellipse\n")
+        assert not out.exists()
+
+    def test_no_trial_in_band_leaves_std_error_empty(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("compare-fits", "--output-dir", out, "--min-angle-deg", 20,
+                       "--max-angle-deg", 80, "--trials", 5) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "summary.csv").read_text() == (
+            "fitter,trials_in_band,std_error_rad\ntrace,0,\nbookstein,0,\ngauss-newton,0,\n")
 
     def test_inverted_range_rejected(self, tmp_path):
         assert run("compare-fits", "--output-dir", tmp_path,

@@ -261,3 +261,122 @@ def test_stack_fits_each_section_as_alone(kwargs):
     if not kwargs:
         # The sections leave the lockstep at different rounds.
         assert len({f.iterations for f in alone}) > 2
+
+
+def test_stack_with_on_axis_points_settles_each_section_as_alone():
+    # Points exactly on a symmetry axis (-0.0 too) and at the centre take
+    # their closed-form angles in a zero-width bracket; the sections settle
+    # in different Newton rounds, so the later rounds run on fewer rows.
+    local = np.array([
+        [[4.0, 0.0], [0.0, -1.0], [6.0, -4.0], [0.2, 0.1], [-3.0, 1.5], [4.9, 0.3]],
+        [[1.0, 3.0], [-0.0, 0.0], [2.9, -0.0], [-7.0, 0.0], [0.3, -2.5], [0.0, 3.0]],
+        [[2.0, 0.8], [2.1, 0.7], [-1.9, 0.9], [0.1, 0.05], [8.0, -6.0], [0.0, 0.5]],
+    ])
+    a, b = np.array([[5.0], [4.0], [3.0]]), np.array([[2.0], [3.5], [1.0]])
+    rows = []
+    step = conicfit._newton_step
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conicfit, "_newton_step", lambda t, *args: rows.append(len(t)) or step(t, *args))
+        got = conicfit._foot_points(local, a, b)
+    assert rows == [3, 3, 3, 3, 2, 2]
+    for k in range(3):
+        alone = conicfit._foot_points(local[k:k + 1], a[k:k + 1], b[k:k + 1])
+        assert all(x[k].tobytes() == y[0].tobytes() for x, y in zip(got, alone))
+    assert hexes(got[1]) == [
+        "-0x1.f3a92ca2f4b7dp-1", "-0x1.0000000000000p+0", "0x1.b6811b821baf3p+1",
+        "-0x1.e5eab0a32f745p+0", "-0x1.8816e33a6793cp-4", "-0x1.4b96341102eadp-5",
+        "-0x1.837be3e3d7f6ep-2", "-0x1.c000000000000p+1", "-0x1.199999999999ap+0",
+        "0x1.8000000000000p+1", "-0x1.f98e43afd26cdp-1", "-0x1.0000000000000p-1",
+        "0x1.ad3724e172a27p-5", "-0x1.b86ea485cbbfbp-7", "0x1.f2d952eb64bb9p-4",
+        "-0x1.e614f6bf282dfp-1", "0x1.eafcd289bdc38p+2", "-0x1.0000000000000p-1",
+    ]
+    assert hexes(got[2]) == [
+        "0x1.3d47e9ca1ff06p-2", "0x1.921fb54442d18p+0", "0x1.25f8f0f06d1fdp-1",
+        "0x1.860b45b837ccdp+0", "0x1.d7329ff554abfp-1", "0x1.43e642063529cp-3",
+        "0x1.4b6566efba768p+0", "0x1.921fb54442d18p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x1.7996e11a08681p+0", "0x1.921fb54442d18p+0",
+        "0x1.b200da10ee51fp-1", "0x1.963dfa3c73872p-1", "0x1.cbf1afa7a72f9p-1",
+        "0x1.8894d149ec5dbp+0", "0x1.657d30e71892ep-2", "0x1.921fb54442d18p+0",
+    ]
+
+
+def singular_in_round(patch, round_, positions):
+    """Make np.linalg.solve fail, as on a singular matrix, for the damped
+    systems of the running sections at ``positions`` in Levenberg-Marquardt
+    round ``round_`` (one stacked solve per round, then one solve per
+    system when it fails). Returns the count of failed solves."""
+    solve = np.linalg.solve
+    state = {"round": 0, "system": 0, "failed": 0}
+
+    def failing_solve(lhs, rhs):
+        if lhs.ndim == 3:
+            state["round"] += 1
+            state["system"] = 0
+            fail = state["round"] == round_
+        else:
+            fail = state["round"] == round_ and state["system"] in positions
+            state["system"] += 1
+        if fail:
+            state["failed"] += 1
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(lhs, rhs)
+
+    patch.setattr(np.linalg, "solve", failing_solve)
+    return state
+
+
+# Captured with the singular systems injected before they were solved as
+# NaN steps: each section's damping then rose tenfold by a separate rule.
+SINGULAR_CASES = {
+    "one-section": (2, {3}, 2, [
+        (["-0x1.a5ea6455ea3f3p+5", "-0x1.36ca45c04f08ap+6", "0x1.9929c956bf861p+5",
+          "0x1.81e43af581181p+5", "0x1.00820f993c878p-1", "0x1.9fe36cc1d32bcp-9",
+          "0x1.3f9f0dd5685e7p-4"], 3, True),
+        (["-0x1.725e30fb84de7p+5", "0x1.8422779e18366p+6", "0x1.e9785a262ca46p+4",
+          "0x1.f6eebbd4001e9p+3", "-0x1.91ea755ede992p-1", "0x1.6c003755bae44p-8",
+          "0x1.b7d6baa210e2ep-5"], 3, True),
+        (["0x1.1c7fd6926cb41p+5", "0x1.0f6f3d43320a0p+5", "0x1.b1cce4aac37a4p+5",
+          "0x1.4d88a44ba5519p+4", "0x1.75adb39ddfe3dp-3", "0x1.fc93ac9c14282p-8",
+          "0x1.6c35bf165f434p-4"], 3, True),
+        (["0x1.0ac31fc7f664bp+5", "0x1.268d07e11e61bp+5", "0x1.c298e1be76864p+3",
+          "0x1.231dba84df2ecp+3", "0x1.3afa3648c9ef9p+0", "0x1.94faabb4d0d68p-8",
+          "0x1.f4c409a2c2494p-6"], 5, True),
+        (["0x1.24f573e3f11fbp+5", "0x1.6263417d41bd8p+5", "0x1.8751e328336fdp+5",
+          "0x1.8832c03cdeaa9p+3", "-0x1.2ddc1ad30c6a7p+0", "0x1.9eb28199df868p-6",
+          "0x1.bdf2ea207e61ap-3"], 4, True),
+        (["-0x1.997df0c860172p+5", "-0x1.09306bd751a79p+5", "0x1.7d1e93a0aa302p+5",
+          "0x1.1c9ad86cb2b00p+4", "-0x1.041a2e9ceb049p-1", "0x1.fffd58cf845c2p-10",
+          "0x1.5bb6c7f2523a9p-6"], 3, True),
+    ]),
+    "every-section": (3, set(range(len(STACK))), 1 + len(STACK), [
+        (["-0x1.a5ea6455ea3f0p+5", "-0x1.36ca45c04f08ap+6", "0x1.9929c956bf863p+5",
+          "0x1.81e43af581183p+5", "0x1.00820f993c857p-1", "0x1.9fe36cc1d346ep-9",
+          "0x1.3f9f0dd5685c1p-4"], 3, True),
+        (["-0x1.725e30fb84de7p+5", "0x1.8422779e18366p+6", "0x1.e9785a262ca46p+4",
+          "0x1.f6eebbd4001e9p+3", "-0x1.91ea755ede992p-1", "0x1.6c003755bae44p-8",
+          "0x1.b7d6baa210e33p-5"], 3, True),
+        (["0x1.1c7fd6926cb41p+5", "0x1.0f6f3d43320a0p+5", "0x1.b1cce4aac37a5p+5",
+          "0x1.4d88a44ba5519p+4", "0x1.75adb39ddfe3fp-3", "0x1.fc93ac9c1426ap-8",
+          "0x1.6c35bf165f446p-4"], 3, True),
+        (["0x1.0ac31fc7f664dp+5", "0x1.268d07e11e61bp+5", "0x1.c298e1be76860p+3",
+          "0x1.231dba84df2e4p+3", "0x1.3afa3648c9efap+0", "0x1.94faabb4d0adep-8",
+          "0x1.f4c409a2c2484p-6"], 5, True),
+        (["0x1.24f573e3f11fbp+5", "0x1.6263417d41bd8p+5", "0x1.8751e328336fdp+5",
+          "0x1.8832c03cdeaa9p+3", "-0x1.2ddc1ad30c6a7p+0", "0x1.9eb28199df868p-6",
+          "0x1.bdf2ea207e61ap-3"], 4, True),
+        (["-0x1.997df0c860172p+5", "-0x1.09306bd751a79p+5", "0x1.7d1e93a0aa301p+5",
+          "0x1.1c9ad86cb2b00p+4", "-0x1.041a2e9ceb049p-1", "0x1.fffd58cf848ddp-10",
+          "0x1.5bb6c7f2522fcp-6"], 3, True),
+    ]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", SINGULAR_CASES)
+def test_singular_damped_systems_raise_the_damping(case):
+    round_, positions, failed, expected = SINGULAR_CASES[case]
+    with pytest.MonkeyPatch.context() as patch:
+        state = singular_in_round(patch, round_, positions)
+        fits = fit_gauss_newton(STACK)
+    assert state["failed"] == failed
+    assert [fit_row(f) for f in fits] == expected

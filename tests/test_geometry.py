@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 from dataclasses import astuple
 
@@ -82,6 +83,18 @@ class TestEllipseParams:
         assert params.center.tolist() == [1.0, 2.0]
         with pytest.raises(ValueError, match="read-only"):
             params.center[1] = 5.0
+
+    @pytest.mark.parametrize("params", [
+        EllipseParams(np.array([1.5, -2.0]), 5.0, 2.0, 0.7),
+        EllipseParams.from_axes(np.array([-3.0, 4.0]), 2.0, 2.0, 0.7),
+    ], ids=["ellipse", "circle"])
+    def test_pickle_round_trip_keeps_every_field_and_a_read_only_centre(self, params):
+        # A forked child sends its fits back pickled.
+        copy = pickle.loads(pickle.dumps(params))
+        assert copy.center.tolist() == params.center.tolist()
+        assert astuple(copy)[1:] == astuple(params)[1:]
+        with pytest.raises(ValueError, match="read-only"):
+            copy.center[0] = 0.0
 
     def test_from_axes_swaps_to_major_first(self):
         params = EllipseParams.from_axes(np.zeros(2), 1.0, 2.0, 0.3)

@@ -17,7 +17,7 @@ from helibend import (
     segment_sections,
     surface_direction_angle,
 )
-from helibend.errors import IsotropicScatter, TooFewPoints
+from helibend.errors import DegenerateConfiguration, IsotropicScatter, TooFewPoints
 from helibend.linefit import LineOffsetWarning
 
 
@@ -154,6 +154,15 @@ class TestDirectionAngle:
         with pytest.raises(ValueError, match="degenerate line"):
             Line2D.normalized(0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: Line2D(math.nan, math.nan, math.nan),
+        lambda: Line2D(1.0, 0.0, math.nan),
+        lambda: Line2D.normalized(math.nan, 1.0, 0.0),
+    ], ids=["nan", "nan-offset", "normalized-nan"])
+    def test_nan_coefficients_rejected(self, make):
+        with pytest.raises(ValueError, match="must be finite"):
+            make()
+
 
 class TestRectifyDirection:
     def test_identity_on_branch(self):
@@ -287,6 +296,31 @@ class TestDetectDirection:
         with pytest.raises(IsotropicScatter) as caught:
             detect_direction(canon, window=1)
         assert caught.value.section == 3
+
+    def test_overflowing_scatter_names_its_window(self):
+        # finite coordinates whose ZY squares overflow: every window's scatter
+        spec = HelixSpec(radius=1.2e160, pitch_per_turn=6e159, semi_major=8e158,
+                         semi_minor=5e158, helix_angle=math.atan2(6e159 / (2 * math.pi), 1.2e160),
+                         sections=12, points_per_section=30)
+        part = generate(spec)
+        canon = canonicalize_section(segment_sections(part.points, labels=part.labels))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateConfiguration, match="ZY scatter overflowed") as caught:
+                detect_direction(canon)
+        assert caught.value.section == 0
+
+    def test_overflow_raises_after_earlier_windows_warn(self):
+        # The shifted sections warn at windows 5 to 8; section 11, scaled
+        # until its squares overflow, enters the interior window 9 first.
+        canon = shifted_sections(12)
+        canon[11] = dataclasses.replace(canon[11], points_canonical=canon[11].points_canonical * 1e160)
+        with pytest.warns(LineOffsetWarning) as record:
+            with pytest.raises(DegenerateConfiguration) as caught:
+                detect_direction(canon)
+        assert caught.value.section == 9
+        assert [str(w.message).split("section ")[1].split(";")[0] for w in record] == [
+            "5", "6", "7", "8"]
 
     def test_window_line_is_the_fit_to_every_window_point(self):
         assert_window_lines_fit_every_window_point(sections=7, window=3)

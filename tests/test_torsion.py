@@ -25,6 +25,8 @@ from helibend.errors import (
 )
 from helibend.torsion import fit_sections
 
+from helpers import count_forks
+
 
 def canonical_sections(spec):
     part = generate(spec)
@@ -33,6 +35,18 @@ def canonical_sections(spec):
 
 
 class TestObserveTorsion:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_that_names_no_section_is_raised_as_it_is(self, monkeypatch, workers):
+        # fit_gauss_newton's argument check fails in every block (70 sections
+        # of 48 points are two blocks, so two shares at workers=2).
+        forks = count_forks(monkeypatch)
+        canon, truth = canonical_sections(HelixSpec(sections=70, rng_seed=1))
+        with pytest.raises(ValueError, match="^max_iterations must be >= 1$") as caught:
+            observe_torsion(canon, truth.theta_x, "gauss-newton", gn_max_iterations=0,
+                            workers=workers)
+        assert getattr(caught.value, "section", None) is None
+        assert len(forks) == workers - 1
+
     def test_untwisted_section_reads_zero(self):
         canon, truth = canonical_sections(HelixSpec(sections=4, rng_seed=1))
         for sec in canon:
